@@ -51,13 +51,15 @@ val gain_value : ctx -> Emts_sched.Allocation.t -> gain -> int -> float
 
 (** CPA-style growth loop shared by CPA, HCPA and MCPA: start from the
     all-ones allocation and, while [T_CP > T_A], add one processor to
-    the eligible critical-path task with the best positive gain; stop
-    when no eligible task improves.  [eligible alloc v] restricts
-    candidates (MCPA's per-level budget); [max_iters] is a safety cap
-    (default [V * P]). *)
+    the admissible task of {!critical_path} with the best positive
+    gain; stop when no admissible task improves.  Ties in gain go to
+    the first such task met walking the path from its source.  A task
+    is admissible below [P] processors and, given [level_budget], while
+    the total allocation of its precedence level is below the budget
+    (MCPA's rule with budget [P]; default unbounded).  Each step
+    updates only the bottom levels a grow can move, yet every [T_CP],
+    [T_A], path and tie-break is the float or int a from-scratch
+    recomputation gives.  At most [V * (P - 1)] grows.  Raises
+    [Invalid_argument] on a NaN or negative time it reads. *)
 val growth_loop :
-  ?max_iters:int ->
-  gain:gain ->
-  eligible:(Emts_sched.Allocation.t -> int -> bool) ->
-  ctx ->
-  Emts_sched.Allocation.t
+  ?level_budget:int -> gain:gain -> ctx -> Emts_sched.Allocation.t

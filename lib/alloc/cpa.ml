@@ -1,6 +1,3 @@
 let name = "CPA"
 
-let allocate ctx =
-  Common.growth_loop ~gain:Common.Efficiency
-    ~eligible:(fun _alloc _v -> true)
-    ctx
+let allocate ctx = Common.growth_loop ~gain:Common.Efficiency ctx

@@ -1,6 +1,3 @@
 let name = "HCPA"
 
-let allocate ctx =
-  Common.growth_loop ~gain:Common.Absolute
-    ~eligible:(fun _alloc _v -> true)
-    ctx
+let allocate ctx = Common.growth_loop ~gain:Common.Absolute ctx

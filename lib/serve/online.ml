@@ -23,6 +23,13 @@ module Schedule = Emts_sched.Schedule
 let evaluator_slot =
   Emts_pool.Local.key (fun () -> Emts_sched.Evaluator.create ())
 
+(* One re-planning EA at a time in the process.  The daemon re-plans on
+   connection reader threads, all systhreads of one domain and so of
+   one [evaluator_slot]: a thread switch inside [Evaluator.makespan]
+   would corrupt another session's scratch.  Those threads never ran in
+   parallel anyway. *)
+let ea_lock = Mutex.create ()
+
 type replanner =
   | Baseline
   | Emts of { mu : int; lambda : int; generations : int }
@@ -258,9 +265,10 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
       ~mu ~lambda ~generations ()
   in
   let result =
-    Emts_ea.run ?pool:t.pool ~rng ~config:ea_config
-      ~seeds:[ baseline; prev; Array.make k 1 ]
-      (Emts_ea.mutation_only ~fitness ~mutate)
+    Mutex.protect ea_lock (fun () ->
+        Emts_ea.run ?pool:t.pool ~rng ~config:ea_config
+          ~seeds:[ baseline; prev; Array.make k 1 ]
+          (Emts_ea.mutation_only ~fitness ~mutate))
   in
   result.Emts_ea.best
 

@@ -10,6 +10,95 @@ let chti = Emts_platform.chti
 let ctx_of ?(model = Emts_model.amdahl) ?(platform = chti) g =
   Common.make_ctx ~model ~platform ~graph:g
 
+(* --- reference spec: the from-scratch growth loop ---
+
+   The loop as it stood before the incremental rewrite, kept verbatim:
+   every step recomputes T_CP, T_A and the critical path from scratch.
+   [Common.growth_loop] must return the same allocation, to the int. *)
+let ref_growth_loop ?max_iters ~gain ~eligible ctx =
+  let open Common in
+  let n = Graph.task_count ctx.graph in
+  let alloc = Array.make n 1 in
+  if n = 0 then alloc
+  else begin
+    let cap =
+      match max_iters with
+      | Some m -> m
+      | None -> n * ctx.procs
+    in
+    let rec step iter =
+      if iter >= cap then ()
+      else begin
+        let t_cp = critical_path_length ctx alloc in
+        let t_a = average_area ctx alloc in
+        if t_cp <= t_a then ()
+        else begin
+          let cp = critical_path ctx alloc in
+          let best =
+            List.fold_left
+              (fun acc v ->
+                if not (eligible alloc v) then acc
+                else begin
+                  let g = gain_value ctx alloc gain v in
+                  match acc with
+                  | Some (_, gbest) when gbest >= g -> acc
+                  | _ when g = neg_infinity -> acc
+                  | _ -> Some (v, g)
+                end)
+              None cp
+          in
+          match best with
+          | Some (v, g) when g > 0. ->
+            alloc.(v) <- alloc.(v) + 1;
+            step (iter + 1)
+          | Some _ | None -> ()
+        end
+      end
+    in
+    step 0;
+    alloc
+  end
+
+let ref_cpa ctx =
+  ref_growth_loop ~gain:Common.Efficiency ~eligible:(fun _alloc _v -> true) ctx
+
+let ref_hcpa ctx =
+  ref_growth_loop ~gain:Common.Absolute ~eligible:(fun _alloc _v -> true) ctx
+
+let ref_mcpa ctx =
+  let graph = ctx.Common.graph in
+  let level = Emts_ptg.Graph.precedence_level graph in
+  let n = Emts_ptg.Graph.task_count graph in
+  let level_total alloc lv =
+    let total = ref 0 in
+    for v = 0 to n - 1 do
+      if level.(v) = lv then total := !total + alloc.(v)
+    done;
+    !total
+  in
+  ref_growth_loop ~gain:Common.Efficiency
+    ~eligible:(fun alloc v -> level_total alloc level.(v) < ctx.Common.procs)
+    ctx
+
+let growth_pairs =
+  [
+    ("CPA", A.Cpa.allocate, ref_cpa);
+    ("HCPA", A.Hcpa.allocate, ref_hcpa);
+    ("MCPA", A.Mcpa.allocate, ref_mcpa);
+  ]
+
+(* Every CPA-family heuristic returns the reference allocation ([=] on
+   the int arrays); the first mismatch is reported by name. *)
+let same_as_reference ctx =
+  List.for_all
+    (fun (name, allocate, reference) ->
+      let got = allocate ctx and want = reference ctx in
+      got = want
+      || QCheck.Test.fail_reportf "%s: %s <> reference %s" name
+           (Format.asprintf "%a" Emts_sched.Allocation.pp got)
+           (Format.asprintf "%a" Emts_sched.Allocation.pp want))
+    growth_pairs
+
 (* Chain of perfectly parallel tasks: every task is always on the
    critical path and spans shrink by 1/p, so CPA must push every
    allocation to the full cluster (T_CP = T_A exactly there). *)
@@ -35,19 +124,37 @@ let test_cpa_stops_at_ta () =
   (* 20 unit tasks on 20 procs: T_A = 1 = T_CP at all-ones already. *)
   Alcotest.(check (array int)) "no growth needed" (Array.make 20 1) alloc
 
-let test_growth_loop_respects_eligibility () =
+(* Fork-join 0 -> {1..5} -> 6 of perfectly parallel tasks with a heavy
+   source: under a level budget of 5 the source and the sink grow to 5
+   processors and stop there although their gains are still positive
+   and T_CP > T_A, while the middle level already holds its whole
+   budget, so none of its five tasks grows. *)
+let test_growth_loop_level_budget () =
   let g =
     Graph.map_tasks
-      (fun t -> Emts_ptg.Task.make ~id:t.Emts_ptg.Task.id ~flop:4.3e9 ())
-      (Emts_daggen.Shapes.chain 2)
+      (fun t ->
+        let flop = if t.Emts_ptg.Task.id = 0 then 100. *. 4.3e9 else 4.3e9 in
+        Emts_ptg.Task.make ~id:t.Emts_ptg.Task.id ~flop ())
+      (Emts_daggen.Shapes.fork_join 5)
   in
-  let alloc =
-    Common.growth_loop ~gain:Common.Efficiency
-      ~eligible:(fun alloc v -> v = 0 && alloc.(v) < 5)
-      (ctx_of g)
-  in
-  Alcotest.(check int) "capped task" 5 alloc.(0);
-  Alcotest.(check int) "ineligible task" 1 alloc.(1)
+  let ctx = ctx_of g in
+  Alcotest.(check (array int)) "levels" [| 0; 1; 1; 1; 1; 1; 2 |]
+    (Graph.precedence_level g);
+  let alloc = Common.growth_loop ~level_budget:5 ~gain:Common.Efficiency ctx in
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Printf.sprintf "task %d capped" v) 5 alloc.(v);
+      Alcotest.(check bool) (Printf.sprintf "task %d gain positive" v) true
+        (Common.gain_value ctx alloc Common.Efficiency v > 0.))
+    [ 0; 6 ];
+  Alcotest.(check bool) "T_CP > T_A at the stop" true
+    (Common.critical_path_length ctx alloc > Common.average_area ctx alloc);
+  for v = 1 to 5 do
+    Alcotest.(check int) (Printf.sprintf "task %d outside the budget" v) 1
+      alloc.(v)
+  done;
+  Alcotest.(check bool) "unbudgeted source grows further" true
+    ((Common.growth_loop ~gain:Common.Efficiency ctx).(0) > 5)
 
 let test_gain_value () =
   let g =
@@ -295,6 +402,135 @@ let prop_heuristics_deterministic =
         (fun (h : A.heuristic) -> h.allocate ctx = h.allocate ctx)
         A.all)
 
+(* --- incremental loop = reference spec --- *)
+
+(* The fuzzer's scenario mix: adversarial shapes, zero-cost tasks,
+   one-processor platforms, non-monotone models. *)
+let prop_growth_matches_reference_scenarios =
+  QCheck.Test.make ~name:"CPA/HCPA/MCPA = reference loop on fuzz scenarios"
+    ~count:300 QCheck.int (fun seed ->
+      let s = Emts_check.Gen.scenario (Emts_prng.create ~seed ()) in
+      same_as_reference
+        (Common.make_ctx ~model:(Emts_check.Scenario.model s)
+           ~platform:(Emts_check.Scenario.platform s)
+           ~graph:s.Emts_check.Scenario.graph))
+
+(* Daggen DAGs on both clusters under Model 1 and Model 2. *)
+let prop_growth_matches_reference_daggen =
+  let combos =
+    [|
+      (chti, Emts_model.amdahl);
+      (chti, Emts_model.synthetic);
+      (Emts_platform.grelon, Emts_model.amdahl);
+      (Emts_platform.grelon, Emts_model.synthetic);
+    |]
+  in
+  QCheck.Test.make ~name:"CPA/HCPA/MCPA = reference loop on daggen DAGs"
+    ~count:80
+    QCheck.(pair int (int_bound 3))
+    (fun (seed, c) ->
+      let rng = Emts_prng.create ~seed () in
+      let graph =
+        Emts_check.Gen.random_daggen rng ~n:(Emts_prng.int_in rng 10 120)
+      in
+      let platform, model = combos.(c) in
+      same_as_reference (Common.make_ctx ~model ~platform ~graph))
+
+(* One instance of the scale the loop was rewritten for. *)
+let test_growth_matches_reference_500 () =
+  let rng = Emts_prng.create ~seed:500 () in
+  let graph =
+    Emts_daggen.Costs.assign rng
+      (Emts_daggen.Random_dag.generate rng
+         {
+           Emts_daggen.Random_dag.n = 500;
+           width = 0.3;
+           regularity = 0.5;
+           density = 0.3;
+           jump = 2;
+         })
+  in
+  let ctx =
+    Common.make_ctx ~model:Emts_model.synthetic ~platform:Emts_platform.grelon
+      ~graph
+  in
+  List.iter
+    (fun (name, allocate, reference) ->
+      Alcotest.(check (array int)) name (reference ctx) (allocate ctx))
+    growth_pairs
+
+(* The rewrite must keep the input check the reference got from
+   [Analysis.bottom_levels]: a NaN or negative time raises, whether it
+   is read at allocation 1 or first read after a grow. *)
+let test_growth_rejects_invalid_times () =
+  let g =
+    Graph.map_tasks
+      (fun t -> Emts_ptg.Task.make ~id:t.Emts_ptg.Task.id ~flop:4.3e9 ())
+      (Emts_daggen.Shapes.chain 3)
+  in
+  let ctx = ctx_of g in
+  let corrupt v p x =
+    let tables = Array.map Array.copy ctx.Common.tables in
+    tables.(v).(p - 1) <- x;
+    { ctx with Common.tables }
+  in
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (label, bad) ->
+      List.iter
+        (fun (name, allocate, reference) ->
+          Alcotest.(check bool) (name ^ ": " ^ label) true
+            (raises (fun () -> allocate bad));
+          Alcotest.(check bool) (name ^ " reference: " ^ label) true
+            (raises (fun () -> reference bad)))
+        growth_pairs)
+    [
+      ("NaN at allocation 1", corrupt 1 1 Float.nan);
+      ("negative at allocation 1", corrupt 2 1 (-1.));
+      (* tasks 0-2 grow to 3 first; the gain into 4 is positive, so the
+         negative time is read right after that grow *)
+      ("negative after a grow", corrupt 1 4 (-1.));
+    ]
+
+(* A step allocates nothing: the same graph on 2 and on 20 processors
+   costs the same setup, though the wider cluster takes 18 more grows
+   per task. *)
+let test_growth_step_allocation_free () =
+  let g =
+    Graph.map_tasks
+      (fun t -> Emts_ptg.Task.make ~id:t.Emts_ptg.Task.id ~flop:4.3e9 ())
+      (Emts_daggen.Shapes.chain 40)
+  in
+  let words procs =
+    let ctx =
+      ctx_of
+        ~platform:
+          (Emts_platform.make ~name:"p" ~processors:procs ~speed_gflops:4.3)
+        g
+    in
+    List.map
+      (fun (name, allocate, _) ->
+        ignore (allocate ctx);
+        let before = Gc.minor_words () in
+        let alloc = allocate ctx in
+        let w = Gc.minor_words () -. before in
+        Alcotest.(check (array int)) (name ^ " fills the cluster")
+          (Array.make 40 procs) alloc;
+        w)
+      growth_pairs
+  in
+  List.iter2
+    (fun narrow wide ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words on 2 procs, %.0f on 20" narrow wide)
+        true
+        (wide -. narrow < 40. *. 18.))
+    (words 2) (words 20)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -304,7 +540,7 @@ let () =
             test_cpa_chain_alpha0;
           Alcotest.test_case "stops at T_A" `Quick test_cpa_stops_at_ta;
           Alcotest.test_case "eligibility respected" `Quick
-            test_growth_loop_respects_eligibility;
+            test_growth_loop_level_budget;
           Alcotest.test_case "gain values" `Quick test_gain_value;
         ] );
       ( "hcpa",
@@ -324,6 +560,20 @@ let () =
           Alcotest.test_case "budget on random PTGs" `Quick
             test_mcpa_bounds_all_levels_random;
         ] );
+      ( "growth-loop",
+        [
+          Alcotest.test_case "500-task instance = reference" `Quick
+            test_growth_matches_reference_500;
+          Alcotest.test_case "invalid times rejected" `Quick
+            test_growth_rejects_invalid_times;
+          Alcotest.test_case "steps allocate nothing" `Quick
+            test_growth_step_allocation_free;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_growth_matches_reference_scenarios;
+              prop_growth_matches_reference_daggen;
+            ] );
       ( "delta-critical",
         [
           Alcotest.test_case "diamond" `Quick test_delta_critical_diamond;

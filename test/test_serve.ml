@@ -1133,6 +1133,107 @@ let test_endpoint_connect_listen () =
       let lfd2 = Endpoint.listen_fd ep in
       Unix.close lfd2)
 
+(* --- concurrent online sessions ---
+
+   The daemon runs each online re-plan on the connection's reader
+   thread, and every reader is a systhread of one domain.  Two sessions
+   re-planning at once must still commit exactly what each commits
+   alone. *)
+module Online = Emts_serve.Online
+module Sim_online = Emts_simulator.Online
+
+let committed_eq (a : Sim_online.committed) (b : Sim_online.committed) =
+  a.Sim_online.task = b.Sim_online.task
+  && a.Sim_online.dag = b.Sim_online.dag
+  && Int64.bits_of_float a.Sim_online.start
+     = Int64.bits_of_float b.Sim_online.start
+  && Int64.bits_of_float a.Sim_online.finish
+     = Int64.bits_of_float b.Sim_online.finish
+  && a.Sim_online.procs = b.Sim_online.procs
+
+(* Three ~120-task DAGs on Grelon under Model 2, arriving [gap] apart,
+   [gap] being half the first DAG's lower bound so each arrival lands
+   on committed work. *)
+let online_trace seed =
+  let rng = Emts_prng.create ~seed () in
+  let dags =
+    List.init 3 (fun _ ->
+        Testutil.costed_daggen rng ~n:(Emts_prng.int_in rng 110 130))
+  in
+  let gap =
+    0.5
+    *. Emts_alloc.Bounds.lower_bound
+         (Emts_alloc.Common.make_ctx ~model:Emts_model.synthetic
+            ~platform:Emts_platform.grelon ~graph:(List.hd dags))
+  in
+  List.mapi (fun k g -> (g, float_of_int k *. gap)) dags
+
+(* Drive one trace through a registry session the way the server's
+   submit/advance handlers do; the session's commitment log. *)
+let drive_session registry ~name trace =
+  let create () =
+    Online.create
+      (Online.config
+         ~replanner:(Online.Emts { mu = 5; lambda = 25; generations = 5 })
+         ~seed:42 ~platform:Emts_platform.grelon ~model:Emts_model.synthetic
+         ())
+  in
+  let ok = function
+    | Ok (Ok x) -> x
+    | Ok (Error m) | Error m -> Alcotest.fail (name ^ ": " ^ m)
+  in
+  List.iter
+    (fun (graph, at) ->
+      ignore
+        (ok
+           (Online.Registry.with_session registry ~name ~create (fun s ->
+                Online.submit s ~graph ~at))))
+    trace;
+  let r =
+    ok (Online.Registry.with_existing registry ~name (fun s -> Online.advance s))
+  in
+  if not r.Online.complete then Alcotest.fail (name ^ ": did not complete");
+  ok
+    (Online.Registry.with_existing registry ~name (fun s ->
+         Ok (Online.commitments s)))
+
+let test_online_concurrent_sessions () =
+  let traces = [| online_trace 101; online_trace 202 |] in
+  let alone =
+    Array.mapi
+      (fun i trace ->
+        drive_session (Online.Registry.create ())
+          ~name:(Printf.sprintf "alone-%d" i) trace)
+      traces
+  in
+  for rep = 1 to 5 do
+    let registry = Online.Registry.create () in
+    let logs = Array.make 2 [] and failures = Array.make 2 None in
+    let threads =
+      Array.mapi
+        (fun i trace ->
+          Thread.create
+            (fun () ->
+              try
+                logs.(i) <-
+                  drive_session registry
+                    ~name:(Printf.sprintf "rep%d-%d" rep i) trace
+              with e -> failures.(i) <- Some (Printexc.to_string e))
+            ())
+        traces
+    in
+    Array.iter Thread.join threads;
+    Array.iteri
+      (fun i reference ->
+        let label = Printf.sprintf "repetition %d, session %d" rep i in
+        Option.iter (fun m -> Alcotest.fail (label ^ ": " ^ m)) failures.(i);
+        Alcotest.(check int) (label ^ ": commitment count")
+          (List.length reference) (List.length logs.(i));
+        Alcotest.(check bool) (label ^ ": same log as alone") true
+          (List.for_all2 committed_eq reference logs.(i)))
+      alone
+  done
+
 let () =
   Alcotest.run "serve"
     [
@@ -1189,5 +1290,7 @@ let () =
             test_server_self_healing;
           Alcotest.test_case "online session through a drain" `Quick
             test_server_online_drain;
+          Alcotest.test_case "concurrent online sessions" `Quick
+            test_online_concurrent_sessions;
         ] );
     ]

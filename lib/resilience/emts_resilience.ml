@@ -393,12 +393,12 @@ module Checksummed = struct
     match In_channel.with_open_text path In_channel.input_all with
     | exception Sys_error msg -> Result.Error (Error.make ~file:path msg)
     | text -> (
-      let line =
-        match String.index_opt text '\n' with
-        | Some i -> String.sub text 0 i
-        | None -> text
-      in
-      match unframe line with
+      (* [save] always ends the record with a newline and writes the file
+         atomically, so a record without one was truncated. *)
+      match
+        Option.bind (String.index_opt text '\n') (fun i ->
+            unframe (String.sub text 0 i))
+      with
       | Some payload -> Ok payload
       | None ->
         Result.Error

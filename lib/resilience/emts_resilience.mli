@@ -166,8 +166,9 @@ module Checksummed : sig
 
   val load : path:string -> (string, Error.t) result
   (** Read back the payload, verifying the checksum.  A missing file,
-      a checksum mismatch, or a malformed frame is an [Error] naming
-      the file. *)
+      a checksum mismatch, a malformed frame, or a record without the
+      trailing newline {!save} writes (a truncated file) is an [Error]
+      naming the file. *)
 end
 
 (** {1 Graceful shutdown} *)

@@ -3,33 +3,46 @@ module Graph = Emts_ptg.Graph
 (* Incremental (delta) fitness evaluation with an allocation-free hot
    path.
 
-   An EA offspring differs from its parent in a handful of alleles, yet
-   the baseline fitness path rebuilds everything from scratch: a fresh
-   times array, fresh bottom levels, a fresh heap, a schedule loop full
-   of short-lived arrays.  This evaluator keeps a {e snapshot} of the
-   last successfully evaluated genome (times, bottom levels, the full
-   pop-step trace of its schedule) and, for the next candidate,
+   The baseline fitness path rebuilds everything from scratch for every
+   candidate: a fresh times array, fresh bottom levels, a fresh heap, a
+   schedule loop full of short-lived arrays.  This evaluator keeps all
+   of that in preallocated buffers, plus a {e snapshot} of the last
+   successfully evaluated genome (times, bottom levels, the full
+   pop-step trace of its schedule); for the next candidate it
    recomputes only from the earliest scheduling step the change can
-   influence, reusing the snapshot's prefix verbatim.
+   influence, reusing the snapshot's prefix verbatim.  That pays on
+   single-allele chains; an EA offspring differs from the previously
+   evaluated genome in about a third of its alleles, so an EA batch
+   reuses almost no steps and gains only from the lean loop.
 
-   {b Equivalence.}  The list scheduler releases successors when a task
-   is {e popped}, not when it finishes, so the pop sequence is driven
-   purely by heap content: (bottom level, id) priorities plus the graph
-   structure.  Let [push(v)] be the step at which [v] enters the ready
-   heap in the reference run (0 for sources, else 1 + the last
-   predecessor's pop step), and let [B] be the set of tasks whose
-   allocation, execution time or bottom level differs between reference
-   and candidate.  For every step [t < k = min over B of push(v)], the
-   heap holds only tasks outside [B] with bitwise-equal priorities, so
-   the pop, the processor claim, the start/finish times and all state
-   updates are bitwise identical to the reference — by induction the
-   two runs coincide on the whole prefix [0, k).  The evaluator
-   therefore replays the reference prefix from the snapshot
-   (availability vector, ready set, in-degrees, data-ready times are
-   all reconstructible from the pop trace) and runs the normal loop for
-   the suffix.  The result is {b bit-identical} to a from-scratch run —
-   property-tested in [test_evaluator] and cross-checked by the fuzz
-   differential oracle.
+   {b Processors as values.}  A makespan depends only on the multiset
+   of processor availabilities, never on which ids a task gets, so
+   [avail] holds just the values, ascending: a task on [s] processors
+   starts at [max dr avail.(s-1)], the s-th smallest value, whichever
+   equal-valued processor supplies it.  Data-ready times are [>= 0], so
+   a zero [avail.(s-1)] of either sign yields the start [dr].  The
+   makespan is therefore bit-identical to the id-tracking
+   [List_scheduler]'s (the full argument is in DESIGN.md §14).
+
+   {b Equivalence of the reused prefix.}  The list scheduler releases
+   successors when a task is {e popped}, not when it finishes, so the
+   pop sequence is driven purely by heap content: (bottom level, id)
+   priorities plus the graph structure.  Let [push(v)] be the step at
+   which [v] enters the ready heap in the reference run (0 for sources,
+   else 1 + the last predecessor's pop step), and let [B] be the set of
+   tasks whose allocation, execution time or bottom level differs
+   between reference and candidate.  For every step [t < k = min over B
+   of push(v)], the heap holds only tasks outside [B] with
+   bitwise-equal priorities, so the pop, the processor claim, the
+   start/finish times and all state updates are bitwise identical to
+   the reference — by induction the two runs coincide on the whole
+   prefix [0, k).  The evaluator therefore replays the reference prefix
+   from the snapshot (re-running each step's claim at its recorded
+   finish time rebuilds the availability values; the ready set,
+   in-degrees and data-ready times follow from the pop trace) and runs
+   the normal loop for the suffix.  The result is {b bit-identical} to
+   a from-scratch run — property-tested in [test_evaluator] and
+   cross-checked by the fuzz differential oracle.
 
    {b Allocation discipline.}  Steady state (same graph/tables/procs
    binding, capacities warm) must allocate nothing: every buffer is
@@ -50,9 +63,11 @@ module Graph = Emts_ptg.Graph
      iteration — hence the [fs] scratch cell and the out-of-line
      raisers that re-read their operands;
    - floats passed as function arguments are boxed at the call — hence
-     the heap push reads its priority from an array by index;
+     the heap push reads its priority from an array by index, and
+     [claim] reads the finish time from [fs];
    - [Array.sort] raises internal exceptions (an allocation each) —
-     hence the hand-written heapsort over [(avail, id)] keys. *)
+     hence [avail0] is sorted once per binding, in [rebind], and never
+     during an evaluation. *)
 
 (* Shared default for the optional release / initial-availability
    bindings: physical identity against this sentinel distinguishes "no
@@ -72,12 +87,8 @@ let m_rejections = Emts_obs.Metrics.counter "sched.delta.cutoff_rejections"
 type iacc = {
   mutable hsize : int;  (* ready-heap size *)
   mutable finished : int;  (* pop steps completed so far *)
-  mutable flat : int;  (* write cursor into [chosen_flat] *)
   mutable min_step : int;  (* divergence-step accumulator *)
   mutable tmp : int;  (* per-task push-step accumulator *)
-  mutable i : int;  (* merge cursor: chosen run *)
-  mutable j : int;  (* merge cursor: scratch run *)
-  mutable alloc_sum : int;  (* sum of the candidate's allocation *)
   mutable rejected : bool;  (* current evaluation hit the cutoff *)
 }
 
@@ -89,10 +100,11 @@ type t = {
   mutable tables : float array array;
   mutable procs : int;
   (* online re-planning constraints, part of the instance binding:
-     [release] seeds [data_ready], [avail0] seeds [avail] ([no_floats]
-     means all-zero — the offline case) *)
+     [release] seeds [data_ready] and [avail0] seeds [avail_init]
+     ([no_floats] means all-zero — the offline case) *)
   mutable release : float array;
   mutable avail0 : float array;
+  mutable avail_init : float array;  (* [avail0] sorted ascending *)
   mutable n : int;
   mutable topo : int array;
   mutable base_indeg : int array;
@@ -110,14 +122,10 @@ type t = {
   mutable pos : int array;  (* task -> step *)
   mutable finish_ : float array;  (* task -> finish time *)
   mutable prefix_max : float array;  (* step -> max finish on [0, step] *)
-  mutable chosen_off : int array;  (* step -> offset into [chosen_flat] *)
-  mutable chosen_flat : int array;  (* claimed processor ids, per step *)
   (* schedule-loop scratch *)
   mutable indeg : int array;
   mutable data_ready : float array;
-  mutable avail : float array;
-  mutable order : int array;  (* exactly [procs] long: sorted wholesale *)
-  mutable merge_scratch : int array;
+  mutable avail : float array;  (* processor availabilities, ascending *)
   mutable hprio : float array;
   mutable hids : int array;
   fs : float array;  (* scratch cell for floats crossing a nested loop *)
@@ -145,6 +153,7 @@ let create () =
     procs = 0;
     release = no_floats;
     avail0 = no_floats;
+    avail_init = [||];
     n = 0;
     topo = [||];
     base_indeg = [||];
@@ -158,28 +167,13 @@ let create () =
     pos = [||];
     finish_ = [||];
     prefix_max = [||];
-    chosen_off = [| 0 |];
-    chosen_flat = [||];
     indeg = [||];
     data_ready = [||];
     avail = [||];
-    order = [||];
-    merge_scratch = [||];
     hprio = [||];
     hids = [||];
     fs = Array.make 1 0.;
-    ia =
-      {
-        hsize = 0;
-        finished = 0;
-        flat = 0;
-        min_step = 0;
-        tmp = 0;
-        i = 0;
-        j = 0;
-        alloc_sum = 0;
-        rejected = false;
-      };
+    ia = { hsize = 0; finished = 0; min_step = 0; tmp = 0; rejected = false };
     fa = { mk = 0. };
     last_rejected = false;
     full_runs = 0;
@@ -230,10 +224,19 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
   t.procs <- procs;
   t.release <- release;
   t.avail0 <- avail0;
+  (* exactly [procs] long, so sorting it wholesale sorts [avail0] *)
+  if Array.length t.avail_init <> procs then
+    t.avail_init <- Array.make procs 0.;
+  if avail0 == no_floats then Array.fill t.avail_init 0 procs 0.
+  else begin
+    Array.blit avail0 0 t.avail_init 0 procs;
+    Array.sort Float.compare t.avail_init
+  end;
   t.n <- n;
   t.topo <- Graph.topological_order graph;
   (* Capacities grow and stick: rebinding to a smaller instance reuses
-     the larger buffers (loops index by [t.n], not array length). *)
+     the larger buffers (loops index by [t.n] and [procs], not array
+     length). *)
   if Array.length t.times < n then begin
     t.times <- Array.make n 0.;
     t.times_snap <- Array.make n 0.;
@@ -250,17 +253,9 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
     t.hids <- Array.make n 0;
     t.base_indeg <- Array.make n 0
   end;
-  if Array.length t.chosen_off < n + 1 then t.chosen_off <- Array.make (n + 1) 0;
-  t.chosen_off.(0) <- 0;
   for v = 0 to n - 1 do
     t.base_indeg.(v) <- Array.length (Graph.preds graph v)
   done;
-  (* [order] is sorted wholesale during state reconstruction, so it must
-     be exactly [procs] long — stale ids past [procs] would leak in. *)
-  if Array.length t.order <> procs then begin
-    t.order <- Array.init procs Fun.id;
-    t.merge_scratch <- Array.make (max 1 procs) 0
-  end;
   if Array.length t.avail < procs then t.avail <- Array.make procs 0.;
   t.snap_valid <- false
 
@@ -317,54 +312,20 @@ let heap_push hp hi ia prios v =
   heap_up hp hi ia.hsize;
   ia.hsize <- ia.hsize + 1
 
-(* Strict (avail, id)-ascending order on processor ids. *)
-let ord_lt avail a b =
-  let c = Float.compare avail.(a) avail.(b) in
-  c < 0 || (c = 0 && a < b)
-
-let rec sift_down avail o size i =
-  let l = (2 * i) + 1 in
-  if l < size then begin
-    let m = if ord_lt avail o.(i) o.(l) then l else i in
-    let r = l + 1 in
-    let m = if r < size && ord_lt avail o.(m) o.(r) then r else m in
-    if m <> i then begin
-      let v = o.(i) in
-      o.(i) <- o.(m);
-      o.(m) <- v;
-      sift_down avail o size m
-    end
-  end
-
-(* In-place heapsort of [o.(0..size-1)] ascending by (avail, id).  Keys
-   are distinct (they include the processor id), so the result is the
-   unique sorted permutation — exactly what [Array.sort] with the same
-   comparator yields, without its internal exceptions. *)
-let sort_order avail o size =
-  for i = (size / 2) - 1 downto 0 do
-    sift_down avail o size i
+(* A task claims the [s] earliest-available of the [procs] processors
+   until [fs.(0)].  [avail] holds their availabilities ascending: drop
+   the first [s], slide the values up to the finish (found by binary
+   search) down over them and write [s] copies of the finish behind
+   them.  The finish is >= [avail.(s-1)], so the array stays sorted. *)
+let claim (avail : float array) procs s (fs : float array) =
+  let lo = ref s and hi = ref procs in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if avail.(mid) > fs.(0) then hi := mid else lo := mid + 1
   done;
-  for last = size - 1 downto 1 do
-    let v = o.(0) in
-    o.(0) <- o.(last);
-    o.(last) <- v;
-    sift_down avail o last 0
-  done
-
-(* Insertion sort of [a.(lo..hi-1)] ascending, in place.  Runs are the
-   claimed-processor sets (size = one task's allocation), small and
-   distinct, and the result equals what [Array.sort Int.compare] on a
-   copy would produce — without the copy. *)
-let rec ins_place (a : int array) lo j v =
-  if j > lo && a.(j - 1) > v then begin
-    a.(j) <- a.(j - 1);
-    ins_place a lo (j - 1) v
-  end
-  else a.(j) <- v
-
-let sort_range a lo hi =
-  for j = lo + 1 to hi - 1 do
-    ins_place a lo j a.(j)
+  Array.blit avail s avail 0 (!lo - s);
+  for q = !lo - s to !lo - 1 do
+    avail.(q) <- fs.(0)
   done
 
 (* Out of line so the hot loop never mentions a float in a non-float
@@ -399,9 +360,7 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
   let ia = t.ia and fa = t.fa in
   let times = t.times and bl = t.bl and tables = t.tables in
   (* Pass A: execution times + input validation (the same checks as
-     [Allocation.times_of_tables] + [List_scheduler.check_inputs]), and
-     the candidate's total allocation for [chosen_flat] sizing. *)
-  ia.alloc_sum <- 0;
+     [Allocation.times_of_tables] + [List_scheduler.check_inputs]). *)
   for v = 0 to n - 1 do
     let s = alloc.(v) in
     if s < 1 || s > procs then
@@ -416,8 +375,7 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
            (Array.length row));
     let tv = row.(s - 1) in
     if tv <> tv || tv < 0. then bad_time tables alloc v;
-    times.(v) <- tv;
-    ia.alloc_sum <- ia.alloc_sum + s
+    times.(v) <- tv
   done;
   (* Pass B: bottom levels, same recurrence as [Analysis.bottom_levels]
      ([tv +. fold Float.max 0.]) so the values are bit-identical to the
@@ -443,30 +401,32 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
      sound change detector here: NaN is impossible past validation, and
      a +0/-0 flip is genuinely no change (both behave identically in
      every downstream sum and comparison of this non-negative value
-     domain). *)
+     domain).  Step 0 (a changed source) ends the scan early. *)
   let pos = t.pos
   and alloc_snap = t.alloc_snap
   and times_snap = t.times_snap
   and bl_snap = t.bl_snap in
   ia.min_step <- (if t.snap_valid then n else 0);
-  if t.snap_valid then
-    for v = 0 to n - 1 do
-      if
-        alloc.(v) <> alloc_snap.(v)
-        || times.(v) <> times_snap.(v)
-        || bl.(v) <> bl_snap.(v)
-      then begin
-        (* the step at which [v] entered the reference run's ready heap *)
-        let preds = Graph.preds graph v in
-        let np = Array.length preds in
-        ia.tmp <- 0;
-        for j = 0 to np - 1 do
-          let s = pos.(preds.(j)) + 1 in
-          if s > ia.tmp then ia.tmp <- s
-        done;
-        if ia.tmp < ia.min_step then ia.min_step <- ia.tmp
-      end
-    done;
+  let v = ref 0 in
+  while !v < n && ia.min_step > 0 do
+    let u = !v in
+    if
+      alloc.(u) <> alloc_snap.(u)
+      || times.(u) <> times_snap.(u)
+      || bl.(u) <> bl_snap.(u)
+    then begin
+      (* the step at which [u] entered the reference run's ready heap *)
+      let preds = Graph.preds graph u in
+      let np = Array.length preds in
+      ia.tmp <- 0;
+      for j = 0 to np - 1 do
+        let s = pos.(preds.(j)) + 1 in
+        if s > ia.tmp then ia.tmp <- s
+      done;
+      if ia.tmp < ia.min_step then ia.min_step <- ia.tmp
+    end;
+    incr v
+  done;
   let k = ia.min_step in
   let prefix_max = t.prefix_max
   and finish_ = t.finish_
@@ -499,34 +459,25 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
       t.reused_steps <- t.reused_steps + k
     end
     else t.full_runs <- t.full_runs + 1;
-    (* Ensure [chosen_flat] capacity before any snapshot write; growth
-       preserves the whole valid extent (a later, laxer-cutoff delta may
-       reuse a longer prefix than today's [k]). *)
-    let chosen_off = t.chosen_off in
-    let needed = chosen_off.(k) + ia.alloc_sum in
-    if Array.length t.chosen_flat < needed then begin
-      let fresh =
-        Array.make (max needed (2 * Array.length t.chosen_flat)) 0
-      in
-      let keep = if t.snap_valid then chosen_off.(n) else 0 in
-      Array.blit t.chosen_flat 0 fresh 0 keep;
-      t.chosen_flat <- fresh
-    end;
-    let chosen_flat = t.chosen_flat in
     let indeg = t.indeg
     and base_indeg = t.base_indeg
-    and data_ready = t.data_ready in
+    and data_ready = t.data_ready
+    and avail = t.avail
+    and fs = t.fs in
     let has_release = release != no_floats in
     for v = 0 to n - 1 do
       indeg.(v) <- base_indeg.(v);
       data_ready.(v) <- (if has_release then release.(v) else 0.)
     done;
-    let fs = t.fs in
+    Array.blit t.avail_init 0 avail 0 procs;
     for step = 0 to k - 1 do
+      (* the prefix tasks are unchanged, so [alloc] is the reference's
+         allocation for them; [fs.(0)], not a [let f]: a float let read
+         inside the nested loop below would be boxed at its binding on
+         every step *)
       let v = pop_order.(step) in
-      (* [fs.(0)], not a [let f]: a float let read inside the nested
-         loop below would be boxed at its binding on every step *)
       fs.(0) <- finish_.(v);
+      claim avail procs alloc.(v) fs;
       let succs = Graph.succs graph v in
       let ns = Array.length succs in
       for j = 0 to ns - 1 do
@@ -535,27 +486,6 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
         indeg.(w) <- indeg.(w) - 1
       done
     done;
-    let avail = t.avail and order = t.order in
-    let has_avail0 = avail0 != no_floats in
-    for p = 0 to procs - 1 do
-      avail.(p) <- (if has_avail0 then avail0.(p) else 0.)
-    done;
-    for step = 0 to k - 1 do
-      (* ascending steps: the last claimant of a processor wins, which
-         is exactly the availability the loop left behind *)
-      fs.(0) <- finish_.(pop_order.(step));
-      for j = chosen_off.(step) to chosen_off.(step + 1) - 1 do
-        avail.(chosen_flat.(j)) <- fs.(0)
-      done
-    done;
-    for p = 0 to procs - 1 do
-      order.(p) <- p
-    done;
-    (* [merge_front] keeps [order] exactly sorted by (avail, id) — keys
-       are distinct (ids), so one wholesale sort reproduces it.  A
-       non-zero initial availability needs the sort even for a fresh
-       run ([k = 0]). *)
-    if k > 0 || has_avail0 then sort_order avail order procs;
     let hprio = t.hprio and hids = t.hids in
     ia.hsize <- 0;
     for v = 0 to n - 1 do
@@ -567,10 +497,8 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
         heap_push hprio hids ia bl v
     done;
     ia.finished <- k;
-    ia.flat <- chosen_off.(k);
     ia.rejected <- false;
     fa.mk <- (if k > 0 then prefix_max.(k - 1) else 0.);
-    let merge_scratch = t.merge_scratch in
     while ia.hsize > 0 && not ia.rejected do
       (* pop the highest-priority ready task *)
       let v = hids.(0) in
@@ -581,57 +509,24 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
         heap_down hprio hids ia.hsize 0
       end;
       let s = alloc.(v) in
-      let proc_avail = avail.(order.(s - 1)) in
+      let a = avail.(s - 1) in
       let dr = data_ready.(v) in
-      (* start = [Float.max dr proc_avail]: no NaN, no -0 here.  The
+      (* start = [Float.max dr a] (no NaN here, and [dr >= 0] so the
+         sign of a zero [a] is irrelevant — see the module header).  The
          finish time lives in [fs.(0)], not a let — it is read inside
-         the three nested loops below, which would box a let-bound
-         float once per scheduling step. *)
-      fs.(0) <- (if dr >= proc_avail then dr else proc_avail) +. times.(v);
+         the nested loop below, which would box a let-bound float once
+         per scheduling step. *)
+      fs.(0) <- (if dr >= a then dr else a) +. times.(v);
       if fs.(0) > cutoff then ia.rejected <- true
       else begin
-        for kk = 0 to s - 1 do
-          avail.(order.(kk)) <- fs.(0)
-        done;
-        (* record the claimed processors, sorted ascending *)
-        let off = ia.flat in
-        Array.blit order 0 chosen_flat off s;
-        sort_range chosen_flat off (off + s);
-        ia.flat <- off + s;
-        (* merge the claimed front back into [order] (same comparisons
-           as [List_scheduler.merge_front], without the [Array.sub]) *)
-        Array.blit order s merge_scratch 0 (procs - s);
-        ia.i <- 0;
-        ia.j <- 0;
-        for kk = 0 to procs - 1 do
-          let take_chosen =
-            ia.j >= procs - s
-            || ia.i < s
-               &&
-               let b = merge_scratch.(ia.j) in
-               let c = Float.compare fs.(0) avail.(b) in
-               c < 0 || (c = 0 && chosen_flat.(off + ia.i) < b)
-          in
-          if take_chosen then begin
-            order.(kk) <- chosen_flat.(off + ia.i);
-            ia.i <- ia.i + 1
-          end
-          else begin
-            order.(kk) <- merge_scratch.(ia.j);
-            ia.j <- ia.j + 1
-          end
-        done;
+        claim avail procs s fs;
         (* extend the snapshot with this step *)
         let step = ia.finished in
         pop_order.(step) <- v;
         pos.(v) <- step;
         finish_.(v) <- fs.(0);
-        prefix_max.(step) <-
-          (if step = 0 then fs.(0)
-           else if fs.(0) > prefix_max.(step - 1) then fs.(0)
-           else prefix_max.(step - 1));
-        chosen_off.(step + 1) <- ia.flat;
         if fs.(0) > fa.mk then fa.mk <- fs.(0);
+        prefix_max.(step) <- fa.mk;
         ia.finished <- step + 1;
         (* release successors (at pop, not finish — see module header) *)
         let succs = Graph.succs graph v in

@@ -6,10 +6,14 @@
     [List_scheduler.makespan_bounded] over
     [Allocation.times_of_tables], {b bit-identically}, but
 
+    - tracks processor availabilities as one sorted array of values,
+      not processor ids: a makespan depends only on their multiset;
     - reuses the schedule prefix shared with the last successfully
-      evaluated genome (an EA offspring differs from its parent in a
-      few alleles, and the list scheduler's pop order diverges only
-      from the earliest step a changed task can reach the ready heap);
+      evaluated genome (the list scheduler's pop order diverges only
+      from the earliest step a changed task can reach the ready heap).
+      That pays on single-allele mutation chains; an EA batch, whose
+      offspring each mutate about a third of the alleles, reuses
+      almost nothing;
     - allocates nothing in steady state: all buffers are preallocated
       and owned by the evaluator, and the loop uses no closures,
       options, tuples or intermediate arrays.

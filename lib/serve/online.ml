@@ -422,15 +422,27 @@ let clairvoyant_bound t =
 module Registry = struct
   type session = t
 
+  (* [users] counts requests that hold the cell, from lookup to the end
+     of the request (the session mutex alone leaves a window between
+     lookup and lock); [used] is the registry tick of the last lookup.
+     Both change only under the registry lock. *)
+  type cell = {
+    mutex : Mutex.t;
+    session : session;
+    mutable users : int;
+    mutable used : int;
+  }
+
   type nonrec t = {
     lock : Mutex.t;
-    sessions : (string, Mutex.t * session) Hashtbl.t;
+    sessions : (string, cell) Hashtbl.t;
     capacity : int;
+    mutable tick : int;
   }
 
   let create ?(capacity = 64) () =
     if capacity < 1 then invalid_arg "Registry.create: capacity must be >= 1";
-    { lock = Mutex.create (); sessions = Hashtbl.create 16; capacity }
+    { lock = Mutex.create (); sessions = Hashtbl.create 16; capacity; tick = 0 }
 
   let count r =
     Mutex.lock r.lock;
@@ -442,39 +454,71 @@ module Registry = struct
     Mutex.lock r.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
 
-  (* Run [f] on the named session under its own mutex (sessions are
+  let checkout r cell =
+    r.tick <- r.tick + 1;
+    cell.used <- r.tick;
+    cell.users <- cell.users + 1;
+    cell
+
+  (* Make room for a new name: drop the least recently used session
+     that has finished its workload and that no request holds.  With no
+     user, nothing mutates the session, so [complete] is safe to read. *)
+  let evict_one r =
+    let victim =
+      Hashtbl.fold
+        (fun name cell best ->
+          if cell.users > 0 || not (complete cell.session) then best
+          else
+            match best with
+            | Some (_, used) when used <= cell.used -> best
+            | _ -> Some (name, cell.used))
+        r.sessions None
+    in
+    Option.iter (fun (name, _) -> Hashtbl.remove r.sessions name) victim;
+    Option.is_some victim
+
+  (* Run [f] on [cell]'s session under its own mutex (sessions are
      single-threaded; the registry serialises concurrent wire
-     requests), creating it first when absent. *)
+     requests), then release the cell. *)
+  let run r cell f =
+    Mutex.lock cell.mutex;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.unlock cell.mutex;
+        locked r (fun () -> cell.users <- cell.users - 1))
+      (fun () -> Ok (f cell.session))
+
   let with_session r ~name ~create f =
     match
       locked r (fun () ->
           match Hashtbl.find_opt r.sessions name with
-          | Some cell -> Ok cell
+          | Some cell -> Ok (checkout r cell)
           | None ->
-            if Hashtbl.length r.sessions >= r.capacity then
+            if Hashtbl.length r.sessions >= r.capacity && not (evict_one r)
+            then
               Error
                 (Printf.sprintf "session table full (%d sessions)" r.capacity)
             else begin
-              let cell = (Mutex.create (), create ()) in
+              let cell =
+                {
+                  mutex = Mutex.create ();
+                  session = create ();
+                  users = 0;
+                  used = 0;
+                }
+              in
               Hashtbl.replace r.sessions name cell;
-              Ok cell
+              Ok (checkout r cell)
             end)
     with
     | Error _ as e -> e
-    | Ok (m, session) ->
-      Mutex.lock m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock m)
-        (fun () -> Ok (f session))
+    | Ok cell -> run r cell f
 
   let with_existing r ~name f =
     match
-      locked r (fun () -> Hashtbl.find_opt r.sessions name)
+      locked r (fun () ->
+          Option.map (checkout r) (Hashtbl.find_opt r.sessions name))
     with
     | None -> Error (Printf.sprintf "unknown session %S" name)
-    | Some (m, session) ->
-      Mutex.lock m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock m)
-        (fun () -> Ok (f session))
+    | Some cell -> run r cell f
 end

@@ -146,7 +146,12 @@ module Registry : sig
     t -> name:string -> create:(unit -> session) -> (session -> 'a) ->
     ('a, string) result
   (** Run [f] on the named session (creating it when absent) under its
-      mutex.  [Error] when the table is full. *)
+      mutex.  When the table is full, a new name evicts the least
+      recently used session that is {!complete} and idle (no request
+      holds it); [Error] only when no session qualifies.  An evicted
+      name is forgotten: {!with_existing} answers it as unknown, and
+      its next [with_session] (the [submit] verb) starts a fresh
+      session. *)
 
   val with_existing :
     t -> name:string -> (session -> 'a) -> ('a, string) result

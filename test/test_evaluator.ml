@@ -1,10 +1,13 @@
 (* Tests for the delta fitness evaluator: bit-identical equivalence with
    the from-scratch list-scheduler path over random mutation chains
-   (including cutoffs, duplicates and instance rebinds), plus the
-   zero-allocation budget the hot path is designed around. *)
+   (including cutoffs, duplicates and instance rebinds), at cluster
+   scale, and with online release / initial-availability bindings
+   against [Online_list]; plus the zero-allocation budget the hot path
+   is designed around. *)
 
 module Ev = Emts_sched.Evaluator
 module LS = Emts_sched.List_scheduler
+module OL = Emts_sched.Online_list
 module Graph = Emts_ptg.Graph
 
 let bits = Int64.bits_of_float
@@ -33,33 +36,39 @@ let check_against_reference ~what ev ~graph ~tables ~procs ~alloc ~cutoff =
     Alcotest.failf "%s: rejection flag disagrees with the reference" what
 
 (* One mutation chain on one instance: start from a random allocation,
-   repeatedly flip a few alleles (the first and last ones included) and
-   under varying cutoffs, checking every evaluation bitwise. *)
-let run_chain rng ev ~graph ~tables ~procs ~steps =
+   repeatedly flip a few alleles (the first and last ones included) or,
+   like an EA offspring, a third of them, under varying cutoffs,
+   checking every evaluation bitwise against [reference]. *)
+let run_chain ?release ?avail0 ~reference rng ev ~graph ~tables ~procs ~steps
+    =
   let n = Graph.task_count graph in
   let alloc = Emts_check.Gen.random_valid_alloc rng graph ~procs in
   let best = ref infinity in
   for step = 0 to steps - 1 do
+    let flip m =
+      for _ = 1 to m do
+        alloc.(Emts_prng.int rng n) <- 1 + Emts_prng.int rng procs
+      done
+    in
     (match step mod 7 with
     | 0 -> () (* duplicate genome: full-schedule reuse *)
     | 1 -> alloc.(0) <- 1 + Emts_prng.int rng procs
     | 2 -> alloc.(n - 1) <- 1 + Emts_prng.int rng procs
-    | _ ->
-      let m = 1 + Emts_prng.int rng 3 in
-      for _ = 1 to m do
-        alloc.(Emts_prng.int rng n) <- 1 + Emts_prng.int rng procs
-      done);
+    | 6 -> flip (1 + (n / 3))
+    | _ -> flip (1 + Emts_prng.int rng 3));
     let cutoff =
       match step mod 5 with
       | 3 when !best < infinity -> !best *. Emts_prng.float_in rng 0.5 1.2
       | 4 when !best < infinity -> !best (* exactly at the best: tight *)
       | _ -> infinity
     in
-    let got = Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff () in
-    let expected = reference ~graph ~tables ~procs ~alloc ~cutoff in
+    let got =
+      Ev.makespan ev ?release ?avail0 ~graph ~tables ~procs ~alloc ~cutoff ()
+    in
+    let expected = reference ~alloc ~cutoff in
     if not (float_eq expected got) then
-      Alcotest.failf "step %d (cutoff %h): delta %h <> from-scratch %h" step
-        cutoff got expected;
+      Alcotest.failf "step %d (procs %d, cutoff %h): delta %h <> reference %h"
+        step procs cutoff got expected;
     if got < !best then best := got
   done
 
@@ -72,7 +81,68 @@ let prop_delta_equals_scratch =
       let procs = 1 + Emts_prng.int rng 8 in
       let tables = make_tables rng graph ~procs in
       let ev = Ev.create () in
-      run_chain rng ev ~graph ~tables ~procs ~steps:40;
+      run_chain rng ev ~graph ~tables ~procs ~steps:40
+        ~reference:(reference ~graph ~tables ~procs);
+      true)
+
+(* Cluster widths: the paper's Chti (20) and Grelon (120), or any width
+   up to 128. *)
+let cluster_procs rng =
+  match Emts_prng.int rng 3 with
+  | 0 -> 20
+  | 1 -> 120
+  | _ -> 1 + Emts_prng.int rng 128
+
+(* Model 1 (monotone) or Model 2 (non-monotone) tables for a [procs]-wide
+   platform, or the small discrete tables of [make_tables]. *)
+let cluster_tables rng graph ~procs =
+  let platform =
+    Emts_platform.make ~name:"test" ~processors:procs ~speed_gflops:1.
+  in
+  match Emts_prng.int rng 3 with
+  | 0 -> Emts_model.Memo.tabulate_graph Emts_model.amdahl platform graph
+  | 1 -> Emts_model.Memo.tabulate_graph Emts_model.synthetic platform graph
+  | _ -> make_tables rng graph ~procs
+
+let prop_delta_equals_scratch_cluster =
+  QCheck.Test.make ~name:"delta == from-scratch at cluster scale" ~count:100
+    QCheck.(pair (Testutil.arbitrary_dag ~max_n:40 ()) small_int)
+    (fun (graph, seed) ->
+      let rng = Emts_prng.create ~seed () in
+      let procs = cluster_procs rng in
+      let tables = cluster_tables rng graph ~procs in
+      run_chain rng (Ev.create ()) ~graph ~tables ~procs ~steps:40
+        ~reference:(reference ~graph ~tables ~procs);
+      true)
+
+(* Release times and initial availabilities drawn from a small set, so
+   values repeat; [0.] and [-0.] both occur, and [avail0] is unsorted. *)
+let online_floats rng len =
+  Array.init len (fun _ ->
+      match Emts_prng.int rng 5 with
+      | 0 -> 0.
+      | 1 -> -0.
+      | _ -> float_of_int (Emts_prng.int rng 6) /. 2.)
+
+(* [Online_list] has no cutoff; a bounded run rejects exactly when some
+   task, hence the makespan, finishes past it. *)
+let online_reference ~graph ~tables ~procs ~release ~avail0 ~alloc ~cutoff =
+  let times = Emts_sched.Allocation.times_of_tables alloc ~tables in
+  let m = OL.makespan ~graph ~times ~alloc ~procs ~release ~avail:avail0 in
+  if m > cutoff then infinity else m
+
+let prop_delta_equals_online =
+  QCheck.Test.make ~name:"delta with release/avail0 == Online_list" ~count:100
+    QCheck.(pair (Testutil.arbitrary_dag ~max_n:40 ()) small_int)
+    (fun (graph, seed) ->
+      let rng = Emts_prng.create ~seed () in
+      let procs = cluster_procs rng in
+      let tables = cluster_tables rng graph ~procs in
+      let release = online_floats rng (Graph.task_count graph) in
+      let avail0 = online_floats rng procs in
+      run_chain ~release ~avail0 rng (Ev.create ()) ~graph ~tables ~procs
+        ~steps:40
+        ~reference:(online_reference ~graph ~tables ~procs ~release ~avail0);
       true)
 
 let test_first_and_last_allele () =
@@ -234,6 +304,8 @@ let () =
       ( "delta",
         [
           QCheck_alcotest.to_alcotest prop_delta_equals_scratch;
+          QCheck_alcotest.to_alcotest prop_delta_equals_scratch_cluster;
+          QCheck_alcotest.to_alcotest prop_delta_equals_online;
           Alcotest.test_case "first and last allele" `Quick
             test_first_and_last_allele;
           Alcotest.test_case "rebind across instances" `Quick

@@ -361,6 +361,22 @@ let test_checksummed_round_trip () =
   | Ok _ -> Alcotest.fail "missing file loaded"
   | Error _ -> ()
 
+(* Every strict prefix of a saved record is a truncation, including the
+   one that drops only the trailing newline. *)
+let test_checksummed_truncation () =
+  in_tmpdir @@ fun dir ->
+  let path = Filename.concat dir "ckpt" in
+  R.Checksummed.save ~path "{\"generation\":3}";
+  let raw = read_file path in
+  for cut = 0 to String.length raw - 1 do
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (String.sub raw 0 cut));
+    match R.Checksummed.load ~path with
+    | Ok _ ->
+      Alcotest.failf "truncation at %d of %d accepted" cut (String.length raw)
+    | Error _ -> ()
+  done
+
 (* --- Shutdown --- *)
 
 let test_shutdown_flag () =
@@ -410,6 +426,8 @@ let () =
         [
           Alcotest.test_case "round trip + corruption" `Quick
             test_checksummed_round_trip;
+          Alcotest.test_case "every truncation rejected" `Quick
+            test_checksummed_truncation;
         ] );
       ("shutdown", [ Alcotest.test_case "flag" `Quick test_shutdown_flag ]);
     ]

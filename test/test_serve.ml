@@ -1234,6 +1234,80 @@ let test_online_concurrent_sessions () =
       alone
   done
 
+(* --- session registry eviction --- *)
+
+(* Submit a 6-task DAG at time 0 to the named session of a baseline
+   registry; the session is incomplete until advanced. *)
+let registry_submit registry name =
+  let create () =
+    Online.create
+      (Online.config ~platform:Emts_platform.chti ~model:Emts_model.amdahl ())
+  in
+  let graph = Testutil.costed_daggen (Emts_prng.create ~seed:5 ()) ~n:6 in
+  match
+    Online.Registry.with_session registry ~name ~create (fun s ->
+        Online.submit s ~graph ~at:0.)
+  with
+  | Ok (Ok _) -> Ok ()
+  | Ok (Error m) -> Alcotest.fail (name ^ ": " ^ m)
+  | Error m -> Error m
+
+let registry_advance registry name =
+  Online.Registry.with_existing registry ~name (fun s ->
+      match Online.advance s with
+      | Ok r -> r.Online.complete
+      | Error m -> Alcotest.fail (name ^ ": " ^ m))
+
+let admitted registry what name =
+  Alcotest.(check (result unit string))
+    what (Ok ()) (registry_submit registry name)
+
+let completes registry what name =
+  Alcotest.(check (result bool string))
+    what (Ok true) (registry_advance registry name)
+
+let check_full what = function
+  | Error m when Testutil.contains_substring m "session table full" -> ()
+  | Error m -> Alcotest.failf "%s: unexpected error %S" what m
+  | Ok () -> Alcotest.failf "%s: admitted into a full table" what
+
+let test_registry_evicts_complete () =
+  let registry = Online.Registry.create ~capacity:2 () in
+  admitted registry "a" "a";
+  admitted registry "b" "b";
+  completes registry "a completes" "a";
+  admitted registry "c admitted" "c";
+  Alcotest.(check int) "capacity kept" 2 (Online.Registry.count registry);
+  (match registry_advance registry "a" with
+  | Error m when Testutil.contains_substring m "unknown session" -> ()
+  | Error m -> Alcotest.failf "evicted a: unexpected error %S" m
+  | Ok _ -> Alcotest.fail "evicted session a still answers advance");
+  completes registry "b survives" "b"
+
+let test_registry_refuses_busy () =
+  let registry = Online.Registry.create ~capacity:2 () in
+  admitted registry "a" "a";
+  admitted registry "b" "b";
+  check_full "both incomplete" (registry_submit registry "c");
+  (* [a] complete but held mid-request by another thread *)
+  completes registry "a completes" "a";
+  let entered = Semaphore.Binary.make false
+  and release = Semaphore.Binary.make false in
+  let holder =
+    Thread.create
+      (fun () ->
+        ignore
+          (Online.Registry.with_existing registry ~name:"a" (fun _ ->
+               Semaphore.Binary.release entered;
+               Semaphore.Binary.acquire release)))
+      ()
+  in
+  Semaphore.Binary.acquire entered;
+  check_full "complete session held mid-request" (registry_submit registry "c");
+  Semaphore.Binary.release release;
+  Thread.join holder;
+  admitted registry "admitted once idle" "c"
+
 let () =
   Alcotest.run "serve"
     [
@@ -1292,5 +1366,9 @@ let () =
             test_server_online_drain;
           Alcotest.test_case "concurrent online sessions" `Quick
             test_online_concurrent_sessions;
+          Alcotest.test_case "full registry evicts a complete session" `Quick
+            test_registry_evicts_complete;
+          Alcotest.test_case "full registry refuses busy sessions" `Quick
+            test_registry_refuses_busy;
         ] );
     ]

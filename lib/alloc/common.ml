@@ -3,6 +3,7 @@ module Analysis = Emts_ptg.Analysis
 
 type ctx = {
   graph : Graph.t;
+  cover : Graph.t;
   procs : int;
   tables : float array array;
 }
@@ -10,6 +11,7 @@ type ctx = {
 let make_ctx ~model ~platform ~graph =
   {
     graph;
+    cover = Graph.transitive_reduction graph;
     procs = platform.Emts_platform.processors;
     tables = Emts_model.Memo.tabulate_graph model platform graph;
   }
@@ -52,15 +54,20 @@ let invalid_time ctx alloc v =
 (* Incremental form of the loop spelled out in common.mli: a step
    recomputes only the bottom levels a grow can move — the grown task,
    then, walking the topological order down from it, each ancestor a
-   moved successor marked dirty.  Every value comes from the recurrence
-   of [Analysis.bottom_levels] ([tv +. fold Float.max 0.] over the
-   successors), [T_A] is summed in task order and the critical path is
-   walked with the same tie rules, so every float, and hence every
-   allocation, is bit-identical to the from-scratch loop.  Floats cross
-   basic blocks only through [fs] (DESIGN.md §14), so a step allocates
-   nothing. *)
+   moved successor marked dirty.  Every value is the float of the
+   recurrence of [Analysis.bottom_levels] ([tv +. fold Float.max 0.]
+   over the successors), [T_A] is summed in task order and the critical
+   path is walked with the same tie rules, so every float, and hence
+   every allocation, is bit-identical to the from-scratch loop.  Bottom
+   levels read and dirty only covering edges ([ctx.cover]): a transitive
+   edge [u -> w] through [x] has [bl x >= bl w], so it never sets the
+   max (DESIGN.md §5).  The source scan, [T_A] and the path walk stay on
+   the full graph, where a rounding tie [bl x = bl w] can pick another
+   path.  Floats cross basic blocks only through [fs] (DESIGN.md §14),
+   so a step allocates nothing. *)
 let growth_loop ?(level_budget = max_int) ~gain ctx =
-  let graph = ctx.graph and tables = ctx.tables and procs = ctx.procs in
+  let graph = ctx.graph and cover = ctx.cover in
+  let tables = ctx.tables and procs = ctx.procs in
   let n = Graph.task_count graph in
   let alloc = Array.make n 1 in
   if n > 0 then begin
@@ -74,23 +81,25 @@ let growth_loop ?(level_budget = max_int) ~gain ctx =
     let bl = Array.make n 0. in
     let dirty = Array.make n false and pending = ref 0 in
     (* fs.(0): a bottom level before its update, then the running sum
-       of T_A; fs.(1): a candidate's gain; fs.(2): the best gain. *)
-    let fs = Array.make 3 0. in
+       of T_A; fs.(1): a candidate's gain; fs.(2): the best gain;
+       fs.(3): the largest bottom level of a task's successors. *)
+    let fs = Array.make 4 0. in
     (* Recompute [bl.(v)]; mark the predecessors dirty when it moved.
        Bottom levels are never NaN nor -0. (times are validated, the
-       fold starts at +0.), so float [<>] is a bitwise change test. *)
+       max starts at +0.), so a bare [>] takes the max [Float.max]
+       would, and float [<>] is a bitwise change test. *)
     let refresh v =
       let tv = tables.(v).(alloc.(v) - 1) in
       if not (tv >= 0.) then invalid_time ctx alloc v;
       fs.(0) <- bl.(v);
-      let succs = Graph.succs graph v in
-      bl.(v) <- 0.;
+      let succs = Graph.succs cover v in
+      fs.(3) <- 0.;
       for j = 0 to Array.length succs - 1 do
-        bl.(v) <- Float.max bl.(v) bl.(succs.(j))
+        if bl.(succs.(j)) > fs.(3) then fs.(3) <- bl.(succs.(j))
       done;
-      bl.(v) <- tables.(v).(alloc.(v) - 1) +. bl.(v);
+      bl.(v) <- tables.(v).(alloc.(v) - 1) +. fs.(3);
       if bl.(v) <> fs.(0) then begin
-        let preds = Graph.preds graph v in
+        let preds = Graph.preds cover v in
         for j = 0 to Array.length preds - 1 do
           if not dirty.(preds.(j)) then begin
             dirty.(preds.(j)) <- true;

@@ -8,16 +8,22 @@
 
 type ctx = {
   graph : Emts_ptg.Graph.t;
+  cover : Emts_ptg.Graph.t;
+      (** [Graph.transitive_reduction graph]: the covering edges, over
+          which {!growth_loop} keeps its bottom levels *)
   procs : int;                  (** processors of the target cluster *)
   tables : float array array;   (** [tables.(v).(p-1)] = time of task [v] on [p] procs *)
 }
+(** Build a [ctx] with {!make_ctx} only (or update its [tables] from
+    one), so that [cover] always reduces [graph]. *)
 
 val make_ctx :
   model:Emts_model.t ->
   platform:Emts_platform.t ->
   graph:Emts_ptg.Graph.t ->
   ctx
-(** Tabulates the model over the platform's processor range. *)
+(** Tabulates the model over the platform's processor range and reduces
+    the graph to its covering edges. *)
 
 val time_of : ctx -> Emts_sched.Allocation.t -> int -> float
 (** [time_of ctx alloc v] is the execution time of [v] under its

@@ -32,12 +32,16 @@ module Builder : sig
 
   val add_edge : t -> src:int -> dst:int -> unit
   (** Adds the precedence constraint [src -> dst].  Duplicate edges are
-      ignored.  Raises [Invalid_argument] on unknown ids or self-loops. *)
+      ignored (dropped by {!build}).  Raises [Invalid_argument] on
+      unknown ids or self-loops. *)
 
   val task_count : t -> int
 
   val build : t -> graph
-  (** Validates acyclicity and freezes the graph.  Raises {!Cycle}. *)
+  (** Validates acyclicity and freezes the graph.  Raises {!Cycle}.
+      O((V + E) log V), E counting duplicates: the edges are bucketed
+      by source, each bucket is sorted and deduplicated, and Kahn's sort
+      draws from a min-heap of ids. *)
 end
 
 val of_tasks_and_edges : Task.t array -> (int * int) list -> t
@@ -95,7 +99,16 @@ val is_edge_transitive : t -> src:int -> dst:int -> bool
 val transitive_reduction : t -> t
 (** The unique minimal DAG with the same reachability: every transitive
     edge removed.  Precedence-feasible schedules are unchanged, but
-    analyses touching every edge get cheaper.  O(E·(V+E)). *)
+    analyses touching every edge get cheaper.  The result shares the
+    tasks, topological order and levels of the input, which the same
+    reachability leaves equal.
+
+    O(E·V/63) word operations: each node's strict descendants are a
+    bitset over topological positions, built from the sinks up, and an
+    edge [u -> w] goes iff [w] descends from another successor of [u].
+    The positions are processed in column blocks of 64 words (4032
+    columns), so the bitsets take at most V × 64 words: one block and
+    V²/63 words up to 4032 tasks, about 51 MB at 10⁵ tasks. *)
 
 val reachable : t -> int -> bool array
 (** [reachable g v] flags every node reachable from [v] (including v). *)

@@ -415,7 +415,9 @@ let prop_growth_matches_reference_scenarios =
            ~platform:(Emts_check.Scenario.platform s)
            ~graph:s.Emts_check.Scenario.graph))
 
-(* Daggen DAGs on both clusters under Model 1 and Model 2. *)
+(* Daggen DAGs on both clusters under Model 1 and Model 2; every other
+   case is dense (density 0.5-0.9, jump 1-3), where transitive edges
+   abound. *)
 let prop_growth_matches_reference_daggen =
   let combos =
     [|
@@ -426,27 +428,34 @@ let prop_growth_matches_reference_daggen =
     |]
   in
   QCheck.Test.make ~name:"CPA/HCPA/MCPA = reference loop on daggen DAGs"
-    ~count:80
-    QCheck.(pair int (int_bound 3))
-    (fun (seed, c) ->
+    ~count:120
+    QCheck.(triple int (int_bound 3) bool)
+    (fun (seed, c, dense) ->
       let rng = Emts_prng.create ~seed () in
+      let n = Emts_prng.int_in rng 10 120 in
       let graph =
-        Emts_check.Gen.random_daggen rng ~n:(Emts_prng.int_in rng 10 120)
+        if dense then
+          Testutil.costed_daggen rng ~n
+            ~width:(Emts_prng.float_in rng 0.1 1.0)
+            ~density:(Emts_prng.float_in rng 0.5 0.9)
+            ~jump:(Emts_prng.int_in rng 1 3)
+        else Emts_check.Gen.random_daggen rng ~n
       in
       let platform, model = combos.(c) in
       same_as_reference (Common.make_ctx ~model ~platform ~graph))
 
-(* One instance of the scale the loop was rewritten for. *)
-let test_growth_matches_reference_500 () =
-  let rng = Emts_prng.create ~seed:500 () in
+(* Instances of the scale the loop was rewritten for: a sparse one and
+   a dense one, where about half the edges are transitive. *)
+let growth_matches_reference_at ~seed ~n ~density () =
+  let rng = Emts_prng.create ~seed () in
   let graph =
     Emts_daggen.Costs.assign rng
       (Emts_daggen.Random_dag.generate rng
          {
-           Emts_daggen.Random_dag.n = 500;
+           Emts_daggen.Random_dag.n;
            width = 0.3;
            regularity = 0.5;
-           density = 0.3;
+           density;
            jump = 2;
          })
   in
@@ -457,6 +466,44 @@ let test_growth_matches_reference_500 () =
   List.iter
     (fun (name, allocate, reference) ->
       Alcotest.(check (array int)) name (reference ctx) (allocate ctx))
+    growth_pairs
+
+let test_growth_matches_reference_500 =
+  growth_matches_reference_at ~seed:500 ~n:500 ~density:0.3
+
+let test_growth_matches_reference_800 =
+  growth_matches_reference_at ~seed:800 ~n:800 ~density:0.8
+
+(* The critical path is walked on the full graph, not on [ctx.cover].
+   Edges s -> w, s -> x, x -> w with ids s < w < x make s -> w
+   transitive.  s and w take T(p) = p, so no grow of theirs gains; x
+   takes T(1) = 1e-20 and nothing on more processors, which rounding
+   absorbs: bl(x) = bl(w) = 1.  The first successor of s of largest
+   bottom level is then w on the full graph, so the path is s, w and
+   nothing grows; on the cover it would be s, x, and x would grow. *)
+let test_growth_walks_full_graph () =
+  let s, w, x = (0, 1, 2) in
+  let graph =
+    Graph.of_tasks_and_edges
+      (Array.init 3 (fun id -> Emts_ptg.Task.make ~id ~flop:1. ()))
+      [ (s, w); (s, x); (x, w) ]
+  in
+  let ctx = ctx_of graph in
+  Alcotest.(check (list (pair int int))) "cover" [ (s, x); (x, w) ]
+    (Graph.edges ctx.Common.cover);
+  let tables =
+    Array.init 3 (fun v ->
+        Array.init ctx.Common.procs (fun i ->
+            if v <> x then float_of_int (i + 1)
+            else if i = 0 then 1e-20
+            else 0.))
+  in
+  let ctx = { ctx with Common.tables } in
+  List.iter
+    (fun (name, allocate, reference) ->
+      Alcotest.(check (array int)) (name ^ " reference") [| 1; 1; 1 |]
+        (reference ctx);
+      Alcotest.(check (array int)) name [| 1; 1; 1 |] (allocate ctx))
     growth_pairs
 
 (* The rewrite must keep the input check the reference got from
@@ -564,6 +611,10 @@ let () =
         [
           Alcotest.test_case "500-task instance = reference" `Quick
             test_growth_matches_reference_500;
+          Alcotest.test_case "800-task dense instance = reference" `Quick
+            test_growth_matches_reference_800;
+          Alcotest.test_case "path walked on the full graph" `Quick
+            test_growth_walks_full_graph;
           Alcotest.test_case "invalid times rejected" `Quick
             test_growth_rejects_invalid_times;
           Alcotest.test_case "steps allocate nothing" `Quick

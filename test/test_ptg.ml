@@ -185,6 +185,221 @@ let test_metrics () =
   Alcotest.(check int) "empty tasks" 0 empty.Emts_ptg.Metrics.tasks;
   check_float "empty parallelism" 0. empty.Emts_ptg.Metrics.average_parallelism
 
+(* --- reference specs: the graph layer before the bucketed build ---
+
+   [Ref] keeps the old [Builder] verbatim (a [Hashtbl] on edge pairs and
+   a [Set]-based Kahn sort); it returns the observable shape of the
+   graph it would build.  [ref_transitive_reduction] is the old
+   reduction, one [is_edge_transitive] query per edge. *)
+
+type shape = {
+  edges : (int * int) list;
+  succ : int array array;
+  pred : int array array;
+  n_edges : int;
+  topo : int array;
+  level : int array;
+  n_levels : int;
+}
+
+let shape_of g =
+  let n = Graph.task_count g in
+  {
+    edges = Graph.edges g;
+    succ = Array.init n (Graph.succs g);
+    pred = Array.init n (Graph.preds g);
+    n_edges = Graph.edge_count g;
+    topo = Graph.topological_order g;
+    level = Graph.precedence_level g;
+    n_levels = Graph.level_count g;
+  }
+
+module Ref = struct
+  let topo_sort ~n ~succ ~pred =
+    let indeg = Array.init n (fun i -> Array.length pred.(i)) in
+    let module IS = Set.Make (Int) in
+    let ready = ref IS.empty in
+    for i = 0 to n - 1 do
+      if indeg.(i) = 0 then ready := IS.add i !ready
+    done;
+    let order = Array.make n (-1) in
+    let k = ref 0 in
+    while not (IS.is_empty !ready) do
+      let v = IS.min_elt !ready in
+      ready := IS.remove v !ready;
+      order.(!k) <- v;
+      incr k;
+      Array.iter
+        (fun w ->
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then ready := IS.add w !ready)
+        succ.(v)
+    done;
+    if !k < n then begin
+      let stuck = ref [] in
+      for i = n - 1 downto 0 do
+        if indeg.(i) > 0 then stuck := i :: !stuck
+      done;
+      raise (Graph.Cycle !stuck)
+    end;
+    order
+
+  let compute_levels ~n ~pred ~topo =
+    let level = Array.make n 0 in
+    let n_levels = ref (if n = 0 then 0 else 1) in
+    Array.iter
+      (fun v ->
+        let lv =
+          Array.fold_left (fun acc p -> max acc (level.(p) + 1)) 0 pred.(v)
+        in
+        level.(v) <- lv;
+        if lv + 1 > !n_levels then n_levels := lv + 1)
+      topo;
+    (level, !n_levels)
+
+  (* The old [add_edge] per pair, then the old [build]. *)
+  let build n pairs =
+    let edges = Hashtbl.create 64 in
+    List.iter
+      (fun (src, dst) ->
+        if not (Hashtbl.mem edges (src, dst)) then
+          Hashtbl.add edges (src, dst) ())
+      pairs;
+    let succ_l = Array.make n [] and pred_l = Array.make n [] in
+    Hashtbl.iter
+      (fun (src, dst) () ->
+        succ_l.(src) <- dst :: succ_l.(src);
+        pred_l.(dst) <- src :: pred_l.(dst))
+      edges;
+    let to_sorted_array l =
+      let a = Array.of_list l in
+      Array.sort compare a;
+      a
+    in
+    let succ = Array.map to_sorted_array succ_l in
+    let pred = Array.map to_sorted_array pred_l in
+    let topo = topo_sort ~n ~succ ~pred in
+    let level, n_levels = compute_levels ~n ~pred ~topo in
+    let n_edges = Hashtbl.length edges in
+    let edges =
+      List.concat
+        (List.init n (fun src ->
+             Array.to_list (Array.map (fun dst -> (src, dst)) succ.(src))))
+    in
+    { edges; succ; pred; n_edges; topo; level; n_levels }
+end
+
+let ref_transitive_reduction g =
+  let keep =
+    List.filter
+      (fun (src, dst) -> not (Graph.is_edge_transitive g ~src ~dst))
+      (Graph.edges g)
+  in
+  Graph.of_tasks_and_edges (Graph.tasks g) keep
+
+let unit_tasks n = Array.init n (fun id -> Task.make ~id ~flop:1. ())
+
+(* [n] tasks and an edge list with duplicates, in shuffled order.  An
+   acyclic list orients every pair along a random permutation, so ids
+   are not a topological order; an unrestricted list is mostly cyclic. *)
+let arbitrary_edge_list =
+  QCheck.make
+    ~print:(fun (n, pairs) ->
+      Printf.sprintf "%d tasks: %s" n
+        (String.concat " "
+           (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) pairs)))
+    QCheck.Gen.(
+      triple (int_range 1 40) int bool >|= fun (n, seed, acyclic) ->
+      let rng = Emts_prng.create ~seed () in
+      let rank = Array.init n Fun.id in
+      Emts_prng.shuffle rng rank;
+      let pairs =
+        List.concat
+          (List.init (Emts_prng.int rng (3 * n + 1)) (fun _ ->
+               let a = Emts_prng.int rng n and b = Emts_prng.int rng n in
+               if a = b then []
+               else begin
+                 let e =
+                   if acyclic && rank.(a) > rank.(b) then (b, a) else (a, b)
+                 in
+                 if Emts_prng.bernoulli rng ~p:0.3 then [ e; e ] else [ e ]
+               end))
+      in
+      let pairs = Array.of_list pairs in
+      Emts_prng.shuffle rng pairs;
+      (n, Array.to_list pairs))
+
+let prop_build_matches_reference =
+  QCheck.Test.make ~name:"build = reference build (shape or Cycle payload)"
+    ~count:500 arbitrary_edge_list (fun (n, pairs) ->
+      let got =
+        match Graph.of_tasks_and_edges (unit_tasks n) pairs with
+        | g -> Ok (shape_of g)
+        | exception Graph.Cycle nodes -> Error nodes
+      in
+      let want =
+        match Ref.build n pairs with
+        | shape -> Ok shape
+        | exception Graph.Cycle nodes -> Error nodes
+      in
+      got = want)
+
+(* Daggen DAGs over the density and jump ranges, relabelled by a random
+   permutation so that topological positions differ from ids. *)
+let arbitrary_daggen =
+  QCheck.make
+    ~print:(fun g -> Format.asprintf "%a" Graph.pp_stats g)
+    QCheck.Gen.(
+      int >|= fun seed ->
+      let rng = Emts_prng.create ~seed () in
+      let g =
+        Emts_daggen.Random_dag.generate rng
+          {
+            Emts_daggen.Random_dag.n = Emts_prng.int_in rng 2 120;
+            width = Emts_prng.float_in rng 0.1 1.0;
+            regularity = Emts_prng.float rng 1.0;
+            density = Emts_prng.float_in rng 0.05 0.95;
+            jump = Emts_prng.int_in rng 0 4;
+          }
+      in
+      let n = Graph.task_count g in
+      let label = Array.init n Fun.id in
+      Emts_prng.shuffle rng label;
+      Graph.of_tasks_and_edges (unit_tasks n)
+        (List.map (fun (s, d) -> (label.(s), label.(d))) (Graph.edges g)))
+
+let prop_reduction_matches_reference =
+  QCheck.Test.make ~name:"transitive reduction = reference on daggen DAGs"
+    ~count:300 arbitrary_daggen (fun g ->
+      let got = Graph.transitive_reduction g
+      and want = ref_transitive_reduction g in
+      shape_of got = shape_of want && Graph.tasks got = Graph.tasks want)
+
+(* 4100 tasks, past the 4032 columns of one bitset block: a chain in a
+   scrambled id order (position i holds task [i * 2957 mod 4100]) with
+   every 2-step skip and every 7th 41-step jump, many of which cross the
+   block boundary.  Only the chain survives the reduction. *)
+let test_reduction_across_blocks () =
+  let n = 4100 in
+  let at i = i * 2957 mod n in
+  let chain = List.init (n - 1) (fun i -> (at i, at (i + 1))) in
+  let skips = List.init (n - 2) (fun i -> (at i, at (i + 2))) in
+  let jumps =
+    List.filter_map
+      (fun i -> if i mod 7 = 0 then Some (at i, at (i + 41)) else None)
+      (List.init (n - 41) Fun.id)
+  in
+  let g = Graph.of_tasks_and_edges (unit_tasks n) (jumps @ skips @ chain) in
+  let reduced = Graph.transitive_reduction g in
+  Alcotest.(check (list (pair int int))) "only the chain remains"
+    (List.sort compare chain) (Graph.edges reduced);
+  for v = 0 to n - 1 do
+    if Graph.reachable g v <> Graph.reachable reduced v then
+      Alcotest.failf "reachability from %d changed" v
+  done;
+  Alcotest.(check bool) "idempotent" true
+    (Graph.equal_structure reduced (Graph.transitive_reduction reduced))
+
 (* --- Properties --- *)
 
 let prop_transitive_reduction_preserves_levels =
@@ -266,6 +481,8 @@ let () =
           Alcotest.test_case "transitive edge" `Quick test_transitive_edge;
           Alcotest.test_case "transitive reduction" `Quick
             test_transitive_reduction;
+          Alcotest.test_case "reduction across bitset blocks" `Quick
+            test_reduction_across_blocks;
           Alcotest.test_case "metrics" `Quick test_metrics;
           Alcotest.test_case "map_tasks" `Quick test_map_tasks;
         ] );
@@ -277,5 +494,7 @@ let () =
             prop_edges_sorted_and_consistent;
             prop_level_widths_sum_to_n;
             prop_transitive_reduction_preserves_levels;
+            prop_build_matches_reference;
+            prop_reduction_matches_reference;
           ] );
     ]

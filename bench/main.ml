@@ -453,18 +453,12 @@ let run_gc_profile () =
       minors majors
       (float_of_int d.Emts_obs.Metrics.count /. float_of_int (max 1 minors))
 
-(* Delta fitness: the incremental evaluator against the from-scratch
-   list scheduler on the same EMTS10 run (mutation-dominated offspring,
-   so most evaluations reuse a long schedule prefix).  Same seed, same
-   instance: the makespans must agree exactly — delta evaluation is
-   bit-identical by construction — while the sched.delta.* counters
-   show how much scheduling work the prefix reuse saved. *)
+(* Delta fitness: the evaluator against the from-scratch list
+   scheduler on the same EMTS10 run, then on a single-allele mutation
+   chain.  Same seed, same instance: the makespans must agree exactly —
+   the evaluator is bit-identical by construction. *)
 let run_delta_speedup () =
   rule "Delta fitness evaluation (EMTS10, irregular n=100, Grelon, Model 2)";
-  Emts_obs.Metrics.set_enabled true;
-  let counter name =
-    Option.value ~default:0 (Emts_obs.Metrics.find_counter name)
-  in
   let timed config =
     let rng = Emts_prng.create ~seed:0xDE17A () in
     let t0 = Emts_obs.Clock.now () in
@@ -476,32 +470,17 @@ let run_delta_speedup () =
   let t_off, m_off, evals_off =
     timed { Emts.Algorithm.emts10 with Emts.Algorithm.delta_fitness = false }
   in
-  let full0 = counter "sched.delta.full_runs"
-  and incr0 = counter "sched.delta.incremental_runs"
-  and reused0 = counter "sched.delta.reused_steps"
-  and sched0 = counter "sched.delta.scheduled_steps" in
   let t_on, m_on, evals_on = timed Emts.Algorithm.emts10 in
-  let full = counter "sched.delta.full_runs" - full0
-  and incr = counter "sched.delta.incremental_runs" - incr0
-  and reused = counter "sched.delta.reused_steps" - reused0
-  and scheduled = counter "sched.delta.scheduled_steps" - sched0 in
   let rate x n = float_of_int x /. Float.max n 1e-9 in
   Printf.printf "delta off            %8.3f s   makespan %.6g   %8.0f evals/s\n"
     t_off m_off (rate evals_off t_off);
   Printf.printf "delta on             %8.3f s   makespan %.6g   %8.0f evals/s\n"
     t_on m_on (rate evals_on t_on);
   Printf.printf "speedup              %8.2fx\n" (t_off /. Float.max t_on 1e-9);
-  Printf.printf
-    "evaluator stats      %d full   %d incremental   steps: %d reused / %d \
-     scheduled (%.1f%% skipped)\n"
-    full incr reused scheduled
-    (100. *. float_of_int reused /. float_of_int (max 1 (reused + scheduled)));
   Printf.printf "identical makespans  %b\n" (m_off = m_on);
-  (* A single-allele mutation chain is the evaluator's design point
-     (an EA batch interleaves offspring of different parents, so the
-     shared prefix is short; a local-search or memetic descent is not).
-     Same chain, same mutations: from-scratch rebuilds the times array
-     and the whole schedule per step, the evaluator reuses the prefix. *)
+  (* Same chain, same mutations: from-scratch rebuilds the times array
+     and the schedule with fresh buffers per step, the evaluator reruns
+     its kernel on preallocated ones. *)
   let steps = 5000 in
   let tables = ctx_irregular.Emts_alloc.Common.tables in
   let mutate r v =

@@ -57,13 +57,12 @@ let no_delta_fitness_arg =
     value & flag
     & info [ "no-delta-fitness" ]
         ~doc:
-          "Disable incremental (delta) fitness evaluation and fall back to \
-           from-scratch list scheduling per candidate (EMTS only).  Delta \
-           evaluation reuses the schedule prefix shared with the previous \
-           genome on preallocated per-domain scratch; results are \
-           bit-identical either way, so this flag only trades speed for a \
-           simpler execution path (e.g. when profiling the scheduler \
-           itself).")
+          "Disable delta fitness evaluation and fall back to from-scratch \
+           list scheduling per candidate (EMTS only).  Delta evaluation \
+           runs an allocation-free list-scheduling kernel on preallocated \
+           per-domain scratch; results are bit-identical either way, so \
+           this flag only trades speed for a simpler execution path (e.g. \
+           when profiling the scheduler itself).")
 
 let islands_arg =
   Arg.(

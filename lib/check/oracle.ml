@@ -108,8 +108,8 @@ let entry_equal (a : Schedule.entry) (b : Schedule.entry) =
   && a.Schedule.procs = b.Schedule.procs
 
 (* The delta evaluator walks a mutation chain (each step changes one
-   allele of the previous genome, occasionally none — the duplicate
-   path) and must agree bit for bit with the from-scratch bounded
+   allele of the previous genome, occasionally none — a duplicate
+   genome) and must agree bit for bit with the from-scratch bounded
    makespan at every step, including finite-cutoff rejections. *)
 let check_delta_chain (s : Scenario.t) ctx rng =
   let graph = s.Scenario.graph in
@@ -292,10 +292,12 @@ let check_determinism (s : Scenario.t) =
       base
       (summarize (run (Alg.with_fitness_cache 512 mini_config)))
   in
+  (* Early rejection is on by default; running without it must not
+     change the trajectory. *)
   let* () =
     summaries_agree ~label:"early-reject"
       base
-      (summarize (run { mini_config with Alg.early_reject = true }))
+      (summarize (run { mini_config with Alg.early_reject = false }))
   in
   (* Delta fitness is on by default; the from-scratch evaluator must
      reproduce the same trajectory bit for bit. *)

@@ -46,7 +46,7 @@ let emts5 =
     recombination = None;
     selection = Emts_ea.Plus;
     adaptive_sigma = false;
-    early_reject = false;
+    early_reject = true;
     fitness_cache = None;
     delta_fitness = true;
     islands = 1;
@@ -143,11 +143,10 @@ let run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?(resume = false)
      the rejecting cutoff, not a bare [infinity]: the rejection is only
      reusable while the cutoff stays at or below it. *)
   (* Delta path: the per-domain evaluator computes the identical float
-     (property-tested + fuzz-checked) while reusing the schedule prefix
-     shared with the previously evaluated genome and allocating nothing
-     in steady state.  Rejection comes back as [infinity] plus a flag
-     instead of an option, so this path builds no intermediate values at
-     all. *)
+     (property-tested + fuzz-checked) on preallocated scratch, allocating
+     nothing in steady state.  Rejection comes back as [infinity] plus a
+     flag instead of an option, so this path builds no intermediate
+     values at all. *)
   let delta_makespan alloc cutoff_now =
     let ev = Emts_pool.Local.get evaluator_slot in
     Emts_sched.Evaluator.makespan ev ~graph:ctx.Common.graph

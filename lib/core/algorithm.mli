@@ -23,7 +23,8 @@ type config = {
           elitist [Plus] strategy.  [Comma] exists for the selection
           ablation and is incompatible with [early_reject] (the
           rejection proof relies on parents surviving) — {!run} raises
-          [Invalid_argument] on that combination. *)
+          [Invalid_argument] on that combination, so a [Comma] config
+          must set [early_reject = false]. *)
   adaptive_sigma : bool;
       (** Rechenberg's 1/5 success rule applied to the mutation sigmas
           (the "different evolutionary methods" the paper's conclusion
@@ -34,12 +35,16 @@ type config = {
           paper's fixed-sigma operator. *)
   early_reject : bool;
       (** the rejection strategy from the paper's conclusion: abandon a
-          fitness evaluation as soon as the partial schedule exceeds the
-          worst surviving makespan of the previous generation.  Pure
-          optimisation — the selected survivors are provably unchanged
-          (a rejected individual scores above every current parent and
-          ties break toward the older individual, so it could never
-          have been selected); property-tested in [test_emts]. *)
+          fitness evaluation as soon as the partial schedule proves the
+          makespan exceeds the worst surviving makespan of the previous
+          generation (the delta evaluator also rejects on a certified
+          critical-path bound, see {!Emts_sched.Evaluator.makespan}).
+          Pure optimisation — the selected survivors are provably
+          unchanged (a rejected individual scores above every current
+          parent and ties break toward the older individual, so it could
+          never have been selected); property-tested in [test_emts].
+          Default [true] in every preset; [Comma] selection needs
+          [false]. *)
   fitness_cache : int option;
       (** when [Some capacity], memoize fitness evaluations by
           allocation vector in an {!Emts_pool.Cache} of at most
@@ -52,15 +57,14 @@ type config = {
           (off). *)
   delta_fitness : bool;
       (** evaluate fitness through the per-worker-domain
-          {!Emts_sched.Evaluator}: incremental re-evaluation reusing
-          the schedule prefix shared with the previously evaluated
-          genome, on preallocated scratch (zero steady-state allocation
-          per evaluation).  Pure optimisation — the returned makespans
-          are bit-identical to the from-scratch path (property-tested
-          and fuzz-checked), composing with [domains], [early_reject]
-          and [fitness_cache] unchanged.  Default [true]; set [false]
-          ([--no-delta-fitness] on the CLI) to fall back to from-scratch
-          evaluation. *)
+          {!Emts_sched.Evaluator}: a list-scheduling kernel over sorted
+          availability values, on preallocated scratch (zero
+          steady-state allocation per evaluation).  Pure optimisation —
+          the returned makespans are bit-identical to the from-scratch
+          path (property-tested and fuzz-checked), composing with
+          [domains], [early_reject] and [fitness_cache] unchanged.
+          Default [true]; set [false] ([--no-delta-fitness] on the CLI)
+          to fall back to from-scratch evaluation. *)
   islands : int;
       (** island-model sub-populations, [>= 1]; default 1 (plain
           (μ+λ), bit-identical to earlier releases).  With [k > 1] the
@@ -78,7 +82,8 @@ type config = {
 
 val emts5 : config
 (** The paper's EMTS5: a (5+25)-EA over 5 generations (125 offspring
-    evaluations), default mutation, default seeds, sequential. *)
+    evaluations), default mutation, default seeds, sequential, early
+    rejection on. *)
 
 val emts10 : config
 (** The paper's EMTS10: a (10+100)-EA over 10 generations (1000

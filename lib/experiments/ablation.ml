@@ -88,7 +88,8 @@ let crossover ?(instances = default_instances) ~rng () =
       ]
 
 let early_rejection ?(instances = default_instances) ~rng () =
-  paired ~instances ~rng ~baseline:Emts.Algorithm.emts10
+  paired ~instances ~rng
+    ~baseline:{ Emts.Algorithm.emts10 with early_reject = false }
     ~variants:
       [
         ( "early rejection on",
@@ -99,8 +100,13 @@ let selection ?(instances = default_instances) ~rng () =
   paired ~instances ~rng ~baseline:Emts.Algorithm.emts5
     ~variants:
       [
+        (* rejection relies on parents surviving, so Comma runs without *)
         ( "comma selection",
-          { Emts.Algorithm.emts5 with selection = Emts_ea.Comma } );
+          {
+            Emts.Algorithm.emts5 with
+            selection = Emts_ea.Comma;
+            early_reject = false;
+          } );
         ( "adaptive sigma (1/5 rule)",
           { Emts.Algorithm.emts5 with adaptive_sigma = true } );
       ]

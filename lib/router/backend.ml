@@ -8,12 +8,16 @@ module J = Emts_resilience.Json
    are closed rather than hoarded. *)
 let max_idle = 4
 
+(* [Unknown] until the backend first answers: a daemon started next to
+   the router may not listen yet, so a failed probe says nothing. *)
+type state = Unknown | Live | Dead
+
 type t = {
   ep : Endpoint.t;
   name : string;
   lock : Mutex.t;
   mutable idle : Unix.file_descr list;
-  mutable live : bool;
+  mutable state : state;
   mutable draining : bool;
 }
 
@@ -23,7 +27,7 @@ let create ep =
     name = Endpoint.to_string ep;
     lock = Mutex.create ();
     idle = [];
-    live = true;
+    state = Unknown;
     draining = false;
   }
 
@@ -34,8 +38,9 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let is_live t = with_lock t (fun () -> t.live)
-let is_ready t = with_lock t (fun () -> t.live && not t.draining)
+let is_live t = with_lock t (fun () -> t.state <> Dead)
+let is_unknown t = with_lock t (fun () -> t.state = Unknown)
+let is_ready t = with_lock t (fun () -> t.state = Live && not t.draining)
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -45,7 +50,7 @@ let close_idle_locked t =
 
 let mark_dead t =
   with_lock t (fun () ->
-      t.live <- false;
+      t.state <- Dead;
       close_idle_locked t)
 
 let close t = with_lock t (fun () -> close_idle_locked t)
@@ -60,7 +65,8 @@ let borrow t =
 
 let give_back t fd =
   with_lock t (fun () ->
-      if t.live && List.length t.idle < max_idle then t.idle <- fd :: t.idle
+      if t.state <> Dead && List.length t.idle < max_idle then
+        t.idle <- fd :: t.idle
       else close_fd fd)
 
 (* One request, one reply, on an already-connected descriptor. *)
@@ -92,7 +98,7 @@ let roundtrip t ~max_frame payload =
       match attempt fd ~max_frame payload with
       | Ok reply ->
         give_back t fd;
-        (with_lock t (fun () -> t.live <- true));
+        with_lock t (fun () -> t.state <- Live);
         Ok reply
       | Error m ->
         close_fd fd;
@@ -130,12 +136,19 @@ let probe t ~timeout_s ~max_frame =
                (Protocol.Request.Health { id = J.Str "router-probe" })))
   in
   match result with
-  | Error _ -> mark_dead t
+  | Error _ ->
+    (* Not listening yet, or gone: only a backend that has answered
+       before is declared dead. *)
+    with_lock t (fun () ->
+        if t.state <> Unknown then begin
+          t.state <- Dead;
+          close_idle_locked t
+        end)
   | Ok reply -> (
     match Protocol.Response.of_string reply with
     | Ok (Protocol.Response.Health { live; draining; _ }) ->
       with_lock t (fun () ->
-          if live then t.live <- true else t.live <- false;
+          t.state <- (if live then Live else Dead);
           if not live then close_idle_locked t;
           t.draining <- draining)
     | Ok _ | Error _ -> mark_dead t)

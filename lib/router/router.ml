@@ -216,12 +216,18 @@ let relay fd payload =
 (* Forward [payload] along [key]'s preference order.  The first
    attempt is the rendezvous winner; a transport failure (backend
    marked dead inside [Backend.roundtrip]) or a [draining] reply moves
-   on to the next candidate, up to [retries] extra attempts.  Returns
-   the raw reply payload and the backend that produced it. *)
+   on to the next candidate, up to [retries] extra attempts.  With no
+   ready backend, the ones that have never answered are dialled before
+   refusing: at startup the first probe can run before a daemon
+   listens.  Returns the raw reply payload and the backend that
+   produced it. *)
 let forward_sharded st ~key payload =
   let candidates =
-    rank_backends (List.filter Backend.is_ready st.backends) key
+    match List.filter Backend.is_ready st.backends with
+    | [] -> List.filter Backend.is_unknown st.backends
+    | ready -> ready
   in
+  let candidates = rank_backends candidates key in
   let max_attempts = 1 + max 0 st.config.retries in
   let rec go n = function
     | [] -> Error (if n = 0 then `No_backend else `All_failed)
@@ -413,8 +419,12 @@ let client_loop st fd =
 
 (* ------------------------------------------------------------------ *)
 
+(* First re-probe delay while some backend is still unknown; it
+   doubles up to the probe interval. *)
+let unknown_backoff = 0.01
+
 let prober_loop st ~finished () =
-  let rec loop () =
+  let rec loop backoff =
     if not (finished ()) then begin
       List.iter
         (fun b ->
@@ -431,11 +441,17 @@ let prober_loop st ~finished () =
           nap (left -. slice)
         end
       in
-      nap st.config.probe_interval;
-      loop ()
+      if List.exists Backend.is_unknown st.backends then begin
+        nap (Float.min backoff st.config.probe_interval);
+        loop (2. *. backoff)
+      end
+      else begin
+        nap st.config.probe_interval;
+        loop unknown_backoff
+      end
     end
   in
-  loop ()
+  loop unknown_backoff
 
 let bind_listeners config =
   try

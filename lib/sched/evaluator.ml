@@ -1,19 +1,12 @@
 module Graph = Emts_ptg.Graph
 
-(* Incremental (delta) fitness evaluation with an allocation-free hot
-   path.
+(* Fitness evaluation with an allocation-free hot path.
 
    The baseline fitness path rebuilds everything from scratch for every
    candidate: a fresh times array, fresh bottom levels, a fresh heap, a
    schedule loop full of short-lived arrays.  This evaluator keeps all
-   of that in preallocated buffers, plus a {e snapshot} of the last
-   successfully evaluated genome (times, bottom levels, the full
-   pop-step trace of its schedule); for the next candidate it
-   recomputes only from the earliest scheduling step the change can
-   influence, reusing the snapshot's prefix verbatim.  That pays on
-   single-allele chains; an EA offspring differs from the previously
-   evaluated genome in about a third of its alleles, so an EA batch
-   reuses almost no steps and gains only from the lean loop.
+   of that in preallocated buffers and runs one lean list-scheduling
+   kernel per call.
 
    {b Processors as values.}  A makespan depends only on the multiset
    of processor availabilities, never on which ids a task gets, so
@@ -24,25 +17,17 @@ module Graph = Emts_ptg.Graph
    makespan is therefore bit-identical to the id-tracking
    [List_scheduler]'s (the full argument is in DESIGN.md §14).
 
-   {b Equivalence of the reused prefix.}  The list scheduler releases
-   successors when a task is {e popped}, not when it finishes, so the
-   pop sequence is driven purely by heap content: (bottom level, id)
-   priorities plus the graph structure.  Let [push(v)] be the step at
-   which [v] enters the ready heap in the reference run (0 for sources,
-   else 1 + the last predecessor's pop step), and let [B] be the set of
-   tasks whose allocation, execution time or bottom level differs
-   between reference and candidate.  For every step [t < k = min over B
-   of push(v)], the heap holds only tasks outside [B] with
-   bitwise-equal priorities, so the pop, the processor claim, the
-   start/finish times and all state updates are bitwise identical to
-   the reference — by induction the two runs coincide on the whole
-   prefix [0, k).  The evaluator therefore replays the reference prefix
-   from the snapshot (re-running each step's claim at its recorded
-   finish time rebuilds the availability values; the ready set,
-   in-degrees and data-ready times follow from the pop trace) and runs
-   the normal loop for the suffix.  The result is {b bit-identical} to
-   a from-scratch run — property-tested in [test_evaluator] and
-   cross-checked by the fuzz differential oracle.
+   {b Certified rejection.}  With a finite cutoff a call stops at the
+   first pop whose start [st] plus bottom level already proves the
+   makespan exceeds the cutoff: the chain attaining [bl.(v)] starts no
+   earlier than [st] and runs its tasks one after another, so the
+   makespan is at least the left-to-right float sum of [st] and the
+   chain's times, while [st +. bl.(v)] is the same terms summed right
+   to left.  The two sums differ by less than the factor
+   [1 + 4(n+2)·epsilon_float] the cutoff is padded with, so a bound
+   rejection implies [makespan > cutoff], and the finish test still
+   catches every other such schedule: a call rejects exactly when
+   [List_scheduler.makespan_bounded] does (DESIGN.md §14).
 
    {b Allocation discipline.}  Steady state (same graph/tables/procs
    binding, capacities warm) must allocate nothing: every buffer is
@@ -60,7 +45,7 @@ module Graph = Emts_ptg.Graph
    the same loop nest):
    - a use inside a nested loop, or in a cold error branch that feeds
      [Printf.sprintf], boxes the float at its binding on every
-     iteration — hence the [fs] scratch cell and the out-of-line
+     iteration — hence the [fs] scratch cells and the out-of-line
      raisers that re-read their operands;
    - floats passed as function arguments are boxed at the call — hence
      the heap push reads its priority from an array by index, and
@@ -76,8 +61,6 @@ module Graph = Emts_ptg.Graph
 let no_floats : float array = [||]
 
 let m_full = Emts_obs.Metrics.counter "sched.delta.full_runs"
-let m_incr = Emts_obs.Metrics.counter "sched.delta.incremental_runs"
-let m_reused = Emts_obs.Metrics.counter "sched.delta.reused_steps"
 let m_scheduled = Emts_obs.Metrics.counter "sched.delta.scheduled_steps"
 let m_rejections = Emts_obs.Metrics.counter "sched.delta.cutoff_rejections"
 
@@ -87,8 +70,6 @@ let m_rejections = Emts_obs.Metrics.counter "sched.delta.cutoff_rejections"
 type iacc = {
   mutable hsize : int;  (* ready-heap size *)
   mutable finished : int;  (* pop steps completed so far *)
-  mutable min_step : int;  (* divergence-step accumulator *)
-  mutable tmp : int;  (* per-task push-step accumulator *)
   mutable rejected : bool;  (* current evaluation hit the cutoff *)
 }
 
@@ -108,34 +89,22 @@ type t = {
   mutable n : int;
   mutable topo : int array;
   mutable base_indeg : int array;
-  (* candidate vs reference, double-buffered: [times]/[bl] hold the
-     candidate being evaluated, [times_snap]/[bl_snap] the reference;
-     the pointers swap when the candidate completes *)
+  (* per-candidate scratch *)
   mutable times : float array;
-  mutable times_snap : float array;
   mutable bl : float array;
-  mutable bl_snap : float array;
-  mutable alloc_snap : int array;
-  mutable snap_valid : bool;
-  (* the reference run's pop trace *)
-  mutable pop_order : int array;  (* step -> task *)
-  mutable pos : int array;  (* task -> step *)
-  mutable finish_ : float array;  (* task -> finish time *)
-  mutable prefix_max : float array;  (* step -> max finish on [0, step] *)
-  (* schedule-loop scratch *)
   mutable indeg : int array;
   mutable data_ready : float array;
   mutable avail : float array;  (* processor availabilities, ascending *)
   mutable hprio : float array;
   mutable hids : int array;
-  fs : float array;  (* scratch cell for floats crossing a nested loop *)
+  (* floats crossing a nested loop or a call: [fs.(0)] the popped
+     task's start, then its finish; [fs.(1)] the padded cutoff *)
+  fs : float array;
   ia : iacc;
   fa : facc;
   mutable last_rejected : bool;
   (* lifetime statistics, exposed for tests and the bench report *)
   mutable full_runs : int;
-  mutable incremental_runs : int;
-  mutable reused_steps : int;
   mutable scheduled_steps : int;
 }
 
@@ -158,35 +127,27 @@ let create () =
     topo = [||];
     base_indeg = [||];
     times = [||];
-    times_snap = [||];
     bl = [||];
-    bl_snap = [||];
-    alloc_snap = [||];
-    snap_valid = false;
-    pop_order = [||];
-    pos = [||];
-    finish_ = [||];
-    prefix_max = [||];
     indeg = [||];
     data_ready = [||];
     avail = [||];
     hprio = [||];
     hids = [||];
-    fs = Array.make 1 0.;
-    ia = { hsize = 0; finished = 0; min_step = 0; tmp = 0; rejected = false };
+    fs = Array.make 2 0.;
+    ia = { hsize = 0; finished = 0; rejected = false };
     fa = { mk = 0. };
     last_rejected = false;
     full_runs = 0;
-    incremental_runs = 0;
-    reused_steps = 0;
     scheduled_steps = 0;
   }
 
+(* Every call is a full run, so the two reuse counters are always 0;
+   the record keeps its shape because the benchmark reads all four. *)
 let stats (t : t) : stats =
   {
     full_runs = t.full_runs;
-    incremental_runs = t.incremental_runs;
-    reused_steps = t.reused_steps;
+    incremental_runs = 0;
+    reused_steps = 0;
     scheduled_steps = t.scheduled_steps;
   }
 
@@ -239,14 +200,7 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
      length). *)
   if Array.length t.times < n then begin
     t.times <- Array.make n 0.;
-    t.times_snap <- Array.make n 0.;
     t.bl <- Array.make n 0.;
-    t.bl_snap <- Array.make n 0.;
-    t.alloc_snap <- Array.make n 0;
-    t.pop_order <- Array.make n 0;
-    t.pos <- Array.make n 0;
-    t.finish_ <- Array.make n 0.;
-    t.prefix_max <- Array.make n 0.;
     t.indeg <- Array.make n 0;
     t.data_ready <- Array.make n 0.;
     t.hprio <- Array.make n 0.;
@@ -256,16 +210,13 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
   for v = 0 to n - 1 do
     t.base_indeg.(v) <- Array.length (Graph.preds graph v)
   done;
-  if Array.length t.avail < procs then t.avail <- Array.make procs 0.;
-  t.snap_valid <- false
+  if Array.length t.avail < procs then t.avail <- Array.make procs 0.
 
 (* Ready heap over parallel (priority, id) arrays; same total order as
    [List_scheduler.Heap.before]: larger bottom level first,
    [Float.compare] (not [>]) so the order is total, smaller id on ties.
-   The pop sequence depends only on the multiset of pushed elements —
-   the internal layout is irrelevant — which is what lets the delta
-   path seed the heap in task-id order rather than the reference run's
-   push order. *)
+   The pop sequence depends only on the multiset of pushed elements, not
+   on the internal layout. *)
 let heap_before (hp : float array) (hi : int array) i j =
   (* primitive [>] / [=], not [Float.compare]: same total order on this
      NaN-free, -0-free value domain (bottom levels are sums of
@@ -336,11 +287,9 @@ let bad_time tables alloc v =
     (Printf.sprintf "Evaluator: task %d has invalid time %g" v
        tables.(v).(alloc.(v) - 1))
 
-let flush_metrics ~incremental ~reused ~scheduled ~rejected =
+let flush_metrics ~scheduled ~rejected =
   if Emts_obs.Metrics.enabled () then begin
-    if incremental then Emts_obs.Metrics.incr m_incr
-    else Emts_obs.Metrics.incr m_full;
-    if reused > 0 then Emts_obs.Metrics.add m_reused reused;
+    Emts_obs.Metrics.incr m_full;
     if scheduled > 0 then Emts_obs.Metrics.add m_scheduled scheduled;
     if rejected then Emts_obs.Metrics.incr m_rejections
   end
@@ -393,179 +342,72 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
     done;
     bl.(v) <- times.(v) +. bl.(v)
   done;
-  (* Pass C: earliest step the reference schedule can diverge at.  A
-     task is "changed" if its allocation, time or bottom level differs
-     from the snapshot — allocation is compared too because two
-     allocations can share a bitwise-equal time (equal adjacent table
-     entries) yet claim different processor counts.  Float [=] is a
-     sound change detector here: NaN is impossible past validation, and
-     a +0/-0 flip is genuinely no change (both behave identically in
-     every downstream sum and comparison of this non-negative value
-     domain).  Step 0 (a changed source) ends the scan early. *)
-  let pos = t.pos
-  and alloc_snap = t.alloc_snap
-  and times_snap = t.times_snap
-  and bl_snap = t.bl_snap in
-  ia.min_step <- (if t.snap_valid then n else 0);
-  let v = ref 0 in
-  while !v < n && ia.min_step > 0 do
-    let u = !v in
-    if
-      alloc.(u) <> alloc_snap.(u)
-      || times.(u) <> times_snap.(u)
-      || bl.(u) <> bl_snap.(u)
-    then begin
-      (* the step at which [u] entered the reference run's ready heap *)
-      let preds = Graph.preds graph u in
-      let np = Array.length preds in
-      ia.tmp <- 0;
-      for j = 0 to np - 1 do
-        let s = pos.(preds.(j)) + 1 in
-        if s > ia.tmp then ia.tmp <- s
-      done;
-      if ia.tmp < ia.min_step then ia.min_step <- ia.tmp
-    end;
-    incr v
+  (* Pass C: the list schedule. *)
+  t.full_runs <- t.full_runs + 1;
+  let indeg = t.indeg
+  and base_indeg = t.base_indeg
+  and data_ready = t.data_ready
+  and avail = t.avail
+  and hprio = t.hprio
+  and hids = t.hids
+  and fs = t.fs in
+  let has_release = release != no_floats in
+  ia.hsize <- 0;
+  for v = 0 to n - 1 do
+    indeg.(v) <- base_indeg.(v);
+    data_ready.(v) <- (if has_release then release.(v) else 0.);
+    if indeg.(v) = 0 then heap_push hprio hids ia bl v
   done;
-  let k = ia.min_step in
-  let prefix_max = t.prefix_max
-  and finish_ = t.finish_
-  and pop_order = t.pop_order in
-  if k > 0 && prefix_max.(k - 1) > cutoff then begin
-    (* The reused prefix already exceeds the cutoff, so a from-scratch
-       bounded run would have rejected inside it.  Nothing was written:
-       the snapshot still describes the reference. *)
-    t.last_rejected <- true;
-    t.incremental_runs <- t.incremental_runs + 1;
-    flush_metrics ~incremental:true ~reused:0 ~scheduled:0 ~rejected:true;
-    infinity
-  end
-  else if k = n && n > 0 then begin
-    (* Candidate bitwise identical to the reference (duplicate genome):
-       the whole schedule is reused. *)
-    t.last_rejected <- false;
-    t.incremental_runs <- t.incremental_runs + 1;
-    t.reused_steps <- t.reused_steps + n;
-    flush_metrics ~incremental:true ~reused:n ~scheduled:0 ~rejected:false;
-    prefix_max.(n - 1)
-  end
-  else begin
-    (* Reconstruct the loop state as it stood at step [k] of the
-       reference run ([k = 0]: a fresh run), then schedule the suffix
-       with the normal loop, writing the snapshot in place. *)
-    let incremental = k > 0 in
-    if incremental then begin
-      t.incremental_runs <- t.incremental_runs + 1;
-      t.reused_steps <- t.reused_steps + k
-    end
-    else t.full_runs <- t.full_runs + 1;
-    let indeg = t.indeg
-    and base_indeg = t.base_indeg
-    and data_ready = t.data_ready
-    and avail = t.avail
-    and fs = t.fs in
-    let has_release = release != no_floats in
-    for v = 0 to n - 1 do
-      indeg.(v) <- base_indeg.(v);
-      data_ready.(v) <- (if has_release then release.(v) else 0.)
-    done;
-    Array.blit t.avail_init 0 avail 0 procs;
-    for step = 0 to k - 1 do
-      (* the prefix tasks are unchanged, so [alloc] is the reference's
-         allocation for them; [fs.(0)], not a [let f]: a float let read
-         inside the nested loop below would be boxed at its binding on
-         every step *)
-      let v = pop_order.(step) in
-      fs.(0) <- finish_.(v);
-      claim avail procs alloc.(v) fs;
-      let succs = Graph.succs graph v in
-      let ns = Array.length succs in
-      for j = 0 to ns - 1 do
-        let w = succs.(j) in
-        if fs.(0) > data_ready.(w) then data_ready.(w) <- fs.(0);
-        indeg.(w) <- indeg.(w) - 1
-      done
-    done;
-    let hprio = t.hprio and hids = t.hids in
-    ia.hsize <- 0;
-    for v = 0 to n - 1 do
-      (* ready at step [k]: not popped in the prefix, all predecessors
-         popped in it.  Seeding in id order is fine: pops depend only on
-         heap content.  [k = 0] short-circuits before reading the
-         (possibly stale) [pos]. *)
-      if indeg.(v) = 0 && (k = 0 || pos.(v) >= k) then
-        heap_push hprio hids ia bl v
-    done;
-    ia.finished <- k;
-    ia.rejected <- false;
-    fa.mk <- (if k > 0 then prefix_max.(k - 1) else 0.);
-    while ia.hsize > 0 && not ia.rejected do
-      (* pop the highest-priority ready task *)
-      let v = hids.(0) in
-      ia.hsize <- ia.hsize - 1;
-      if ia.hsize > 0 then begin
-        hprio.(0) <- hprio.(ia.hsize);
-        hids.(0) <- hids.(ia.hsize);
-        heap_down hprio hids ia.hsize 0
-      end;
-      let s = alloc.(v) in
-      let a = avail.(s - 1) in
-      let dr = data_ready.(v) in
-      (* start = [Float.max dr a] (no NaN here, and [dr >= 0] so the
-         sign of a zero [a] is irrelevant — see the module header).  The
-         finish time lives in [fs.(0)], not a let — it is read inside
-         the nested loop below, which would box a let-bound float once
-         per scheduling step. *)
-      fs.(0) <- (if dr >= a then dr else a) +. times.(v);
+  Array.blit t.avail_init 0 avail 0 procs;
+  (* The bound's cutoff, padded for the rounding of both sums (module
+     header; DESIGN.md §14).  [infinity] stays [infinity]. *)
+  fs.(1) <- cutoff *. (1. +. (float_of_int (4 * (n + 2)) *. epsilon_float));
+  ia.finished <- 0;
+  ia.rejected <- false;
+  fa.mk <- 0.;
+  while ia.hsize > 0 && not ia.rejected do
+    (* pop the highest-priority ready task *)
+    let v = hids.(0) in
+    ia.hsize <- ia.hsize - 1;
+    if ia.hsize > 0 then begin
+      hprio.(0) <- hprio.(ia.hsize);
+      hids.(0) <- hids.(ia.hsize);
+      heap_down hprio hids ia.hsize 0
+    end;
+    let s = alloc.(v) in
+    let a = avail.(s - 1) in
+    let dr = data_ready.(v) in
+    (* start = [Float.max dr a] (no NaN here, and [dr >= 0] so the sign
+       of a zero [a] is irrelevant — see the module header).  The start,
+       then the finish, live in [fs.(0)], not a let — the finish is read
+       inside the nested loop below, which would box a let-bound float
+       once per scheduling step. *)
+    fs.(0) <- (if dr >= a then dr else a);
+    if fs.(0) +. bl.(v) > fs.(1) then ia.rejected <- true
+    else begin
+      fs.(0) <- fs.(0) +. times.(v);
       if fs.(0) > cutoff then ia.rejected <- true
       else begin
         claim avail procs s fs;
-        (* extend the snapshot with this step *)
-        let step = ia.finished in
-        pop_order.(step) <- v;
-        pos.(v) <- step;
-        finish_.(v) <- fs.(0);
         if fs.(0) > fa.mk then fa.mk <- fs.(0);
-        prefix_max.(step) <- fa.mk;
-        ia.finished <- step + 1;
-        (* release successors (at pop, not finish — see module header) *)
+        ia.finished <- ia.finished + 1;
+        (* release successors (at pop, not finish, like the reference) *)
         let succs = Graph.succs graph v in
         let ns = Array.length succs in
-        for jj = 0 to ns - 1 do
-          let w = succs.(jj) in
+        for j = 0 to ns - 1 do
+          let w = succs.(j) in
           if fs.(0) > data_ready.(w) then data_ready.(w) <- fs.(0);
           indeg.(w) <- indeg.(w) - 1;
           if indeg.(w) = 0 then heap_push hprio hids ia bl w
         done
       end
-    done;
-    t.scheduled_steps <- t.scheduled_steps + (ia.finished - k);
-    flush_metrics ~incremental ~reused:k ~scheduled:(ia.finished - k)
-      ~rejected:ia.rejected;
-    if ia.rejected then begin
-      (* The snapshot was extended past [k] before the rejection hit
-         unless the very first suffix step rejected; a partially
-         overwritten trace no longer describes any completed run. *)
-      if ia.finished > k then t.snap_valid <- false;
-      t.last_rejected <- true;
-      infinity
     end
-    else begin
-      if ia.finished <> n then
-        (* Unreachable for a validated DAG; defensive. *)
-        invalid_arg "Evaluator: not all tasks were scheduled";
-      (* the candidate becomes the reference: swap the double buffers *)
-      let tmp = t.times in
-      t.times <- t.times_snap;
-      t.times_snap <- tmp;
-      let tmp = t.bl in
-      t.bl <- t.bl_snap;
-      t.bl_snap <- tmp;
-      for v = 0 to n - 1 do
-        alloc_snap.(v) <- alloc.(v)
-      done;
-      t.snap_valid <- true;
-      t.last_rejected <- false;
-      fa.mk
-    end
-  end
+  done;
+  t.scheduled_steps <- t.scheduled_steps + ia.finished;
+  flush_metrics ~scheduled:ia.finished ~rejected:ia.rejected;
+  t.last_rejected <- ia.rejected;
+  if ia.rejected then infinity
+  else if ia.finished <> n then
+    (* Unreachable for a validated DAG; defensive. *)
+    invalid_arg "Evaluator: not all tasks were scheduled"
+  else fa.mk

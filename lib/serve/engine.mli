@@ -71,7 +71,7 @@ val create :
     called from the domain that will call {!handle}.
 
     [delta_fitness] (default [true]) routes EMTS fitness through the
-    per-worker-domain incremental {!Emts_sched.Evaluator}; the scratch
+    per-worker-domain {!Emts_sched.Evaluator}; the scratch
     buffers live in domain-local storage, so they are reused across
     requests handled by the same worker — bit-identical responses
     either way (covered by the serve determinism tests). *)

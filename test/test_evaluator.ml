@@ -1,9 +1,10 @@
-(* Tests for the delta fitness evaluator: bit-identical equivalence with
-   the from-scratch list-scheduler path over random mutation chains
+(* Tests for the fitness evaluator: bit-identical equivalence with the
+   from-scratch list-scheduler path over random mutation chains
    (including cutoffs, duplicates and instance rebinds), at cluster
    scale, and with online release / initial-availability bindings
-   against [Online_list]; plus the zero-allocation budget the hot path
-   is designed around. *)
+   against [Online_list]; the certified rejection bound at cutoffs one
+   ulp either side of the makespan; plus the zero-allocation budget the
+   hot path is designed around, for accepted and rejected calls. *)
 
 module Ev = Emts_sched.Evaluator
 module LS = Emts_sched.List_scheduler
@@ -21,8 +22,8 @@ let reference ~graph ~tables ~procs ~alloc ~cutoff =
   | None -> infinity
 
 (* Random execution-time tables drawn from a small discrete set, so
-   distinct allocations frequently share bitwise-equal times — the case
-   where the divergence test must fall back to comparing allocations. *)
+   distinct allocations frequently share bitwise-equal times and
+   bottom levels tie. *)
 let make_tables rng g ~procs =
   Array.init (Graph.task_count g) (fun _ ->
       Array.init procs (fun _ -> float_of_int (Emts_prng.int rng 8) /. 2.))
@@ -51,7 +52,7 @@ let run_chain ?release ?avail0 ~reference rng ev ~graph ~tables ~procs ~steps
       done
     in
     (match step mod 7 with
-    | 0 -> () (* duplicate genome: full-schedule reuse *)
+    | 0 -> () (* duplicate genome *)
     | 1 -> alloc.(0) <- 1 + Emts_prng.int rng procs
     | 2 -> alloc.(n - 1) <- 1 + Emts_prng.int rng procs
     | 6 -> flip (1 + (n / 3))
@@ -147,8 +148,8 @@ let prop_delta_equals_online =
 
 let test_first_and_last_allele () =
   (* Deterministic check of the two boundary mutation sites on a chain
-     (every task on the critical path, so any change invalidates the
-     whole prefix) and on independent tasks (maximal reuse). *)
+     (every task on the critical path) and on independent tasks (every
+     task a source). *)
   List.iter
     (fun graph ->
       let procs = 3 in
@@ -171,8 +172,8 @@ let test_first_and_last_allele () =
 
 let test_rebind_across_instances () =
   (* One evaluator alternating between two instances of different sizes
-     and platform widths: every rebind must land on a correct full run,
-     and the snapshot must never leak across instances. *)
+     and platform widths: every rebind must land on a correct run, and
+     no scratch state may leak across instances. *)
   let rng = Emts_prng.create ~seed:11 () in
   let g1 = Testutil.random_triangular_dag rng ~n:20 ~p:0.2 in
   let g2 = Testutil.random_triangular_dag rng ~n:33 ~p:0.35 in
@@ -188,13 +189,12 @@ let test_rebind_across_instances () =
       ev ~graph ~tables ~procs ~alloc ~cutoff:infinity
   done;
   let s = Ev.stats ev in
-  Alcotest.(check bool)
-    "rebinds force full runs" true
-    (s.Ev.full_runs >= 12)
+  Alcotest.(check int) "every call is a full run" 12 s.Ev.full_runs
 
-let test_rejection_keeps_snapshot_usable () =
-  (* A cutoff rejection must not corrupt later evaluations: interleave
-     rejected and accepted evaluations and keep checking bitwise. *)
+let test_rejections_interleaved () =
+  (* A cutoff rejection leaves the scratch half-written; later
+     evaluations must not notice.  Interleave rejected and accepted
+     evaluations and keep checking bitwise. *)
   let rng = Emts_prng.create ~seed:23 () in
   let graph = Testutil.random_triangular_dag rng ~n:30 ~p:0.25 in
   let procs = 5 in
@@ -233,13 +233,144 @@ let test_input_validation () =
         ~tables:[| [| 1. |]; [| Float.nan |]; [| 1. |] |]
         ~procs:1 ~alloc:[| 1; 1; 1 |] ~cutoff:infinity ())
 
+(* The rounding case the padding exists for.  On the chain 0 -> 1 -> 2
+   with times 1, 2^-53, 2^-53 on one processor every finish rounds back
+   to 1, so the makespan is 1; but bl(0) = 1 + 2^-52, so an unpadded
+   bound [start + bl > cutoff] would reject the schedule at cutoff 1. *)
+let test_rounding_chain () =
+  let graph = Emts_daggen.Shapes.chain 3 in
+  let tiny = Float.ldexp 1. (-53) in
+  let tables = [| [| 1. |]; [| tiny |]; [| tiny |] |] in
+  let alloc = [| 1; 1; 1 |] in
+  let ev = Ev.create () in
+  let check what cutoff expected =
+    let got = Ev.makespan ev ~graph ~tables ~procs:1 ~alloc ~cutoff () in
+    if not (float_eq expected got) then
+      Alcotest.failf "%s: got %h, expected %h" what got expected
+  in
+  check "unbounded" infinity 1.;
+  check "cutoff at the makespan" 1. 1.;
+  Alcotest.(check bool) "not rejected" false (Ev.last_rejected ev);
+  check "cutoff one ulp below" (Float.pred 1.) infinity;
+  Alcotest.(check bool) "rejected" true (Ev.last_rejected ev)
+
+(* Daggen DAGs with Model 2 tables: times are not dyadic, so the two
+   sums the bound compares really round differently.  With [m] the
+   unbounded makespan, a cutoff of [m] or its successor must return [m]
+   and a cutoff of its predecessor must reject — with and without
+   releases and initial availabilities, also drawn off the dyadic grid. *)
+let prop_bound_at_the_makespan =
+  QCheck.Test.make ~name:"rejects exactly above the makespan" ~count:100
+    QCheck.(pair (int_range 1 60) small_int)
+    (fun (n, seed) ->
+      let rng = Emts_prng.create ~seed () in
+      let graph = Emts_check.Gen.random_daggen rng ~n in
+      let procs = cluster_procs rng in
+      let platform =
+        Emts_platform.make ~name:"test" ~processors:procs ~speed_gflops:1.
+      in
+      let tables =
+        Emts_model.Memo.tabulate_graph Emts_model.synthetic platform graph
+      in
+      let n = Graph.task_count graph in
+      let ev = Ev.create () in
+      let online = Emts_prng.bool rng in
+      let release, avail0 =
+        if not online then (None, None)
+        else
+          let scale = tables.(0).(0) in
+          let draw len =
+            Array.init len (fun _ ->
+                if Emts_prng.bool rng then 0. else Emts_prng.float rng scale)
+          in
+          (Some (draw n), Some (draw procs))
+      in
+      for _ = 1 to 5 do
+        let alloc = Emts_check.Gen.random_valid_alloc rng graph ~procs in
+        let eval cutoff =
+          Ev.makespan ev ?release ?avail0 ~graph ~tables ~procs ~alloc ~cutoff
+            ()
+        in
+        let m = eval infinity in
+        List.iter
+          (fun cutoff ->
+            let got = eval cutoff in
+            if cutoff >= m then begin
+              if not (float_eq got m) then
+                Alcotest.failf "cutoff %h >= makespan %h: got %h" cutoff m got;
+              if Ev.last_rejected ev then
+                Alcotest.failf "cutoff %h >= makespan %h: rejected" cutoff m
+            end
+            else if not (got = infinity && Ev.last_rejected ev) then
+              Alcotest.failf "cutoff %h < makespan %h: got %h, not rejected"
+                cutoff m got)
+          [ m; Float.pred m; Float.succ m ]
+      done;
+      true)
+
+let test_stats_and_metrics_accounting () =
+  (* Diamond 0 -> {1, 2} -> 3 with the critical path 0-2-3 of length
+     12.  At cutoff 5 the bound rejects at the very first pop (0 + 12 >
+     5), before any step completes; a finish-only rule would schedule
+     the source (finish 1) and reject only at task 2 (finish 11). *)
+  let graph = Testutil.diamond_graph () in
+  let procs = 2 in
+  let tables = [| [| 1.; 1. |]; [| 1.; 2. |]; [| 10.; 10. |]; [| 1.; 1. |] |] in
+  let ev = Ev.create () in
+  let alloc = Array.make 4 1 in
+  let rejections () =
+    Option.value ~default:0
+      (Emts_obs.Metrics.find_counter "sched.delta.cutoff_rejections")
+  in
+  Emts_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Emts_obs.Metrics.set_enabled false)
+  @@ fun () ->
+  Alcotest.(check (float 0.)) "unbounded makespan" 12.
+    (Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:infinity ());
+  let s = Ev.stats ev in
+  Alcotest.(check int) "one full run" 1 s.Ev.full_runs;
+  Alcotest.(check int) "four steps" 4 s.Ev.scheduled_steps;
+  let before = rejections () in
+  Alcotest.(check (float 0.)) "rejected" infinity
+    (Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:5. ());
+  let s = Ev.stats ev in
+  Alcotest.(check int) "two full runs" 2 s.Ev.full_runs;
+  Alcotest.(check int) "no step completed" 4 s.Ev.scheduled_steps;
+  Alcotest.(check int) "one cutoff rejection" (before + 1) (rejections ());
+  Alcotest.(check int) "no incremental runs" 0 s.Ev.incremental_runs;
+  Alcotest.(check int) "no reused steps" 0 s.Ev.reused_steps
+
+(* Bytes allocated per call of [f] over [rounds] calls, measured in a
+   freshly spawned domain that runs only the loop.  [Gc.minor_words] is
+   exact; [Gc.allocated_bytes] is not on OCaml 5.1: it weighs words
+   still in the minor heap as one byte each and as eight once a minor
+   collection has run, so a loop that happened to straddle a collection
+   gained 7 bytes for every word allocated before it (1837 B/eval for a
+   full 2 MB minor heap).  A fresh domain starts with an empty minor
+   heap and the loop allocates far less than one, so no collection and
+   nothing else can fall inside the measurement. *)
+let bytes_per_call ~rounds f =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let words () =
+           let _, promoted, major = Gc.counters () in
+           Gc.minor_words () +. major -. promoted
+         in
+         let before = words () in
+         for i = 0 to rounds - 1 do
+           f i
+         done;
+         let after = words () in
+         (after -. before) *. float_of_int (Sys.word_size / 8)
+         /. float_of_int rounds))
+
 (* The allocation budget the hot path is designed around.  Steady state
    (instance bound, buffers warm) allocates nothing inside the
    evaluator; the only per-call allocation left is the boxed float
-   crossing the function boundary (OCaml's calling convention), a
-   couple of words.  The budget below is deliberately far under one
-   small scratch array, so any reintroduced per-eval allocation fails
-   loudly. *)
+   crossing the function boundary (OCaml's calling convention), two
+   words.  The budget below is deliberately far under one small
+   scratch array, so any reintroduced per-eval allocation fails loudly.
+   The second loop holds rejected calls to the same budget. *)
 let test_steady_state_allocation () =
   let rng = Emts_prng.create ~seed:5 () in
   let graph = Testutil.random_triangular_dag rng ~n:60 ~p:0.15 in
@@ -249,54 +380,35 @@ let test_steady_state_allocation () =
   let ev = Ev.create () in
   let alloc = Emts_check.Gen.random_valid_alloc rng graph ~procs in
   (* warm up: bind the instance and grow every buffer *)
+  let best = ref infinity in
   for _ = 1 to 50 do
     alloc.(Emts_prng.int rng n) <- 1 + Emts_prng.int rng procs;
-    ignore (Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:infinity ())
+    best :=
+      Float.min !best
+        (Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:infinity ())
   done;
   (* pre-draw mutation sites so the loop body allocates nothing itself *)
   let rounds = 1000 in
   let sites = Array.init rounds (fun _ -> Emts_prng.int rng n) in
   let values = Array.init rounds (fun _ -> 1 + Emts_prng.int rng procs) in
   let sink = Array.make 1 0. in
-  let before = Gc.allocated_bytes () in
-  for i = 0 to rounds - 1 do
+  let rejected = Array.make 1 0 in
+  let loop ~cutoff i =
     alloc.(sites.(i)) <- values.(i);
     sink.(0) <-
-      sink.(0) +. Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:infinity ()
-  done;
-  let after = Gc.allocated_bytes () in
-  let per_eval = (after -. before) /. float_of_int rounds in
-  if per_eval > 64. then
-    Alcotest.failf "steady-state allocation %.1f bytes/eval (budget 64)"
-      per_eval;
-  Alcotest.(check bool) "sink finite" true (Float.is_finite sink.(0))
-
-let test_stats_and_metrics_accounting () =
-  (* Diamond 0 -> {1, 2} -> 3.  Task 2's time dwarfs task 1's under
-     every allocation, so mutating task 1 changes bl(1) but not bl(0):
-     the change set is exactly {1}, whose earliest heap entry is step 1
-     (right after the source pops) — a 1-step prefix reuse.  An
-     independent graph would NOT exercise this: every task is a source
-     there, so any change forces a full run. *)
-  let graph = Testutil.diamond_graph () in
-  let procs = 2 in
-  let tables = [| [| 1.; 1. |]; [| 1.; 2. |]; [| 10.; 10. |]; [| 1.; 1. |] |] in
-  let ev = Ev.create () in
-  let alloc = Array.make 4 1 in
-  ignore (Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:infinity ());
-  (* duplicate: the whole 4-step schedule is reused *)
-  ignore (Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:infinity ());
-  (* mutate task 1: divergence at step 1, the source pop is reused *)
-  alloc.(1) <- 2;
-  ignore (Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff:infinity ());
-  let s = Ev.stats ev in
-  Alcotest.(check int) "one full run" 1 s.Ev.full_runs;
-  Alcotest.(check int) "two incremental runs" 2 s.Ev.incremental_runs;
-  Alcotest.(check int) "reused steps" 5 s.Ev.reused_steps;
-  Alcotest.(check int) "scheduled steps" 7 s.Ev.scheduled_steps;
-  Alcotest.(check bool)
-    "scheduled + reused covers all steps" true
-    (s.Ev.scheduled_steps + s.Ev.reused_steps = 12)
+      sink.(0) +. Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff ();
+    if Ev.last_rejected ev then rejected.(0) <- rejected.(0) + 1
+  in
+  let check what per_eval =
+    if per_eval > 64. then
+      Alcotest.failf "%s: allocation %.1f bytes/eval (budget 64)" what per_eval
+  in
+  check "steady state" (bytes_per_call ~rounds (loop ~cutoff:infinity));
+  Alcotest.(check bool) "sink finite" true (Float.is_finite sink.(0));
+  (* well under the best warm-up makespan every call rejects, about
+     halfway through its schedule *)
+  check "rejected calls" (bytes_per_call ~rounds (loop ~cutoff:(0.7 *. !best)));
+  Alcotest.(check int) "every call rejected" rounds rejected.(0)
 
 let () =
   Alcotest.run "evaluator"
@@ -310,11 +422,16 @@ let () =
             test_first_and_last_allele;
           Alcotest.test_case "rebind across instances" `Quick
             test_rebind_across_instances;
-          Alcotest.test_case "rejections keep snapshot usable" `Quick
-            test_rejection_keeps_snapshot_usable;
+          Alcotest.test_case "rejections interleaved with accepts" `Quick
+            test_rejections_interleaved;
           Alcotest.test_case "input validation" `Quick test_input_validation;
           Alcotest.test_case "stats accounting" `Quick
             test_stats_and_metrics_accounting;
+        ] );
+      ( "bound",
+        [
+          Alcotest.test_case "rounding chain" `Quick test_rounding_chain;
+          QCheck_alcotest.to_alcotest prop_bound_at_the_makespan;
         ] );
       ( "allocation",
         [

@@ -1,6 +1,7 @@
 (* Tests for the fleet router: config validation, rendezvous ranking,
    stats aggregation, and an in-process fleet end-to-end exchange with
-   failover, all-dead refusal and drain. *)
+   failover, all-dead refusal, drain, and a backend that starts
+   listening only after the router's first probe. *)
 
 module Protocol = Emts_serve.Protocol
 module Server = Emts_serve.Server
@@ -410,6 +411,87 @@ let test_fleet_failover_and_refusal () =
     Alcotest.fail "schedule answered with every backend dead"
   | _ -> Alcotest.fail "unexpected reply with every backend dead"
 
+(* The startup race: the router's first probe reaches the backend
+   before its daemon listens.  A stand-in listener takes that probe and
+   hangs up, as a daemon not up yet fails it; only then does the real
+   daemon start on the same socket.  The first request after that must
+   be answered, not refused with [unavailable] until the next probe,
+   which the long probe interval puts far past the test. *)
+let test_backend_listening_after_first_probe () =
+  let ptg = graph_string ~seed:31 () in
+  let dir = Filename.temp_file "emts_fleet" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let bpath = Filename.concat dir "b.sock" in
+  let rpath = Filename.concat dir "router.sock" in
+  let gate = Endpoint.listen_fd (Endpoint.Unix_socket bpath) in
+  let rstop = Atomic.make false and bstop = Atomic.make false in
+  let rthread =
+    Thread.create
+      (fun () ->
+        ignore
+          (Router.run
+             ~stop:(fun () -> Atomic.get rstop)
+             {
+               Router.default with
+               Router.socket = Some rpath;
+               backends = [ Endpoint.Unix_socket bpath ];
+               probe_interval = 60.;
+               probe_timeout = 1.0;
+             }))
+      ()
+  in
+  let bthread = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set rstop true;
+      Thread.join rthread;
+      Atomic.set bstop true;
+      Option.iter Thread.join !bthread;
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ rpath; bpath ];
+      Unix.rmdir dir)
+  @@ fun () ->
+  (match Unix.select [ gate ] [] [] 10. with
+  | [], _, _ -> Alcotest.fail "the router never probed its backend"
+  | _ -> Unix.close (fst (Unix.accept ~cloexec:true gate)));
+  Unix.close gate;
+  Sys.remove bpath;
+  bthread :=
+    Some
+      (Thread.create
+         (fun () ->
+           Server.run
+             ~stop:(fun () -> Atomic.get bstop)
+             { Server.default with Server.socket = Some bpath; workers = 1 })
+         ());
+  (* the daemon answers directly before the router is asked *)
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec wait_listening () =
+    match
+      with_conn bpath (fun fd -> rpc fd (Protocol.Request.Ping { id = J.Null }))
+    with
+    | Protocol.Response.Pong _ -> ()
+    | _ -> Alcotest.fail "backend: expected pong"
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when Unix.gettimeofday () < deadline ->
+      Thread.delay 0.01;
+      wait_listening ()
+  in
+  wait_listening ();
+  wait_for_file rpath;
+  match
+    with_conn rpath (fun fd ->
+        rpc fd
+          (Protocol.Request.Schedule
+             { id = J.Str "first"; req = schedule_req ptg }))
+  with
+  | Protocol.Response.Schedule_result _ -> ()
+  | Protocol.Response.Error { code; message; _ } ->
+    Alcotest.failf "first request refused: %s %s" code message
+  | _ -> Alcotest.fail "unexpected reply to the first request"
+
 let test_router_rejects_malformed () =
   with_fleet ~backends:1 @@ fun ~rpath ~bpaths:_ ~stop_backend:_ ->
   (* an unparseable payload gets a typed bad_request, and the
@@ -446,5 +528,7 @@ let () =
             test_fleet_failover_and_refusal;
           Alcotest.test_case "malformed input" `Quick
             test_router_rejects_malformed;
+          Alcotest.test_case "backend listening after the first probe" `Quick
+            test_backend_listening_after_first_probe;
         ] );
     ]

@@ -144,14 +144,9 @@ let schedule_loop ?(cutoff = infinity) ?(priority = Bottom_level) ~graph
   let bl = priorities ~priority ~graph ~times in
   let indeg = Array.init n (fun v -> Array.length (Graph.preds graph v)) in
   let data_ready = Array.make n 0. in
-  let avail = Array.make procs 0. in
-  (* [order] holds the processor ids sorted by (avail, id) — the
-     first-fit order.  After a task claims the first [s] entries they
-     all share one new availability, so instead of a full O(P log P)
-     re-sort we sort those [s] ids and merge the two sorted runs in
-     O(P + s log s). *)
-  let order = Array.init procs Fun.id in
-  let scratch = Array.make procs 0 in
+  (* First-fit over the processors in (avail, id) order; placing a
+     task costs O(P) and sorts nothing (see [First_fit]). *)
+  let ff = First_fit.create (Array.make procs 0.) in
   let ready = Heap.create n in
   let pushes = ref 0 and pops = ref 0 and proc_limited = ref 0 in
   for v = 0 to n - 1 do
@@ -160,32 +155,6 @@ let schedule_loop ?(cutoff = infinity) ?(priority = Bottom_level) ~graph
       incr pushes
     end
   done;
-  let merge_front s =
-    let chosen = Array.sub order 0 s in
-    Array.sort Int.compare chosen;
-    Array.blit order s scratch 0 (procs - s);
-    let finish = avail.(chosen.(0)) in
-    let i = ref 0 (* in chosen *) and j = ref 0 (* in scratch *) in
-    for k = 0 to procs - 1 do
-      let take_chosen =
-        !j >= procs - s
-        || (!i < s
-           &&
-           let b = scratch.(!j) in
-           let c = Float.compare finish avail.(b) in
-           c < 0 || (c = 0 && chosen.(!i) < b))
-      in
-      if take_chosen then begin
-        order.(k) <- chosen.(!i);
-        incr i
-      end
-      else begin
-        order.(k) <- scratch.(!j);
-        incr j
-      end
-    done;
-    chosen
-  in
   let finished = ref 0 in
   let makespan = ref 0. in
   let flush ~rejected =
@@ -204,15 +173,12 @@ let schedule_loop ?(cutoff = infinity) ?(priority = Bottom_level) ~graph
        incr pops;
        let s = alloc.(v) in
        (* First-fit: the s processors available earliest. *)
-       let proc_avail = avail.(order.(s - 1)) in
+       let proc_avail = First_fit.ready_at ff s in
        if proc_avail > data_ready.(v) then incr proc_limited;
        let start = Float.max data_ready.(v) proc_avail in
        let finish = start +. times.(v) in
        if finish > cutoff then raise Rejected;
-       for k = 0 to s - 1 do
-         avail.(order.(k)) <- finish
-       done;
-       let chosen = merge_front s in
+       let chosen = First_fit.claim ff s finish in
        (match record with
        | None -> ()
        | Some f -> f v start finish chosen);

@@ -11,8 +11,10 @@
       maximum of the data-ready time of [v] and the availability of the
       last processor chosen.
 
-    The result is deterministic.  Complexity O(E + V log V + V P log P),
-    matching the bound cited in the paper (Section III-E). *)
+    The result is deterministic.  Complexity O(E + V log V + V P), within
+    the O(E + V log V + V P log P) bound cited in the paper (Section
+    III-E): placing a task collects its processors in one O(P) scan and
+    merge, without sorting them. *)
 
 (** Ready-queue ordering.  The paper (and default) is [Bottom_level];
     the alternatives exist for the mapping-step ablation: how much of

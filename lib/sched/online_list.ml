@@ -139,11 +139,10 @@ let compromise_allotment ~tables ~procs =
 
 (* Core loop: [List_scheduler.schedule_loop] with two generalisations —
    [data_ready] starts at the release times instead of zero, and the
-   availability vector starts at [avail] instead of all-zero (so the
-   initial first-fit [order] must be sorted).  [record] receives
+   processor availabilities start at [avail] instead of all-zero.  Both
+   loops place a task through [First_fit], in O(P).  [record] receives
    (task, start, finish, sorted-chosen-processor-ids). *)
-let schedule_loop ~graph ~times ~alloc ~procs ~release ~avail:avail0 ~record
-    () =
+let schedule_loop ~graph ~times ~alloc ~release ~avail:avail0 ~record () =
   let n = Graph.task_count graph in
   let bl = Emts_ptg.Analysis.bottom_levels graph ~time:(fun v -> times.(v)) in
   Array.iter
@@ -153,57 +152,19 @@ let schedule_loop ~graph ~times ~alloc ~procs ~release ~avail:avail0 ~record
     bl;
   let indeg = Array.init n (fun v -> Array.length (Graph.preds graph v)) in
   let data_ready = Array.copy release in
-  let avail = Array.copy avail0 in
-  let order = Array.init procs Fun.id in
-  (* distinct (avail, id) keys: the sorted permutation is unique *)
-  Array.sort
-    (fun a b ->
-      let c = Float.compare avail.(a) avail.(b) in
-      if c <> 0 then c else Int.compare a b)
-    order;
-  let scratch = Array.make procs 0 in
+  let ff = First_fit.create (Array.copy avail0) in
   let ready = Heap.create n in
   for v = 0 to n - 1 do
     if indeg.(v) = 0 then Heap.push ready bl.(v) v
   done;
-  let merge_front s =
-    let chosen = Array.sub order 0 s in
-    Array.sort Int.compare chosen;
-    Array.blit order s scratch 0 (procs - s);
-    let finish = avail.(chosen.(0)) in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to procs - 1 do
-      let take_chosen =
-        !j >= procs - s
-        || (!i < s
-           &&
-           let b = scratch.(!j) in
-           let c = Float.compare finish avail.(b) in
-           c < 0 || (c = 0 && chosen.(!i) < b))
-      in
-      if take_chosen then begin
-        order.(k) <- chosen.(!i);
-        incr i
-      end
-      else begin
-        order.(k) <- scratch.(!j);
-        incr j
-      end
-    done;
-    chosen
-  in
   let finished = ref 0 in
   let makespan = ref 0. in
   while not (Heap.is_empty ready) do
     let v = Heap.pop ready in
     let s = alloc.(v) in
-    let proc_avail = avail.(order.(s - 1)) in
-    let start = Float.max data_ready.(v) proc_avail in
+    let start = Float.max data_ready.(v) (First_fit.ready_at ff s) in
     let finish = start +. times.(v) in
-    for k = 0 to s - 1 do
-      avail.(order.(k)) <- finish
-    done;
-    let chosen = merge_front s in
+    let chosen = First_fit.claim ff s finish in
     (match record with None -> () | Some f -> f v start finish chosen);
     if finish > !makespan then makespan := finish;
     incr finished;
@@ -234,10 +195,10 @@ let run ~graph ~times ~alloc ~procs ~release ~avail =
     entries.(task) <- { Schedule.task; start; finish; procs = chosen }
   in
   ignore
-    (schedule_loop ~graph ~times ~alloc ~procs ~release ~avail
-       ~record:(Some record) ());
+    (schedule_loop ~graph ~times ~alloc ~release ~avail ~record:(Some record)
+       ());
   Schedule.make ~platform_procs:procs entries
 
 let makespan ~graph ~times ~alloc ~procs ~release ~avail =
   check_inputs ~graph ~times ~alloc ~procs ~release ~avail;
-  schedule_loop ~graph ~times ~alloc ~procs ~release ~avail ~record:None ()
+  schedule_loop ~graph ~times ~alloc ~release ~avail ~record:None ()

@@ -10,8 +10,10 @@
     otherwise identical — decreasing bottom level, ties smaller id,
     first-fit onto the earliest-available processors — and with
     all-zero releases and availabilities the result is bit-identical to
-    {!List_scheduler.run} (property-tested).  {!Evaluator.makespan}
-    computes the same makespan incrementally for the re-planning EA's
+    {!List_scheduler.run} (property-tested).  Placing a task costs O(P),
+    as in {!List_scheduler}, after one O(P log P) sort of the initial
+    availabilities.  {!Evaluator.makespan} computes the same makespan
+    without materialising processor sets, for the re-planning EA's
     inner loop. *)
 
 val compromise_allotment :

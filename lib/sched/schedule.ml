@@ -18,20 +18,24 @@ let make ~platform_procs entries =
           (Printf.sprintf "Schedule.make: task %d finishes before it starts" v);
       if Array.length e.procs = 0 then
         invalid_arg (Printf.sprintf "Schedule.make: task %d uses no processor" v);
-      let sorted = Array.copy e.procs in
-      Array.sort compare sorted;
-      if sorted <> e.procs then
-        invalid_arg
-          (Printf.sprintf "Schedule.make: task %d processor set not sorted" v);
+      (* Order over the whole set first, then range and repeats in one
+         ascending pass: a set breaking two rules reports "not sorted"
+         if it is unsorted, else its first offending id. *)
+      let ps = e.procs in
+      for k = 1 to Array.length ps - 1 do
+        if ps.(k - 1) > ps.(k) then
+          invalid_arg
+            (Printf.sprintf "Schedule.make: task %d processor set not sorted" v)
+      done;
       Array.iteri
         (fun k p ->
           if p < 0 || p >= platform_procs then
             invalid_arg
               (Printf.sprintf "Schedule.make: task %d uses unknown proc %d" v p);
-          if k > 0 && sorted.(k - 1) = p then
+          if k > 0 && ps.(k - 1) = p then
             invalid_arg
               (Printf.sprintf "Schedule.make: task %d repeats proc %d" v p))
-        sorted)
+        ps)
     entries;
   { entries; platform_procs }
 

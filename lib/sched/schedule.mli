@@ -17,8 +17,9 @@ type t
 val make : platform_procs:int -> entry array -> t
 (** [make ~platform_procs entries] packages per-task entries
     ([entries.(v).task = v] required).  Raises [Invalid_argument] on
-    inconsistent entries (wrong task field, finish < start, empty or
-    out-of-range processor sets). *)
+    inconsistent entries (wrong task field, NaN times, finish < start,
+    empty, unsorted, repeating or out-of-range processor sets).  Checks
+    each processor set in place, in time linear in its size. *)
 
 val entry : t -> int -> entry
 val entries : t -> entry array

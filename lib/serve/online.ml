@@ -233,25 +233,42 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
       (fun capacity -> Emts_pool.Cache.create ~capacity)
       t.cfg.fitness_cache
   in
-  let raw_fitness alloc =
+  (* Certified early rejection, as in [Emts.Algorithm.run_ctx]: the
+     cutoff is the worst survivor of the previous generation, which an
+     offspring scoring above it could never displace under Plus
+     selection; with islands, the worst over their union bounds each
+     island's own.  Written by [on_generation] on the main domain, read
+     by fitness calls on worker domains. *)
+  let cutoff = Atomic.make infinity in
+  (* [infinity] on rejection, which {!Emts_sched.Evaluator.last_rejected}
+     tells apart.  [Online_list] has no bounded variant, so the
+     [delta_fitness = false] path never rejects. *)
+  let raw_fitness alloc c =
     if t.cfg.delta_fitness then
       let ev = Emts_pool.Local.get evaluator_slot in
       Emts_sched.Evaluator.makespan ev ~release:sub.release ~avail0:sub.avail
-        ~graph:sub.graph ~tables:sub.tables ~procs:t.procs ~alloc
-        ~cutoff:infinity ()
+        ~graph:sub.graph ~tables:sub.tables ~procs:t.procs ~alloc ~cutoff:c ()
     else
       Emts_sched.Online_list.makespan ~graph:sub.graph ~times:(times_of sub alloc)
         ~alloc ~procs:t.procs ~release:sub.release ~avail:sub.avail
   in
   let fitness alloc =
+    let c = Atomic.get cutoff in
     match cache with
-    | None -> raw_fitness alloc
+    | None -> raw_fitness alloc c
     | Some cache -> (
-      match Emts_pool.Cache.find cache alloc ~cutoff:infinity with
+      match Emts_pool.Cache.find cache alloc ~cutoff:c with
       | Some v -> v
       | None ->
-        let m = raw_fitness alloc in
-        Emts_pool.Cache.store cache alloc (Emts_pool.Cache.Known m);
+        let m = raw_fitness alloc c in
+        let rejected =
+          t.cfg.delta_fitness
+          && Emts_sched.Evaluator.last_rejected
+               (Emts_pool.Local.get evaluator_slot)
+        in
+        Emts_pool.Cache.store cache alloc
+          (if rejected then Emts_pool.Cache.Rejected_above c
+           else Emts_pool.Cache.Known m);
         m)
   in
   let mutate rng ~generation ~total_generations genome =
@@ -267,6 +284,7 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
   let result =
     Mutex.protect ea_lock (fun () ->
         Emts_ea.run ?pool:t.pool ~rng ~config:ea_config
+          ~on_generation:(fun stats -> Atomic.set cutoff stats.Emts_ea.worst)
           ~seeds:[ baseline; prev; Array.make k 1 ]
           (Emts_ea.mutation_only ~fitness ~mutate))
   in

@@ -190,6 +190,7 @@ module Online = struct
     preds : int array;  (* global ids *)
     succs : int array;
     mutable committed : bool;
+    mutable waiting : int;  (* uncommitted predecessors *)
     mutable r_start : float;
     mutable r_finish : float;
     mutable r_procs : int array;
@@ -216,6 +217,10 @@ module Online = struct
     free : float array;
     mutable log : committed list;  (* newest first *)
     mutable committed_count : int;
+    mutable ready : int array;
+        (* [ready.(0 .. ready_len - 1)]: the uncommitted tasks with
+           [waiting = 0], in no particular order *)
+    mutable ready_len : int;
   }
 
   type report = { committed : int; drifted : bool }
@@ -233,6 +238,8 @@ module Online = struct
       free = Array.make procs 0.;
       log = [];
       committed_count = 0;
+      ready = [||];
+      ready_len = 0;
     }
 
   let procs t = t.procs
@@ -255,6 +262,10 @@ module Online = struct
     let _, _, at = t.dags.(d) in
     at
 
+  let push_ready t v =
+    t.ready.(t.ready_len) <- v;
+    t.ready_len <- t.ready_len + 1
+
   let admit t graph =
     let n = Emts_ptg.Graph.task_count graph in
     if n = 0 then invalid_arg "Online.admit: empty graph";
@@ -263,12 +274,14 @@ module Online = struct
     let shift = Array.map (fun v -> v + offset) in
     let fresh =
       Array.init n (fun v ->
+          let preds = shift (Emts_ptg.Graph.preds graph v) in
           {
             dag;
             arrival = t.now;
-            preds = shift (Emts_ptg.Graph.preds graph v);
+            preds;
             succs = shift (Emts_ptg.Graph.succs graph v);
             committed = false;
+            waiting = Array.length preds;
             r_start = 0.;
             r_finish = 0.;
             r_procs = [||];
@@ -277,6 +290,13 @@ module Online = struct
     in
     t.tasks <- Array.append t.tasks fresh;
     t.dags <- Array.append t.dags [| (graph, offset, t.now) |];
+    (* ready tasks are uncommitted ones, so one slot per task suffices *)
+    let ready = Array.make (Array.length t.tasks) 0 in
+    Array.blit t.ready 0 ready 0 t.ready_len;
+    t.ready <- ready;
+    Array.iteri
+      (fun v task -> if task.waiting = 0 then push_ready t (offset + v))
+      fresh;
     dag
 
   let unstarted t =
@@ -374,46 +394,55 @@ module Online = struct
 
   let float_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-  (* The next commitment: among unstarted tasks whose predecessors are
-     all committed, the minimal (effective start, planned-zero-duration
-     last?, id) — zero-duration tasks first among ties, mirroring
-     [dispatch_order]'s middle component, then smallest global id. *)
+  (* The next commitment: among the ready tasks (unstarted, every
+     predecessor committed) that have a plan, the minimal (effective
+     start, positive planned duration, id) — zero-duration tasks first
+     among equal starts, mirroring [dispatch_order]'s middle component,
+     then the smallest global id.  The rule is explicit because the
+     ready array is in no particular order.  Returns the winner's slot
+     in [ready] and its effective start.
+
+     A candidate whose planned start already exceeds the best effective
+     start so far is skipped before its folds: its effective start is
+     at least its planned start, so it would lose.  The test is strict,
+     since an equal planned start can still tie and win on duration
+     class or id. *)
   let next_commit t =
-    let n = Array.length t.tasks in
-    let best = ref (-1) in
+    let best = ref (-1) and best_id = ref max_int in
     let best_eff = ref infinity and best_pos = ref true in
-    for v = 0 to n - 1 do
+    for slot = 0 to t.ready_len - 1 do
+      let v = t.ready.(slot) in
       let task = t.tasks.(v) in
-      if (not task.committed) && Array.for_all (fun p -> t.tasks.(p).committed) task.preds
-      then
-        match task.planned with
-        | None -> ()
-        | Some e ->
-          let data_ready =
-            Array.fold_left
-              (fun acc p -> Float.max acc t.tasks.(p).r_finish)
-              0. task.preds
-          in
-          let procs_free =
-            Array.fold_left
-              (fun acc p -> Float.max acc t.free.(p))
-              0. e.Schedule.procs
-          in
-          let eff =
-            Float.max e.Schedule.start (Float.max data_ready procs_free)
-          in
-          let pos = e.Schedule.finish > e.Schedule.start in
-          let better =
-            let c = Float.compare eff !best_eff in
-            c < 0 || (c = 0 && ((not pos) && !best_pos))
-            (* equal eff and same duration class: keep the smaller id,
-               which the ascending scan guarantees *)
-          in
-          if !best < 0 || better then begin
-            best := v;
-            best_eff := eff;
-            best_pos := pos
-          end
+      match task.planned with
+      | Some e when e.Schedule.start <= !best_eff ->
+        let data_ready =
+          Array.fold_left
+            (fun acc p -> Float.max acc t.tasks.(p).r_finish)
+            0. task.preds
+        in
+        let procs_free =
+          Array.fold_left
+            (fun acc p -> Float.max acc t.free.(p))
+            0. e.Schedule.procs
+        in
+        let eff =
+          Float.max e.Schedule.start (Float.max data_ready procs_free)
+        in
+        let pos = e.Schedule.finish > e.Schedule.start in
+        let better =
+          let c = Float.compare eff !best_eff in
+          c < 0
+          || c = 0
+             && (((not pos) && !best_pos)
+                || (pos = !best_pos && v < !best_id))
+        in
+        if !best < 0 || better then begin
+          best := slot;
+          best_id := v;
+          best_eff := eff;
+          best_pos := pos
+        end
+      | Some _ | None -> ()
     done;
     if !best < 0 then None else Some (!best, !best_eff)
 
@@ -431,10 +460,19 @@ module Online = struct
              plan that was never installed; defensive *)
           invalid_arg "Online.advance: no eligible task but work remains";
         stop := true
-      | Some (v, eff) ->
+      | Some (slot, eff) ->
         if eff > to_ then stop := true
         else begin
+          let v = t.ready.(slot) in
           let task = t.tasks.(v) in
+          t.ready_len <- t.ready_len - 1;
+          t.ready.(slot) <- t.ready.(t.ready_len);
+          Array.iter
+            (fun w ->
+              let succ = t.tasks.(w) in
+              succ.waiting <- succ.waiting - 1;
+              if succ.waiting = 0 then push_ready t w)
+            task.succs;
           let e = Option.get task.planned in
           let planned_dur = e.Schedule.finish -. e.Schedule.start in
           let dur = Noise.apply t.noise t.rng ~planned:planned_dur in

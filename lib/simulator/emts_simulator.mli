@@ -139,10 +139,16 @@ module Online : sig
   val advance : ?to_:float -> t -> report
   (** Commit every task whose effective start is [<= to_] (default:
       run to completion), stopping early after the first drifting
-      commitment.  Moves the clock to [to_] (or to the makespan when
-      complete) unless drift stopped the pass — then the clock rests at
-      the drifted start so re-planning cannot schedule into the past.
-      Raises [Invalid_argument] on a NaN or backwards [to_]. *)
+      commitment.  Commitments go one at a time, each to the ready task
+      (unstarted, every predecessor committed, with a plan entry) of
+      smallest effective start — the latest of its planned start, its
+      predecessors' realised finishes and its processors' free times;
+      at equal effective starts a zero-duration task before a
+      positive-duration one, then the smaller global id.  Moves the
+      clock to [to_] (or to the makespan when complete) unless drift
+      stopped the pass — then the clock rests at the drifted start so
+      re-planning cannot schedule into the past.  Raises
+      [Invalid_argument] on a NaN or backwards [to_]. *)
 
   val procs : t -> int
   val now : t -> float

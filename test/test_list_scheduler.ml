@@ -271,6 +271,145 @@ let prop_deterministic =
       let s2 = LS.run ~graph:g ~times ~alloc ~procs in
       Schedule.entries s1 = Schedule.entries s2)
 
+(* --- reference spec: the sort-based selection loop --- *)
+
+(* The mapping loop as it stood while processor selection still sorted:
+   a task takes the first [s] ids of the (avail, id) order, which are
+   copied, sorted with [Int.compare] and merged back into the rest at
+   their new availability.  The ready set is a list scanned for the
+   highest bottom level (ties: smaller id), where the schedulers use a
+   heap; both pop the same task.  [release] and [avail] give the online
+   variant; all zero, the offline one.  Returns the entries by task. *)
+let reference_entries ~graph ~times ~alloc ~procs ~release ~avail:avail0 =
+  let n = Graph.task_count graph in
+  let bl = Emts_ptg.Analysis.bottom_levels graph ~time:(fun v -> times.(v)) in
+  let indeg = Array.init n (fun v -> Array.length (Graph.preds graph v)) in
+  let data_ready = Array.copy release in
+  let avail = Array.copy avail0 in
+  let order = Array.init procs Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare avail.(a) avail.(b) in
+      if c <> 0 then c else Int.compare a b)
+    order;
+  let scratch = Array.make procs 0 in
+  let merge_front s =
+    let chosen = Array.sub order 0 s in
+    Array.sort Int.compare chosen;
+    Array.blit order s scratch 0 (procs - s);
+    let finish = avail.(chosen.(0)) in
+    let i = ref 0 and j = ref 0 in
+    for k = 0 to procs - 1 do
+      let take_chosen =
+        !j >= procs - s
+        || (!i < s
+           &&
+           let b = scratch.(!j) in
+           let c = Float.compare finish avail.(b) in
+           c < 0 || (c = 0 && chosen.(!i) < b))
+      in
+      if take_chosen then begin
+        order.(k) <- chosen.(!i);
+        incr i
+      end
+      else begin
+        order.(k) <- scratch.(!j);
+        incr j
+      end
+    done;
+    chosen
+  in
+  let ready = ref (List.filter (fun v -> indeg.(v) = 0) (List.init n Fun.id)) in
+  let entries = Array.make n None in
+  while !ready <> [] do
+    let v =
+      List.fold_left
+        (fun b v ->
+          let c = Float.compare bl.(v) bl.(b) in
+          if c > 0 || (c = 0 && v < b) then v else b)
+        (List.hd !ready) !ready
+    in
+    ready := List.filter (( <> ) v) !ready;
+    let s = alloc.(v) in
+    let start = Float.max data_ready.(v) avail.(order.(s - 1)) in
+    let finish = start +. times.(v) in
+    for k = 0 to s - 1 do
+      avail.(order.(k)) <- finish
+    done;
+    let procs = merge_front s in
+    entries.(v) <- Some { Schedule.task = v; start; finish; procs };
+    Array.iter
+      (fun w ->
+        if finish > data_ready.(w) then data_ready.(w) <- finish;
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then ready := w :: !ready)
+      (Graph.succs graph v)
+  done;
+  Array.map Option.get entries
+
+let same_entries (a : Schedule.entry array) (b : Schedule.entry array) =
+  let bits = Int64.bits_of_float in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Schedule.entry) (y : Schedule.entry) ->
+         x.task = y.task
+         && Int64.equal (bits x.start) (bits y.start)
+         && Int64.equal (bits x.finish) (bits y.finish)
+         && x.procs = y.procs)
+       a b
+
+(* A daggen DAG on 1..128 processors with a random allocation.  Times
+   come from Model 2 tables or from a small set with zeros, so bottom
+   levels and availabilities tie often. *)
+let reference_instance seed =
+  let rng = Emts_prng.create ~seed () in
+  let graph = Emts_check.Gen.random_daggen rng ~n:(1 + Emts_prng.int rng 60) in
+  let procs = 1 + Emts_prng.int rng 128 in
+  let alloc = Emts_check.Gen.random_valid_alloc rng graph ~procs in
+  let times =
+    if Emts_prng.bool rng then
+      Emts_sched.Allocation.times_of_tables alloc
+        ~tables:
+          (Emts_model.Memo.tabulate_graph Emts_model.synthetic
+             (Emts_platform.make ~name:"ref" ~processors:procs ~speed_gflops:1.)
+             graph)
+    else
+      Array.init (Graph.task_count graph) (fun _ ->
+          float_of_int (Emts_prng.int rng 4) /. 2.)
+  in
+  (rng, graph, times, alloc, procs)
+
+let prop_run_matches_reference =
+  QCheck.Test.make ~name:"run == sort-based reference, daggen, 1-128 procs"
+    ~count:150 QCheck.int
+    (fun seed ->
+      let _, graph, times, alloc, procs = reference_instance seed in
+      let n = Graph.task_count graph in
+      same_entries
+        (Schedule.entries (LS.run ~graph ~times ~alloc ~procs))
+        (reference_entries ~graph ~times ~alloc ~procs
+           ~release:(Array.make n 0.) ~avail:(Array.make procs 0.)))
+
+(* Off-grid releases (arbitrary floats, zero for some tasks), and
+   availabilities drawn from three values so processors tie. *)
+let prop_online_run_matches_reference =
+  QCheck.Test.make
+    ~name:"Online_list.run == sort-based reference, releases and avail ties"
+    ~count:150 QCheck.int
+    (fun seed ->
+      let rng, graph, times, alloc, procs = reference_instance seed in
+      let release =
+        Array.init (Graph.task_count graph) (fun _ ->
+            if Emts_prng.bool rng then 0. else Emts_prng.float rng 7.)
+      in
+      let levels = [| 0.; Emts_prng.float rng 3.; Emts_prng.float rng 6. |] in
+      let avail = Array.init procs (fun _ -> levels.(Emts_prng.int rng 3)) in
+      same_entries
+        (Schedule.entries
+           (Emts_sched.Online_list.run ~graph ~times ~alloc ~procs ~release
+              ~avail))
+        (reference_entries ~graph ~times ~alloc ~procs ~release ~avail))
+
 let () =
   Alcotest.run "list_scheduler"
     [
@@ -300,5 +439,7 @@ let () =
             prop_bounded_agrees_with_makespan;
             prop_any_priority_schedule_valid;
             prop_deterministic;
+            prop_run_matches_reference;
+            prop_online_run_matches_reference;
           ] );
     ]

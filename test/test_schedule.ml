@@ -24,20 +24,37 @@ let test_metrics () =
   Alcotest.(check (array int)) "allocation" [| 2; 2 |] (S.allocation s)
 
 let test_make_validation () =
-  let reject label entries =
-    Alcotest.(check bool) label true
-      (try
-         ignore (S.make ~platform_procs:3 entries);
-         false
-       with Invalid_argument _ -> true)
+  (* Each message, and which rule wins when a set breaks two: order is
+     checked over the whole set first, then range and repeats in one
+     ascending pass. *)
+  let reject ?(platform_procs = 3) label expected entries =
+    match S.make ~platform_procs entries with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument m ->
+      Alcotest.(check string) label ("Schedule.make: " ^ expected) m
   in
-  reject "wrong task field" [| entry 1 0. 1. [| 0 |] |];
-  reject "finish before start" [| entry 0 2. 1. [| 0 |] |];
-  reject "empty proc set" [| entry 0 0. 1. [||] |];
-  reject "unsorted proc set" [| entry 0 0. 1. [| 2; 0 |] |];
-  reject "repeated proc" [| entry 0 0. 1. [| 1; 1 |] |];
-  reject "proc out of range" [| entry 0 0. 1. [| 3 |] |];
-  reject "NaN time" [| entry 0 nan 1. [| 0 |] |]
+  reject ~platform_procs:0 "no processors" "platform_procs must be >= 1" [||];
+  reject "wrong task field" "entry 0 carries task id 1"
+    [| entry 1 0. 1. [| 0 |] |];
+  reject "finish before start" "task 0 finishes before it starts"
+    [| entry 0 2. 1. [| 0 |] |];
+  reject "empty proc set" "task 0 uses no processor" [| entry 0 0. 1. [||] |];
+  reject "unsorted proc set" "task 0 processor set not sorted"
+    [| entry 0 0. 1. [| 2; 0 |] |];
+  reject "unsorted in a later entry" "task 1 processor set not sorted"
+    [| entry 0 0. 1. [| 0 |]; entry 1 0. 1. [| 0; 2; 1 |] |];
+  reject "repeated proc" "task 0 repeats proc 1" [| entry 0 0. 1. [| 1; 1 |] |];
+  reject "proc out of range" "task 0 uses unknown proc 3"
+    [| entry 0 0. 1. [| 3 |] |];
+  reject "negative proc" "task 0 uses unknown proc -1"
+    [| entry 0 0. 1. [| -1; 0 |] |];
+  reject "NaN time" "NaN time" [| entry 0 nan 1. [| 0 |] |];
+  reject "out of order and out of range" "task 0 processor set not sorted"
+    [| entry 0 0. 1. [| 5; 0 |] |];
+  reject "out of range and repeated" "task 0 uses unknown proc 7"
+    [| entry 0 0. 1. [| 0; 7; 7 |] |];
+  reject "repeated and out of range" "task 0 repeats proc 1"
+    [| entry 0 0. 1. [| 1; 1; 7 |] |]
 
 let test_empty_schedule () =
   let s = S.make ~platform_procs:4 [||] in

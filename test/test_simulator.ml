@@ -151,6 +151,97 @@ let test_trace_csv () =
   Alcotest.(check int) "header + 8 events" 9 (List.length lines);
   Alcotest.(check string) "header" "event,task,time,procs" (List.hd lines)
 
+(* The online commit rule, through the public API: among ready tasks,
+   the smallest effective start commits first; at equal effective
+   starts a zero-duration task goes first, otherwise the smaller id. *)
+
+module On = Sim.Online
+
+let entry task start finish procs = { Schedule.task; start; finish; procs }
+
+let commit_order st =
+  List.map (fun (c : On.committed) -> c.On.task) (On.commitments st)
+
+(* [advance] stops after each drifting commitment: call it until the
+   workload is done. *)
+let rec run_out st =
+  if not (On.complete st) then begin
+    ignore (On.advance st);
+    run_out st
+  end
+
+(* 0 -> 1, and 2 on its own. *)
+let edge_and_single () =
+  let b = Emts_ptg.Graph.Builder.create () in
+  let ids =
+    Array.init 3 (fun _ -> Emts_ptg.Graph.Builder.add_task ~flop:1. b)
+  in
+  Emts_ptg.Graph.Builder.add_edge b ~src:ids.(0) ~dst:ids.(1);
+  Emts_ptg.Graph.Builder.build b
+
+let test_online_tie_rule () =
+  let st = On.create ~procs:4 () in
+  ignore (On.admit st (Emts_daggen.Shapes.independent 4));
+  On.set_plan st
+    [
+      entry 0 1. 2. [| 0 |];
+      entry 1 1. 1. [| 1 |];
+      entry 2 1. 3. [| 2 |];
+      entry 3 1. 1. [| 3 |];
+    ];
+  ignore (On.advance st);
+  Alcotest.(check (list int)) "zero-duration first, then smaller id"
+    [ 1; 3; 0; 2 ] (commit_order st)
+
+let test_online_tie_late_ready () =
+  (* 2 is ready from the start, 1 only once 0 commits; both then start
+     at 1 with positive durations, and the smaller id wins. *)
+  let st = On.create ~procs:3 () in
+  ignore (On.admit st (edge_and_single ()));
+  On.set_plan st
+    [ entry 0 0. 1. [| 0 |]; entry 1 1. 2. [| 1 |]; entry 2 1. 2. [| 2 |] ];
+  ignore (On.advance st);
+  Alcotest.(check (list int)) "lower id ready later still wins" [ 0; 1; 2 ]
+    (commit_order st)
+
+(* Task 0 drifts; the re-plan then puts task 1 at the clock and task 2
+   at half of 0's realised finish.  Task 1 cannot start before that
+   finish, through its predecessor ([same_proc = false]) or its busy
+   processor ([same_proc = true]), so task 2 commits first: the order
+   follows effective starts, not planned starts or ids. *)
+let drift_case ~same_proc () =
+  let graph =
+    if same_proc then Emts_daggen.Shapes.independent 3 else edge_and_single ()
+  in
+  let p1 = if same_proc then 0 else 1 in
+  let st =
+    On.create ~procs:3
+      ~noise:(Sim.Noise.uniform_slowdown ~max_factor:2.)
+      ~rng:(Emts_prng.create ~seed:5 ())
+      ()
+  in
+  ignore (On.admit st graph);
+  On.set_plan st
+    [ entry 0 0. 1. [| 0 |]; entry 1 1. 2. [| p1 |]; entry 2 1. 2. [| 2 |] ];
+  let r = On.advance st in
+  Alcotest.(check bool) "task 0 drifted" true r.On.drifted;
+  let f0 = (List.hd (On.commitments st)).On.finish in
+  let now = On.now st in
+  On.set_plan st
+    [
+      entry 1 now (now +. 1.) [| p1 |];
+      entry 2 (f0 /. 2.) ((f0 /. 2.) +. 1.) [| 2 |];
+    ];
+  run_out st;
+  Alcotest.(check (list int)) "effective-start order" [ 0; 2; 1 ]
+    (commit_order st);
+  let start v =
+    (List.find (fun (c : On.committed) -> c.On.task = v) (On.commitments st))
+      .On.start
+  in
+  check_float "task 2 at its planned start" (f0 /. 2.) (start 2);
+  check_float "task 1 at task 0's realised finish" f0 (start 1)
+
 (* properties over random graphs and allocations *)
 
 let arbitrary_sim_input =
@@ -218,6 +309,16 @@ let () =
           Alcotest.test_case "graph mismatch" `Quick
             test_mismatched_graph_rejected;
           Alcotest.test_case "trace csv" `Quick test_trace_csv;
+        ] );
+      ( "online",
+        [
+          Alcotest.test_case "commit tie rule" `Quick test_online_tie_rule;
+          Alcotest.test_case "tie won by a later-ready lower id" `Quick
+            test_online_tie_late_ready;
+          Alcotest.test_case "drift: predecessor's realised finish" `Quick
+            (drift_case ~same_proc:false);
+          Alcotest.test_case "drift: busy processor" `Quick
+            (drift_case ~same_proc:true);
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -521,11 +521,12 @@ let run_delta_speedup () =
 
 (* Allocation-regression gate (BENCH_ONLY=alloc-gate): a short EMTS run
    with the GC profiler on; the median per-evaluation allocation must
-   stay within BENCH_ALLOC_BUDGET bytes (default 512 — the delta
-   evaluator's steady state measures ~10 B, so the budget has room for
-   allocator noise but fails loudly if a boxing regression reintroduces
-   per-step allocation).  Exits non-zero on exceed, so CI can gate on
-   it without running the full bench. *)
+   stay within BENCH_ALLOC_BUDGET bytes.  The profiler counts words, so
+   the median is exact: 16 B, the boxed float an evaluation returns.
+   CI sets 64 B, the budget of the evaluator's allocation test; any
+   per-step boxing regression exceeds it.  The default stays 512 B.
+   Exits non-zero on exceed, so CI can gate on it without running the
+   full bench. *)
 let run_alloc_gate () =
   let budget = getenv_float "BENCH_ALLOC_BUDGET" 512. in
   rule

@@ -47,8 +47,8 @@ let gc_profile_arg =
     value & flag
     & info [ "gc-profile" ]
         ~doc:
-          "Profile allocation per fitness evaluation: record the \
-           $(b,Gc.allocated_bytes) delta and minor/major collection \
+          "Profile allocation per fitness evaluation: record the bytes \
+           (minor plus direct major words) and minor/major collection \
            counts of every evaluation into the gc.eval.* metrics \
            (implies metric collection).")
 

@@ -19,8 +19,9 @@ let validate_exn p =
   | Ok p -> p
   | Error msg -> invalid_arg ("Mutation: " ^ msg)
 
-let draw_adjustment rng p =
-  let p = validate_exn p in
+(* One draw of C under params already validated: a Bernoulli(a) draw,
+   then one normal draw. *)
+let adjust rng p =
   if Emts_prng.bernoulli rng ~p:p.a then begin
     let x1 = Emts_prng.normal rng ~mu:0. ~sigma:p.sigma_shrink in
     -(int_of_float (Float.abs x1) + 1)
@@ -29,6 +30,8 @@ let draw_adjustment rng p =
     let x2 = Emts_prng.normal rng ~mu:0. ~sigma:p.sigma_stretch in
     int_of_float (Float.abs x2) + 1
   end
+
+let draw_adjustment rng p = adjust rng (validate_exn p)
 
 let allele_count p ~generation ~total_generations ~genome_length =
   ignore (validate_exn p);
@@ -52,10 +55,11 @@ let mutate rng p ~procs ~generation ~total_generations genome =
   if n = 0 then invalid_arg "Mutation.mutate: empty genome";
   let m = allele_count p ~generation ~total_generations ~genome_length:n in
   let child = Array.copy genome in
+  (* All m positions first, then one adjustment per position in sample
+     order: the order the stream is drawn in. *)
   let positions = Emts_prng.sample_without_replacement rng ~k:m ~n in
-  Array.iter
-    (fun i ->
-      let adjusted = child.(i) + draw_adjustment rng p in
-      child.(i) <- max 1 (min procs adjusted))
-    positions;
+  for j = 0 to m - 1 do
+    let i = positions.(j) in
+    child.(i) <- Int.max 1 (Int.min procs (child.(i) + adjust rng p))
+  done;
   child

@@ -50,4 +50,12 @@ val mutate :
   int array ->
   int array
 (** Returns a fresh genome with [m(u)] distinct alleles adjusted and
-    clamped into [1, procs].  The input is not modified. *)
+    clamped into [1, procs].  The input is not modified.  The positions
+    come first, from one {!Emts_prng.sample_without_replacement}; then
+    each position, in sample order, takes one {!draw_adjustment}.
+
+    One call validates the params once and allocates, for a genome of
+    [n] alleles: the child ([n + 1] words), the sampler's scratch
+    ([n + 1]) and its [m(u)]-element sample, plus about 6 words per
+    mutated allele for the floats boxed where they cross into
+    {!Emts_prng} ([bernoulli]'s [p], [normal]'s [sigma] and result). *)

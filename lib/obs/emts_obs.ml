@@ -827,24 +827,47 @@ module Gcprof = struct
       Domain.DLS.set lane_key (Some (lane, c));
       c
 
-  (* [Gc.allocated_bytes] and [Gc.quick_stat] are domain-local in
-     OCaml 5, so deltas taken around [f] on the evaluating domain
-     attribute that domain's allocation only — no cross-lane bleed. *)
+  (* Closes the window [measure] opened on [w0] (minor, major and
+     promoted words): reads the minor counter first, then the others,
+     and records the words allocated in between.  A promoted word was
+     counted once when allocated in the minor heap, so major words net
+     of promotions are the words allocated directly in the major heap. *)
+  let record ~lane s0 (w0 : float array) =
+    let minor = Gc.minor_words () in
+    let _, promoted, major = Gc.counters () in
+    let words = minor -. w0.(0) +. (major -. w0.(1)) -. (promoted -. w0.(2)) in
+    let bytes = words *. float_of_int (Sys.word_size / 8) in
+    let s1 = Gc.quick_stat () in
+    Metrics.observe (Lazy.force h_alloc) bytes;
+    Metrics.add (Lazy.force c_minor)
+      (s1.Gc.minor_collections - s0.Gc.minor_collections);
+    Metrics.add (Lazy.force c_major)
+      (s1.Gc.major_collections - s0.Gc.major_collections);
+    Metrics.add (lane_counter lane) (int_of_float bytes)
+
+  (* The GC counters are domain-local in OCaml 5, so the window
+     attributes the evaluating domain's allocation only.  Counting words
+     is exact; [Gc.allocated_bytes] on OCaml 5.1 weighs a word still in
+     the minor heap as one byte.  The window opens on the last read
+     ([Gc.minor_words] allocates nothing) and closes on the first, so
+     the records read around it stay outside. *)
   let measure ~lane f =
     if not (enabled ()) then f ()
     else begin
-      let a0 = Gc.allocated_bytes () in
       let s0 = Gc.quick_stat () in
-      Fun.protect f ~finally:(fun () ->
-          let s1 = Gc.quick_stat () in
-          let a1 = Gc.allocated_bytes () in
-          let bytes = a1 -. a0 in
-          Metrics.observe (Lazy.force h_alloc) bytes;
-          Metrics.add (Lazy.force c_minor)
-            (s1.Gc.minor_collections - s0.Gc.minor_collections);
-          Metrics.add (Lazy.force c_major)
-            (s1.Gc.major_collections - s0.Gc.major_collections);
-          Metrics.add (lane_counter lane) (int_of_float bytes))
+      let w0 = Array.make 3 0. in
+      let _, promoted, major = Gc.counters () in
+      w0.(1) <- major;
+      w0.(2) <- promoted;
+      w0.(0) <- Gc.minor_words ();
+      match f () with
+      | v ->
+        record ~lane s0 w0;
+        v
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        record ~lane s0 w0;
+        Printexc.raise_with_backtrace e bt
     end
 end
 

@@ -267,8 +267,10 @@ end
     Per-fitness-evaluation allocation and collection profiling, the
     baseline instrument for the allocation-free hot path work (roadmap
     item 2).  {!Gcprof.measure} wraps one evaluation and records the
-    [Gc.allocated_bytes] delta and minor/major collection counts into
-    the registry ([gc.eval.*]), aggregated overall and per worker lane.
+    words it allocated (minor words plus words allocated directly in the
+    major heap, reported as bytes: words × [Sys.word_size / 8]) and its
+    minor/major collection counts into the registry ([gc.eval.*]),
+    aggregated overall and per worker lane.
     Kept separate from {!Metrics.enabled} so the extra [Gc.quick_stat]
     calls only happen when profiling is explicitly requested
     ([--gc-profile]); enabling it implies enabling metrics. *)
@@ -277,8 +279,8 @@ module Gcprof : sig
   val enabled : unit -> bool
 
   val measure : lane:int -> (unit -> 'a) -> 'a
-  (** [measure ~lane f] runs [f]; when enabled, records its allocation
-      delta into [gc.eval.alloc_bytes] (and the per-lane
+  (** [measure ~lane f] runs [f]; when enabled, records the bytes [f]
+      allocated, exactly, into [gc.eval.alloc_bytes] (and the per-lane
       [gc.eval.alloc_bytes.w<lane>] counter) and its minor/major
       collection deltas.  When disabled this is one atomic load and
       [f ()].  Must run on the domain evaluating [f]: the GC counters

@@ -1,9 +1,29 @@
 (* xoshiro256** with splitmix64 seeding.  Reference: Blackman & Vigna,
-   "Scrambled linear pseudorandom number generators", 2018. *)
+   "Scrambled linear pseudorandom number generators", 2018.
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+   The 256-bit state is 32 bytes holding the words s0..s3 at offsets 0,
+   8, 16 and 24, read and written with the unboxed 64-bit bytes
+   primitives.  [next], the one copy of the xoshiro step, is inlined into
+   every draw, so the words stay in registers: a draw that returns an
+   [int] or a [bool] ([int], [int_in], [bool], [bernoulli]) allocates
+   nothing, a float draw only its boxed result (2 words) and [bits64]
+   only its boxed [int64] (3 words).  A record of [mutable int64] fields
+   boxes on every store instead: 21 words per [bits64]. *)
+
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let default_seed = 0x5EED_CA11
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 (* splitmix64: used to expand one 64-bit seed into the 256-bit state, and
    to derive split streams.  Guarantees the state is never all-zero. *)
@@ -20,36 +40,37 @@ let of_seed64 seed64 =
   let s1 = splitmix64_next st in
   let s2 = splitmix64_next st in
   let s3 = splitmix64_next st in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
 let create ?(seed = default_seed) () = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let state t = [| t.s0; t.s1; t.s2; t.s3 |]
+let state t = [| get t 0; get t 8; get t 16; get t 24 |]
 
 let of_state a =
   if Array.length a <> 4 then
     invalid_arg "Emts_prng.of_state: state must have exactly 4 words";
   if Array.for_all (fun w -> Int64.equal w 0L) a then
     invalid_arg "Emts_prng.of_state: all-zero state is invalid for xoshiro256**";
-  { s0 = a.(0); s1 = a.(1); s2 = a.(2); s3 = a.(3) }
+  of_words a.(0) a.(1) a.(2) a.(3)
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+(* One xoshiro256** step: advances the state, returns the output. *)
+let[@inline] next t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let s2 = Int64.logxor s2 s0 and s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 8 (Int64.logxor s1 s2);
+  set t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 24 (rotl s3 45);
+  Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
 
-let split t = of_seed64 (bits64 t)
+let bits64 t = next t
+
+let split t = of_seed64 (next t)
 
 let seed_of_label label =
   (* FNV-1a over the label bytes, folded to a non-negative OCaml int. *)
@@ -62,24 +83,26 @@ let seed_of_label label =
   Int64.to_int (Int64.shift_right_logical !h 2)
 
 (* Uniform int in [0, bound) by rejection on the top 62 bits, which fit an
-   OCaml int exactly. *)
+   OCaml int exactly: draws below [limit] are accepted. *)
+let rec int_below t bound limit =
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
+  if v >= limit then int_below t bound limit else v mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Emts_prng.int: bound must be positive";
-  let mask_bits x = Int64.to_int (Int64.shift_right_logical x 2) in
-  let limit = max_int - (max_int mod bound) in
-  let rec draw () =
-    let v = mask_bits (bits64 t) in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  int_below t bound (max_int - (max_int mod bound))
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Emts_prng.int_in: lo > hi";
-  lo + int t (hi - lo + 1)
+  let span = hi - lo + 1 in
+  (* [span] wraps to a non-positive int exactly when hi - lo >= max_int. *)
+  if span <= 0 then
+    invalid_arg "Emts_prng.int_in: hi - lo must be below max_int";
+  lo + int t span
 
 (* 53-bit mantissa uniform in [0,1). *)
-let unit_float t =
-  let bits53 = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+let[@inline] unit_float t =
+  let bits53 = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int bits53 *. 0x1.0p-53
 
 let float t bound =
@@ -87,29 +110,36 @@ let float t bound =
     invalid_arg "Emts_prng.float: bound must be positive and finite";
   unit_float t *. bound
 
-let float_in t lo hi =
+(* [lo + u·(hi − lo)] can round up to [hi] when [hi − lo] is a few ulps
+   of [hi]; that draw becomes the largest float below [hi], so every
+   call still takes one draw. *)
+let[@inline] float_in t lo hi =
   if not (lo < hi) then invalid_arg "Emts_prng.float_in: requires lo < hi";
-  lo +. (unit_float t *. (hi -. lo))
+  let span = hi -. lo in
+  if not (Float.is_finite span) then
+    invalid_arg "Emts_prng.float_in: hi - lo must be finite";
+  let x = lo +. (unit_float t *. span) in
+  if x < hi then x else Float.pred hi
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
-let bernoulli t ~p =
-  let p = Float.max 0. (Float.min 1. p) in
-  unit_float t < p
+(* With u in [0, 1), [u < p] is false for p <= 0 or nan and true for
+   p >= 1: the clamp of [p] to [0, 1] needs no code. *)
+let bernoulli t ~p = unit_float t < p
 
-(* Marsaglia polar method; draws pairs but we discard the spare to keep
-   the stream position independent of call history. *)
+(* Marsaglia polar method: u, then v, uniform on [-1, 1) until
+   0 < u² + v² < 1.  The spare deviate is discarded to keep the stream
+   position independent of call history. *)
+let rec polar t mu sigma =
+  let u = float_in t (-1.) 1. in
+  let v = float_in t (-1.) 1. in
+  let s = (u *. u) +. (v *. v) in
+  if s >= 1. || s = 0. then polar t mu sigma
+  else mu +. (sigma *. (u *. sqrt (-2. *. log s /. s)))
+
 let normal t ~mu ~sigma =
   if sigma < 0. then invalid_arg "Emts_prng.normal: sigma must be >= 0";
-  if sigma = 0. then mu
-  else
-    let rec draw () =
-      let u = float_in t (-1.) 1. and v = float_in t (-1.) 1. in
-      let s = (u *. u) +. (v *. v) in
-      if s >= 1. || s = 0. then draw ()
-      else u *. sqrt (-2. *. log s /. s)
-    in
-    mu +. (sigma *. draw ())
+  if sigma = 0. then mu else polar t mu sigma
 
 let log_uniform t ~lo ~hi =
   if not (0. < lo && lo < hi) then
@@ -133,7 +163,10 @@ let sample_without_replacement t ~k ~n =
   if k < 0 || k > n then
     invalid_arg "Emts_prng.sample_without_replacement: requires 0 <= k <= n";
   (* Partial Fisher–Yates over [0..n-1]: O(n) space, O(n + k) time, exact. *)
-  let a = Array.init n (fun i -> i) in
+  let a = Array.make n 0 in
+  for i = 1 to n - 1 do
+    a.(i) <- i
+  done;
   for i = 0 to k - 1 do
     let j = int_in t i (n - 1) in
     let tmp = a.(i) in

@@ -9,10 +9,17 @@
     The generator is xoshiro256** (Blackman & Vigna), seeded through
     splitmix64.  It is small, fast, and passes BigCrush; we implement it
     here rather than relying on [Stdlib.Random] so that results do not
-    depend on the OCaml compiler version. *)
+    depend on the OCaml compiler version.
+
+    {b Allocation.}  The state is 32 unboxed bytes.  A draw that returns
+    an [int] or a [bool] ({!int}, {!int_in}, {!bool}, {!bernoulli})
+    allocates nothing; a float draw ({!float}, {!float_in}, {!normal},
+    {!log_uniform}, {!exponential}) allocates only its boxed result (2
+    words); {!bits64} only its boxed [int64] (3 words).  Float arguments
+    passed in from another module are boxed by the caller. *)
 
 type t
-(** A mutable generator state. *)
+(** A mutable generator state: four 64-bit words, stored unboxed. *)
 
 val create : ?seed:int -> unit -> t
 (** [create ~seed ()] builds a fresh generator.  The default seed is the
@@ -55,14 +62,19 @@ val int : t -> int -> int
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] draws uniformly from the inclusive range [lo, hi].
-    Requires [lo <= hi]. *)
+    Requires [lo <= hi] and [hi - lo < max_int]: the range holds at most
+    [max_int] values, so [int_in t 0 max_int] raises [Invalid_argument]. *)
 
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound) with 53-bit
     resolution.  [bound] must be positive and finite. *)
 
 val float_in : t -> float -> float -> float
-(** [float_in t lo hi] draws uniformly from [lo, hi). Requires [lo < hi]. *)
+(** [float_in t lo hi] draws uniformly from [lo, hi), never [hi]: a draw
+    that rounds up to [hi] (possible when [hi - lo] is a few ulps of
+    [hi]) returns the largest float below [hi].  Requires [lo < hi] and
+    a finite [hi -. lo], so [float_in t (-.max_float) max_float] raises
+    [Invalid_argument]. *)
 
 val bool : t -> bool
 (** Fair coin flip. *)
@@ -70,10 +82,13 @@ val bool : t -> bool
 (** {1 Distributions} *)
 
 val bernoulli : t -> p:float -> bool
-(** [bernoulli t ~p] is [true] with probability [p] (clamped to [0,1]). *)
+(** [bernoulli t ~p] is [true] with probability [p] (clamped to [0,1];
+    [nan] counts as 0).  Every call takes one draw, whatever [p]. *)
 
 val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian draw via the Marsaglia polar method.  [sigma >= 0]. *)
+(** Gaussian draw via the Marsaglia polar method: [u] then [v] uniform
+    on [-1, 1) until [0 < u² + v² < 1]; the spare deviate is discarded.
+    [sigma >= 0]; [sigma = 0] returns [mu] without drawing. *)
 
 val log_uniform : t -> lo:float -> hi:float -> float
 (** Draw whose logarithm is uniform on [log lo, log hi]; used for the

@@ -340,30 +340,6 @@ let test_stats_and_metrics_accounting () =
   Alcotest.(check int) "no incremental runs" 0 s.Ev.incremental_runs;
   Alcotest.(check int) "no reused steps" 0 s.Ev.reused_steps
 
-(* Bytes allocated per call of [f] over [rounds] calls, measured in a
-   freshly spawned domain that runs only the loop.  [Gc.minor_words] is
-   exact; [Gc.allocated_bytes] is not on OCaml 5.1: it weighs words
-   still in the minor heap as one byte each and as eight once a minor
-   collection has run, so a loop that happened to straddle a collection
-   gained 7 bytes for every word allocated before it (1837 B/eval for a
-   full 2 MB minor heap).  A fresh domain starts with an empty minor
-   heap and the loop allocates far less than one, so no collection and
-   nothing else can fall inside the measurement. *)
-let bytes_per_call ~rounds f =
-  Domain.join
-    (Domain.spawn (fun () ->
-         let words () =
-           let _, promoted, major = Gc.counters () in
-           Gc.minor_words () +. major -. promoted
-         in
-         let before = words () in
-         for i = 0 to rounds - 1 do
-           f i
-         done;
-         let after = words () in
-         (after -. before) *. float_of_int (Sys.word_size / 8)
-         /. float_of_int rounds))
-
 (* The allocation budget the hot path is designed around.  Steady state
    (instance bound, buffers warm) allocates nothing inside the
    evaluator; the only per-call allocation left is the boxed float
@@ -403,11 +379,13 @@ let test_steady_state_allocation () =
     if per_eval > 64. then
       Alcotest.failf "%s: allocation %.1f bytes/eval (budget 64)" what per_eval
   in
-  check "steady state" (bytes_per_call ~rounds (loop ~cutoff:infinity));
+  check "steady state"
+    (Testutil.bytes_per_call ~rounds (loop ~cutoff:infinity));
   Alcotest.(check bool) "sink finite" true (Float.is_finite sink.(0));
   (* well under the best warm-up makespan every call rejects, about
      halfway through its schedule *)
-  check "rejected calls" (bytes_per_call ~rounds (loop ~cutoff:(0.7 *. !best)));
+  check "rejected calls"
+    (Testutil.bytes_per_call ~rounds (loop ~cutoff:(0.7 *. !best)));
   Alcotest.(check int) "every call rejected" rounds rejected.(0)
 
 let () =

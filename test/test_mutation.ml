@@ -132,6 +132,102 @@ let test_mutate_changes_at_most_m () =
       m !changed
   done
 
+(* Known answers: children of one fixed genome under both parameter
+   sets, as the (index, value) pairs where they differ from it.  They
+   pin the draw order: all m positions first, then per position a
+   Bernoulli(a) draw and one normal draw. *)
+let kat_genome = Array.init 37 (fun i -> 1 + (i * 7 mod 20))
+
+let shrink_only = { M.default with M.a = 1. }
+
+(* (params, seed, procs, generation of 10, changed alleles) *)
+let known_children =
+  [
+    (M.default, 1, 20, 1, [ (3, 7); (8, 20); (9, 14); (10, 12); (12, 11); (13, 19); (16, 11); (17, 16); (21, 15); (24, 20); (26, 8); (32, 14) ]);
+    (M.default, 1, 20, 5, [ (3, 11); (12, 1); (13, 19); (21, 14); (26, 10); (32, 11) ]);
+    (M.default, 1, 20, 10, [ (32, 12) ]);
+    (M.default, 1, 120, 1, [ (3, 7); (8, 24); (9, 14); (10, 12); (12, 11); (13, 19); (16, 11); (17, 16); (21, 15); (24, 21); (26, 8); (32, 14) ]);
+    (M.default, 1, 120, 5, [ (3, 11); (12, 1); (13, 19); (17, 25); (21, 14); (26, 10); (32, 11) ]);
+    (M.default, 1, 120, 10, [ (32, 12) ]);
+    (M.default, 2, 20, 1, [ (3, 5); (4, 16); (13, 5); (15, 14); (24, 11); (25, 20); (29, 3); (31, 20); (33, 15); (35, 13); (36, 20) ]);
+    (M.default, 2, 20, 5, [ (13, 18); (15, 12); (24, 5); (25, 17); (29, 9); (36, 14) ]);
+    (M.default, 2, 20, 10, []);
+    (M.default, 2, 120, 1, [ (3, 5); (4, 16); (13, 5); (15, 14); (17, 24); (24, 11); (25, 21); (29, 3); (31, 20); (33, 15); (35, 13); (36, 25) ]);
+    (M.default, 2, 120, 5, [ (13, 18); (15, 12); (17, 24); (24, 5); (25, 17); (29, 9); (36, 14) ]);
+    (M.default, 2, 120, 10, [ (17, 24) ]);
+    (M.default, 42, 20, 1, [ (2, 17); (4, 13); (7, 16); (8, 19); (15, 1); (19, 18); (21, 10); (24, 11); (28, 20); (30, 13); (31, 20); (32, 7) ]);
+    (M.default, 42, 20, 5, [ (8, 20); (15, 10); (19, 16); (21, 12); (24, 11); (31, 20); (32, 9) ]);
+    (M.default, 42, 20, 10, [ (31, 20) ]);
+    (M.default, 42, 120, 1, [ (2, 17); (4, 13); (7, 16); (8, 19); (15, 1); (19, 18); (21, 10); (24, 11); (28, 21); (30, 13); (31, 23); (32, 7) ]);
+    (M.default, 42, 120, 5, [ (8, 24); (15, 10); (19, 16); (21, 12); (24, 11); (31, 26); (32, 9) ]);
+    (M.default, 42, 120, 10, [ (31, 20) ]);
+    (shrink_only, 1, 20, 1, [ (3, 1); (8, 10); (9, 1); (10, 10); (12, 1); (13, 5); (16, 11); (17, 16); (21, 1); (24, 1); (26, 1); (32, 1) ]);
+    (shrink_only, 1, 20, 5, [ (3, 1); (12, 1); (13, 5); (17, 15); (21, 2); (26, 1); (32, 1) ]);
+    (shrink_only, 1, 20, 10, [ (32, 1) ]);
+    (shrink_only, 1, 120, 1, [ (3, 1); (8, 10); (9, 1); (10, 10); (12, 1); (13, 5); (16, 11); (17, 16); (21, 1); (24, 1); (26, 1); (32, 1) ]);
+    (shrink_only, 1, 120, 5, [ (3, 1); (12, 1); (13, 5); (17, 15); (21, 2); (26, 1); (32, 1) ]);
+    (shrink_only, 1, 120, 10, [ (32, 1) ]);
+    (shrink_only, 2, 20, 1, [ (3, 1); (4, 2); (13, 5); (15, 1); (17, 16); (24, 7); (25, 11); (29, 3); (31, 16); (33, 9); (35, 1); (36, 1) ]);
+    (shrink_only, 2, 20, 5, [ (13, 6); (15, 1); (17, 16); (24, 5); (25, 15); (29, 1); (36, 12) ]);
+    (shrink_only, 2, 20, 10, [ (17, 16) ]);
+    (shrink_only, 2, 120, 1, [ (3, 1); (4, 2); (13, 5); (15, 1); (17, 16); (24, 7); (25, 11); (29, 3); (31, 16); (33, 9); (35, 1); (36, 1) ]);
+    (shrink_only, 2, 120, 5, [ (13, 6); (15, 1); (17, 16); (24, 5); (25, 15); (29, 1); (36, 12) ]);
+    (shrink_only, 2, 120, 10, [ (17, 16) ]);
+    (shrink_only, 42, 20, 1, [ (2, 13); (4, 5); (7, 4); (8, 15); (15, 1); (19, 10); (21, 6); (24, 7); (28, 13); (30, 9); (31, 13); (32, 3) ]);
+    (shrink_only, 42, 20, 5, [ (8, 10); (15, 2); (19, 12); (21, 4); (24, 7); (31, 10); (32, 1) ]);
+    (shrink_only, 42, 20, 10, [ (31, 16) ]);
+    (shrink_only, 42, 120, 1, [ (2, 13); (4, 5); (7, 4); (8, 15); (15, 1); (19, 10); (21, 6); (24, 7); (28, 13); (30, 9); (31, 13); (32, 3) ]);
+    (shrink_only, 42, 120, 5, [ (8, 10); (15, 2); (19, 12); (21, 4); (24, 7); (31, 10); (32, 1) ]);
+    (shrink_only, 42, 120, 10, [ (31, 16) ]);
+  ]
+[@@ocamlformat "disable"]
+
+let test_known_answers () =
+  List.iter
+    (fun (params, seed, procs, generation, changed) ->
+      let expected = Array.copy kat_genome in
+      List.iter (fun (i, v) -> expected.(i) <- v) changed;
+      Alcotest.(check (array int))
+        (Printf.sprintf "a = %g, seed %d, procs %d, generation %d" params.M.a
+           seed procs generation)
+        expected
+        (M.mutate (Emts_prng.create ~seed ()) params ~procs ~generation
+           ~total_generations:10 kat_genome))
+    known_children;
+  let rng = Emts_prng.create ~seed:7 () in
+  List.iteri
+    (fun i e ->
+      Alcotest.(check int) (Printf.sprintf "draw_adjustment %d" i) e
+        (M.draw_adjustment rng M.default))
+    [ 3; 2; 1; 9; 1; -6; 5; -3; -1; -4; 2; 2; 6; -3; 8; 3 ]
+
+(* One call allocates the child (n + 1 words), the sampler's scratch
+   (n + 1) and its m-element sample (m + 1), plus per allele the three
+   floats boxed where they cross into Emts_prng: bernoulli's p, normal's
+   sigma and normal's result (6 words). *)
+let test_mutate_allocation () =
+  List.iter
+    (fun n ->
+      let rng = Emts_prng.create ~seed:8 () in
+      let genome = Array.init n (fun i -> 1 + (i mod 20)) in
+      let m =
+        M.allele_count M.default ~generation:1 ~total_generations:10
+          ~genome_length:n
+      in
+      let sink = [| [||] |] in
+      let words =
+        Testutil.bytes_per_call ~rounds:100 (fun _ ->
+            sink.(0) <-
+              M.mutate rng M.default ~procs:120 ~generation:1
+                ~total_generations:10 genome)
+        /. float_of_int (Sys.word_size / 8)
+      in
+      let budget = (2 * n) + (8 * m) + 32 in
+      if words > float_of_int budget then
+        Alcotest.failf "n = %d, m = %d: %.1f words per call (budget %d)" n m
+          words budget)
+    [ 20; 100; 1000 ]
+
 (* --- recombination --- *)
 
 module R = Emts.Recombination
@@ -240,6 +336,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_mutate_bounds_and_count;
           Alcotest.test_case "changes exactly m" `Quick
             test_mutate_changes_at_most_m;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "allocation per call" `Quick
+            test_mutate_allocation;
         ] );
       ( "recombination",
         [

@@ -147,7 +147,88 @@ let test_known_answers () =
     [ 0x1.381c0324118c3p-2; -0x1.b375fc61f0764p+0; -0x1.ab9043786fd34p+0;
       -0x1.088cef0d25c93p+0 ];
   Alcotest.(check (array int)) "sample_without_replacement" [| 3; 2; 12; 0; 1 |]
-    (P.sample_without_replacement r ~k:5 ~n:20)
+    (P.sample_without_replacement r ~k:5 ~n:20);
+  let check_draws label testable draw expected =
+    List.iteri
+      (fun i e ->
+        Alcotest.check testable
+          (Printf.sprintf "%s, draw %d" label i)
+          e (draw ()))
+      expected
+  in
+  let r = P.create ~seed:11 () in
+  check_draws "int_in -50 50" Alcotest.int
+    (fun () -> P.int_in r (-50) 50)
+    [ -25; 20; 10; -41; 40; 9 ];
+  check_draws "int_in 1000 1000000" Alcotest.int
+    (fun () -> P.int_in r 1_000 1_000_000)
+    [ 962685; 327927; 657746; 47184 ];
+  let r = P.create ~seed:12 () in
+  check_floats "float_in"
+    (fun () -> P.float_in r (-3.) 7.5)
+    [ 0x1.e83117f70d4bp-3; 0x1.60f749bdd92fcp+2; 0x1.994b0f11e09fp+2;
+      0x1.b4949e52c7092p+2 ];
+  let r = P.create ~seed:13 () in
+  check_draws "bool" Alcotest.bool
+    (fun () -> P.bool r)
+    [ false; true; false; false; false; true; true; true; true; false; true;
+      false; true; false; false; false ];
+  let r = P.create ~seed:14 () in
+  check_floats "log_uniform"
+    (fun () -> P.log_uniform r ~lo:64. ~hi:512.)
+    [ 0x1.1f1a45ce2d943p+8; 0x1.d67ba87d3518dp+7; 0x1.b6c7886826028p+8;
+      0x1.c692328f16f27p+8 ];
+  check_floats "exponential"
+    (fun () -> P.exponential r ~lambda:2.)
+    [ 0x1.683c8764a50a4p-3; 0x1.7bf7d89a7e559p-1; 0x1.d869e29a6aa38p-4;
+      0x1.68e56e7299da5p-1 ];
+  let a = Array.init 10 Fun.id in
+  P.shuffle r a;
+  Alcotest.(check (array int)) "shuffle" [| 4; 0; 8; 3; 9; 5; 6; 7; 1; 2 |] a;
+  check_draws "choose" Alcotest.int
+    (fun () -> P.choose r [| 0; 1; 2; 3; 4 |])
+    [ 3; 0; 3; 2; 2; 1; 3; 3 ];
+  (* Every bernoulli call takes one draw, whatever p: the draw after
+     them pins the stream position. *)
+  let r = P.create ~seed:15 () in
+  let bernoulli p () = P.bernoulli r ~p in
+  check_draws "bernoulli 0.2" Alcotest.bool (bernoulli 0.2)
+    [ false; false; false; true; false; false; false; false; false; false;
+      false; false; false; false; false; false ];
+  check_draws "bernoulli -0.5" Alcotest.bool (bernoulli (-0.5))
+    [ false; false; false; false ];
+  check_draws "bernoulli 1.5" Alcotest.bool (bernoulli 1.5)
+    [ true; true; true; true ];
+  check_draws "bernoulli nan" Alcotest.bool (bernoulli nan)
+    [ false; false; false; false ];
+  check_bits "after bernoulli" r [ 0x998FD37320854A46L ];
+  let r = P.create ~seed:16 () in
+  for _ = 1 to 5 do
+    ignore (P.bits64 r)
+  done;
+  let c = P.copy r in
+  let after_five =
+    [ 0xB36D64A3C9AEB31DL; 0xFBEDB0784EE938F9L; 0x6869A9B97F5E72C2L ]
+  in
+  check_bits "original after copy" r after_five;
+  check_bits "copy taken mid-stream" c after_five;
+  (* Checkpoints store the four [state] words, so they are a file
+     format: pin them, and the stream [of_state] resumes from them. *)
+  let r = P.create ~seed:17 () in
+  for _ = 1 to 1000 do
+    ignore (P.bits64 r)
+  done;
+  let words =
+    [| 0x716E71EFF14E05ACL; 0xFAFB59A6B6EA2A66L; 0xEBFCF7C0D944C073L;
+       0xB6570BA618568711L |]
+  in
+  Alcotest.(check (array int64)) "state after 1000 draws" words (P.state r);
+  let resumed =
+    [ 0x1761271394B9FB0BL; 0x4E259876C511C679L; 0x34135D2F2D7D9DBBL;
+      0xBF45F071F09D900AL ]
+  in
+  check_bits "stream after 1000 draws" r resumed;
+  check_bits "of_state resumes" (P.of_state words) resumed
 
 let test_int_bounds () =
   let rng = P.create ~seed:3 () in
@@ -187,11 +268,72 @@ let test_int_in () =
     (Invalid_argument "Emts_prng.int_in: lo > hi") (fun () ->
       ignore (P.int_in rng 2 1))
 
+let test_int_in_wide () =
+  let rng = P.create ~seed:19 () in
+  let overflow =
+    Invalid_argument "Emts_prng.int_in: hi - lo must be below max_int"
+  in
+  Alcotest.check_raises "0 .. max_int" overflow (fun () ->
+      ignore (P.int_in rng 0 max_int));
+  Alcotest.check_raises "min_int .. -1" overflow (fun () ->
+      ignore (P.int_in rng min_int (-1)));
+  Alcotest.check_raises "min_int .. max_int" overflow (fun () ->
+      ignore (P.int_in rng min_int max_int));
+  (* the widest ranges allowed: max_int values *)
+  for _ = 1 to 1000 do
+    Alcotest.(check bool) "in [1, max_int]" true (P.int_in rng 1 max_int >= 1);
+    Alcotest.(check bool) "in [min_int + 1, -1]" true
+      (P.int_in rng (min_int + 1) (-1) < 0)
+  done
+
 let test_float_bounds () =
   let rng = P.create ~seed:6 () in
   for _ = 1 to 10_000 do
     let v = P.float rng 2.5 in
     Alcotest.(check bool) "in [0, 2.5)" true (0. <= v && v < 2.5)
+  done
+
+(* [lo + u·(hi − lo)] rounds up to [hi] for about half the draws when
+   [hi] is one ulp above [lo]; [float_in] must still stay below [hi]. *)
+let test_float_in_narrow () =
+  let rng = P.create ~seed:20 () in
+  for _ = 1 to 1000 do
+    Alcotest.(check (float 0.)) "[1, succ 1) holds only 1" 1.
+      (P.float_in rng 1. (Float.succ 1.))
+  done;
+  for _ = 1 to 500 do
+    let sign = if P.bool rng then 1. else -1. in
+    let lo =
+      sign *. Float.ldexp (1. +. P.float rng 1.) (P.int_in rng (-1000) 1000)
+    in
+    let hi = ref lo in
+    for _ = 1 to P.int_in rng 1 4 do
+      hi := Float.succ !hi
+    done;
+    for _ = 1 to 20 do
+      let v = P.float_in rng lo !hi in
+      if not (lo <= v && v < !hi) then
+        Alcotest.failf "float_in %h %h returned %h" lo !hi v
+    done
+  done
+
+let test_float_in_overflow () =
+  let rng = P.create ~seed:21 () in
+  let infinite =
+    Invalid_argument "Emts_prng.float_in: hi - lo must be finite"
+  in
+  Alcotest.check_raises "-max_float .. max_float" infinite (fun () ->
+      ignore (P.float_in rng (-.max_float) max_float));
+  Alcotest.check_raises "0 .. infinity" infinite (fun () ->
+      ignore (P.float_in rng 0. infinity));
+  Alcotest.check_raises "lo = hi"
+    (Invalid_argument "Emts_prng.float_in: requires lo < hi") (fun () ->
+      ignore (P.float_in rng 1. 1.));
+  (* the widest finite span *)
+  for _ = 1 to 1000 do
+    let v = P.float_in rng (-.max_float /. 2.) (max_float /. 2.) in
+    Alcotest.(check bool) "in range" true
+      (-.max_float /. 2. <= v && v < max_float /. 2.)
   done
 
 let test_float_mean () =
@@ -289,6 +431,34 @@ let test_choose () =
     (Invalid_argument "Emts_prng.choose: empty array") (fun () ->
       ignore (P.choose rng [||]))
 
+(* Words per draw, counted in a fresh domain: a draw that returns an
+   int or a bool allocates nothing, a float draw at most its boxed
+   result (2 words) and [bits64] at most its boxed int64 (3 words). *)
+let test_allocation () =
+  let r = P.create ~seed:22 () in
+  let isink = [| 0 |] and fsink = [| 0. |] in
+  let budget name words f =
+    let per_draw =
+      Testutil.bytes_per_call ~rounds:10_000 f
+      /. float_of_int (Sys.word_size / 8)
+    in
+    if per_draw > words then
+      Alcotest.failf "%s: %.2f words/draw (budget %.0f)" name per_draw words
+  in
+  budget "int" 0. (fun _ -> isink.(0) <- isink.(0) + P.int r 1000);
+  budget "int_in" 0. (fun _ -> isink.(0) <- isink.(0) + P.int_in r (-5) 5);
+  budget "bool" 0. (fun _ -> if P.bool r then isink.(0) <- isink.(0) + 1);
+  budget "bernoulli" 0. (fun _ ->
+      if P.bernoulli r ~p:0.2 then isink.(0) <- isink.(0) + 1);
+  budget "float" 2. (fun _ -> fsink.(0) <- P.float r 1.);
+  budget "float_in" 2. (fun _ -> fsink.(0) <- P.float_in r (-1.) 1.);
+  budget "normal" 2. (fun _ -> fsink.(0) <- P.normal r ~mu:0. ~sigma:5.);
+  budget "log_uniform" 2. (fun _ ->
+      fsink.(0) <- P.log_uniform r ~lo:64. ~hi:512.);
+  budget "exponential" 2. (fun _ -> fsink.(0) <- P.exponential r ~lambda:2.);
+  budget "bits64" 3. (fun _ ->
+      isink.(0) <- isink.(0) lxor Int64.to_int (P.bits64 r))
+
 (* qcheck properties *)
 
 let prop_int_in_range =
@@ -337,8 +507,13 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int uniform" `Slow test_int_uniform;
           Alcotest.test_case "int_in" `Quick test_int_in;
+          Alcotest.test_case "int_in wide ranges" `Quick test_int_in_wide;
           Alcotest.test_case "float bounds" `Quick test_float_bounds;
+          Alcotest.test_case "float_in narrow spans" `Quick
+            test_float_in_narrow;
+          Alcotest.test_case "float_in overflow" `Quick test_float_in_overflow;
           Alcotest.test_case "float mean" `Slow test_float_mean;
+          Alcotest.test_case "allocation per draw" `Quick test_allocation;
         ] );
       ( "distributions",
         [

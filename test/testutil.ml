@@ -109,3 +109,27 @@ let test_domains =
     match int_of_string_opt (String.trim s) with
     | Some d when d >= 1 -> d
     | Some _ | None -> 1)
+
+(* Bytes allocated per call of [f] over [rounds] calls, counted in
+   words in a freshly spawned domain that runs only the loop: minor
+   words, plus major words net of promotions (a promoted word was
+   counted when the minor heap took it), so minor collections inside
+   the loop do not disturb the count.  The window opens on the last
+   counter read and closes on the first, so the records [Gc.counters]
+   returns fall outside it and the count is exact.
+   [Gc.allocated_bytes] is unfit for this on OCaml 5.1: it weighs words
+   still in the minor heap as one byte each and as eight once a minor
+   collection has run. *)
+let bytes_per_call ~rounds f =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let _, promoted0, major0 = Gc.counters () in
+         let minor0 = Gc.minor_words () in
+         for i = 0 to rounds - 1 do
+           f i
+         done;
+         let minor1 = Gc.minor_words () in
+         let _, promoted1, major1 = Gc.counters () in
+         (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+         *. float_of_int (Sys.word_size / 8)
+         /. float_of_int rounds))

@@ -78,7 +78,7 @@ let bench_fitness =
   Test.make ~name:"fig4_5/fitness_list_schedule"
     (Staged.stage (fun () ->
          Emts_sched.List_scheduler.makespan ~graph:irregular100
-           ~times:mcpa_times ~alloc:mcpa_alloc ~procs:120))
+           ~times:mcpa_times ~alloc:mcpa_alloc ~procs:120 ()))
 
 (* Figures 4/5 seeding: the heuristic allocators (C_alloc). *)
 let bench_allocators =
@@ -177,7 +177,7 @@ let bench_scaling =
       Staged.stage (fun () ->
           let g, times, alloc = fixtures.(i) in
           Emts_sched.List_scheduler.makespan ~graph:g ~times ~alloc
-            ~procs:120))
+            ~procs:120 ()))
 
 let all_benches =
   Test.make_grouped ~name:"emts"
@@ -452,72 +452,6 @@ let run_gc_profile () =
       "collections          %8d minor   %6d major   (%.1f evals per minor)\n"
       minors majors
       (float_of_int d.Emts_obs.Metrics.count /. float_of_int (max 1 minors))
-
-(* Delta fitness: the evaluator against the from-scratch list
-   scheduler on the same EMTS10 run, then on a single-allele mutation
-   chain.  Same seed, same instance: the makespans must agree exactly —
-   the evaluator is bit-identical by construction. *)
-let run_delta_speedup () =
-  rule "Delta fitness evaluation (EMTS10, irregular n=100, Grelon, Model 2)";
-  let timed config =
-    let rng = Emts_prng.create ~seed:0xDE17A () in
-    let t0 = Emts_obs.Clock.now () in
-    let r = Emts.Algorithm.run_ctx ~rng ~config ~ctx:ctx_irregular () in
-    ( Emts_obs.Clock.elapsed ~since:t0,
-      r.Emts.Algorithm.makespan,
-      r.Emts.Algorithm.ea.Emts_ea.evaluations )
-  in
-  let t_off, m_off, evals_off =
-    timed { Emts.Algorithm.emts10 with Emts.Algorithm.delta_fitness = false }
-  in
-  let t_on, m_on, evals_on = timed Emts.Algorithm.emts10 in
-  let rate x n = float_of_int x /. Float.max n 1e-9 in
-  Printf.printf "delta off            %8.3f s   makespan %.6g   %8.0f evals/s\n"
-    t_off m_off (rate evals_off t_off);
-  Printf.printf "delta on             %8.3f s   makespan %.6g   %8.0f evals/s\n"
-    t_on m_on (rate evals_on t_on);
-  Printf.printf "speedup              %8.2fx\n" (t_off /. Float.max t_on 1e-9);
-  Printf.printf "identical makespans  %b\n" (m_off = m_on);
-  (* Same chain, same mutations: from-scratch rebuilds the times array
-     and the schedule with fresh buffers per step, the evaluator reruns
-     its kernel on preallocated ones. *)
-  let steps = 5000 in
-  let tables = ctx_irregular.Emts_alloc.Common.tables in
-  let mutate r v =
-    1 + Emts_prng.int r (min 120 (Array.length tables.(v)))
-  in
-  let n = Array.length mcpa_alloc in
-  let chain eval =
-    let a = Array.copy mcpa_alloc in
-    let r = Emts_prng.create ~seed:0xC4A1 () in
-    let t0 = Emts_obs.Clock.now () in
-    let acc = ref 0. in
-    for _ = 1 to steps do
-      let v = Emts_prng.int r n in
-      a.(v) <- mutate r v;
-      acc := !acc +. eval a
-    done;
-    (Emts_obs.Clock.elapsed ~since:t0, !acc)
-  in
-  let t_scratch, sum_scratch =
-    chain (fun a ->
-        let times = Emts_sched.Allocation.times_of_tables a ~tables in
-        Emts_sched.List_scheduler.makespan ~graph:irregular100 ~times ~alloc:a
-          ~procs:120)
-  in
-  let ev = Emts_sched.Evaluator.create () in
-  let t_delta, sum_delta =
-    chain (fun a ->
-        Emts_sched.Evaluator.makespan ev ~graph:irregular100 ~tables ~procs:120
-          ~alloc:a ~cutoff:infinity ())
-  in
-  let per_sec t = float_of_int steps /. Float.max t 1e-9 in
-  Printf.printf
-    "mutation chain       scratch %8.0f evals/s   delta %8.0f evals/s   \
-     speedup %.2fx\n"
-    (per_sec t_scratch) (per_sec t_delta)
-    (t_scratch /. Float.max t_delta 1e-9);
-  Printf.printf "identical makespans  %b\n" (sum_scratch = sum_delta)
 
 (* Allocation-regression gate (BENCH_ONLY=alloc-gate): a short EMTS run
    with the GC profiler on; the median per-evaluation allocation must
@@ -1192,9 +1126,6 @@ let () =
        via at_exit to keep it available for triage either way *)
     at_exit (fun () -> write_metrics_json metrics_json);
     run_alloc_gate ()
-  | Some "delta" ->
-    run_delta_speedup ();
-    write_metrics_json metrics_json
   | Some "serve" ->
     run_serving ();
     write_metrics_json metrics_json
@@ -1210,7 +1141,7 @@ let () =
     end
   | Some other when other <> "" ->
     Printf.eprintf
-      "unknown BENCH_ONLY=%s (known: alloc-gate, delta, serve, fleet, online)\n"
+      "unknown BENCH_ONLY=%s (known: alloc-gate, serve, fleet, online)\n"
       other;
     exit 2
   | _ ->
@@ -1221,6 +1152,5 @@ let () =
     run_cache_speedup ();
     run_checkpoint_overhead ();
     run_gc_profile ();
-    run_delta_speedup ();
     run_serving ();
     write_metrics_json metrics_json

@@ -52,18 +52,6 @@ let fitness_cache_arg =
            genomes are list-scheduled once; results are identical either \
            way.  65536 is a good default capacity.")
 
-let no_delta_fitness_arg =
-  Arg.(
-    value & flag
-    & info [ "no-delta-fitness" ]
-        ~doc:
-          "Disable delta fitness evaluation and fall back to from-scratch \
-           list scheduling per candidate (EMTS only).  Delta evaluation \
-           runs an allocation-free list-scheduling kernel on preallocated \
-           per-domain scratch; results are bit-identical either way, so \
-           this flag only trades speed for a simpler execution path (e.g. \
-           when profiling the scheduler itself).")
-
 let islands_arg =
   Arg.(
     value & opt int 1
@@ -147,7 +135,7 @@ let resolve_model spec =
     else Error (Printf.sprintf "unknown model %S (no such preset or file)" spec)
 
 let run obs graph_file platform_spec model_spec algorithm seed domains
-    fitness_cache no_delta_fitness islands migration_interval migration_count
+    fitness_cache islands migration_interval migration_count
     checkpoint checkpoint_every resume gantt csv svg =
   Obs_cli.with_obs_graceful obs @@ fun () ->
   let ( let* ) = Result.bind in
@@ -185,9 +173,6 @@ let run obs graph_file platform_spec model_spec algorithm seed domains
         |> Emts.Algorithm.with_islands ~migration_interval
              ~migration_count:(min migration_count config.Emts.Algorithm.mu)
              islands
-      in
-      let config =
-        { config with Emts.Algorithm.delta_fitness = not no_delta_fitness }
       in
       let rng = Emts_prng.create ~seed () in
       let checkpoint =
@@ -258,7 +243,7 @@ let () =
       term_result'
         (const run $ Obs_cli.term $ graph_arg $ platform_arg $ model_arg
        $ algorithm_arg $ seed_arg $ domains_arg $ fitness_cache_arg
-       $ no_delta_fitness_arg $ islands_arg $ migration_interval_arg
+       $ islands_arg $ migration_interval_arg
        $ migration_count_arg $ checkpoint_arg $ checkpoint_every_arg
        $ resume_arg $ gantt_arg $ csv_arg $ svg_arg))
   in

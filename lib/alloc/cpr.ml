@@ -3,7 +3,7 @@ let name = "CPR"
 let makespan_of ctx alloc =
   let times = Common.times ctx alloc in
   Emts_sched.List_scheduler.makespan ~graph:ctx.Common.graph ~times ~alloc
-    ~procs:ctx.Common.procs
+    ~procs:ctx.Common.procs ()
 
 let allocate ctx =
   let n = Emts_ptg.Graph.task_count ctx.Common.graph in

@@ -74,7 +74,7 @@ let validated_schedule (s : Scenario.t) ctx ~label alloc =
   in
   let times = Allocation.times_of_tables alloc ~tables:ctx.Emts_alloc.Common.tables in
   let schedule =
-    List_scheduler.run ~graph ~times ~alloc ~procs:s.Scenario.procs
+    List_scheduler.run ~graph ~times ~alloc ~procs:s.Scenario.procs ()
   in
   match Schedule.validate ~alloc schedule ~graph with
   | Ok () -> Ok schedule
@@ -107,10 +107,11 @@ let entry_equal (a : Schedule.entry) (b : Schedule.entry) =
   && float_eq a.Schedule.finish b.Schedule.finish
   && a.Schedule.procs = b.Schedule.procs
 
-(* The delta evaluator walks a mutation chain (each step changes one
+(* The fitness evaluator walks a mutation chain (each step changes one
    allele of the previous genome, occasionally none — a duplicate
-   genome) and must agree bit for bit with the from-scratch bounded
-   makespan at every step, including finite-cutoff rejections. *)
+   genome) and must agree bit for bit with [List_scheduler.makespan]
+   over the tabulated times at every step, rejecting exactly when that
+   makespan exceeds a finite cutoff. *)
 let check_delta_chain (s : Scenario.t) ctx rng =
   let graph = s.Scenario.graph in
   let procs = s.Scenario.procs in
@@ -129,18 +130,14 @@ let check_delta_chain (s : Scenario.t) ctx rng =
         cur.(v) <- donor.(v)
       end;
       let times = Allocation.times_of_tables cur ~tables in
-      let scratch = List_scheduler.makespan ~graph ~times ~alloc:cur ~procs in
+      let scratch =
+        List_scheduler.makespan ~graph ~times ~alloc:cur ~procs ()
+      in
       let cutoff =
         if Emts_prng.int rng 4 = 0 then scratch *. 0.9 else infinity
       in
-      let expect, rejected =
-        match
-          List_scheduler.makespan_bounded ~graph ~times ~alloc:cur ~procs
-            ~cutoff
-        with
-        | Some m -> (m, false)
-        | None -> (infinity, true)
-      in
+      let rejected = scratch > cutoff in
+      let expect = if rejected then infinity else scratch in
       let delta =
         Evaluator.makespan ev ~graph ~tables ~procs ~alloc:cur ~cutoff ()
       in
@@ -175,7 +172,7 @@ let check_differential (s : Scenario.t) =
         Allocation.times_of_tables alloc ~tables:ctx.Emts_alloc.Common.tables
       in
       let makespan = Schedule.makespan schedule in
-      let fast = List_scheduler.makespan ~graph ~times ~alloc ~procs in
+      let fast = List_scheduler.makespan ~graph ~times ~alloc ~procs () in
       let* () =
         if float_eq fast makespan then Ok ()
         else
@@ -194,16 +191,6 @@ let check_differential (s : Scenario.t) =
         else
           fail "%s: delta makespan %.17g <> schedule makespan %.17g" label
             delta makespan
-      in
-      let* () =
-        match
-          List_scheduler.makespan_bounded ~graph ~times ~alloc ~procs
-            ~cutoff:infinity
-        with
-        | Some m when float_eq m makespan -> Ok ()
-        | Some m ->
-          fail "%s: bounded makespan %.17g <> %.17g" label m makespan
-        | None -> fail "%s: cutoff=infinity rejected the schedule" label
       in
       let sim =
         Emts_simulator.execute ~noise:Emts_simulator.Noise.none ~rng:(rng_of s)
@@ -298,13 +285,6 @@ let check_determinism (s : Scenario.t) =
     summaries_agree ~label:"early-reject"
       base
       (summarize (run { mini_config with Alg.early_reject = false }))
-  in
-  (* Delta fitness is on by default; the from-scratch evaluator must
-     reproduce the same trajectory bit for bit. *)
-  let* () =
-    summaries_agree ~label:"delta-off"
-      base
-      (summarize (run { mini_config with Alg.delta_fitness = false }))
   in
   (* Interrupt after k generations, resume from the checkpoint: the
      stitched run must equal the uninterrupted one bit for bit. *)
@@ -1353,10 +1333,10 @@ let check_list_fold f init xs =
 (* Drive one controller through the trace, checking prefix stability at
    every step; returns the session and its final commitment log. *)
 let online_run_trace (s : Scenario.t) ~replanner ~noise ~domains ~islands
-    ~fitness_cache ~delta_fitness =
+    ~fitness_cache =
   let cfg =
     Online.config ~replanner ~seed:s.Scenario.seed ~domains ~islands
-      ?fitness_cache ~delta_fitness ~noise
+      ?fitness_cache ~noise
       ~platform:(Scenario.platform s) ~model:(Scenario.model s) ()
   in
   let t = Online.create cfg in
@@ -1438,7 +1418,7 @@ let online_logs_eq ~label a b =
 let check_online (s : Scenario.t) =
   let base ~replanner ~noise =
     online_run_trace s ~replanner ~noise ~domains:1 ~islands:1
-      ~fitness_cache:None ~delta_fitness:true
+      ~fitness_cache:None
   in
   (* Baseline re-planner, exact durations. *)
   let* t, log = base ~replanner:Online.Baseline ~noise:Emts_simulator.Noise.none in
@@ -1472,32 +1452,26 @@ let check_online (s : Scenario.t) =
   (* EMTS re-planning: determinism across the full matrix.  Each run
      must commit bit-identically to the single-domain reference. *)
   let emts = Online.Emts { mu = 2; lambda = 6; generations = 2 } in
-  let emts_run ~domains ~islands ~fitness_cache ~delta_fitness =
+  let emts_run ~domains ~islands ~fitness_cache =
     online_run_trace s ~replanner:emts ~noise:Emts_simulator.Noise.none
-      ~domains ~islands ~fitness_cache ~delta_fitness
+      ~domains ~islands ~fitness_cache
   in
   (* islands change the search trajectory (a different algorithm), so
-     each island count gets its own single-domain reference; domains,
-     cache and the delta evaluator must never change anything. *)
-  let* _, ref1 =
-    emts_run ~domains:1 ~islands:1 ~fitness_cache:None ~delta_fitness:true
-  in
-  let* _, ref2 =
-    emts_run ~domains:1 ~islands:2 ~fitness_cache:None ~delta_fitness:true
-  in
+     each island count gets its own single-domain reference; domains
+     and the cache must never change anything. *)
+  let* _, ref1 = emts_run ~domains:1 ~islands:1 ~fitness_cache:None in
+  let* _, ref2 = emts_run ~domains:1 ~islands:2 ~fitness_cache:None in
   let matrix =
     [
-      ("domains=2", ref1, (2, 1, None, true));
-      ("fitness_cache", ref1, (1, 1, Some 256, true));
-      ("delta_fitness=false", ref1, (1, 1, None, false));
-      ("islands=2+domains=2+cache", ref2, (2, 2, Some 256, true));
+      ("domains=2", ref1, (2, 1, None));
+      ("fitness_cache", ref1, (1, 1, Some 256));
+      ("islands=2+domains=2+cache", ref2, (2, 2, Some 256));
     ]
   in
   let* () =
     check_list
-      (fun (label, ref_log, (domains, islands, fitness_cache, delta_fitness))
-         ->
-        let* _, log = emts_run ~domains ~islands ~fitness_cache ~delta_fitness in
+      (fun (label, ref_log, (domains, islands, fitness_cache)) ->
+        let* _, log = emts_run ~domains ~islands ~fitness_cache in
         online_logs_eq ~label ref_log log)
       matrix
   in
@@ -1525,17 +1499,16 @@ let all =
     {
       name = "differential";
       doc =
-        "the zero-noise simulator, the fitness fast paths and the delta \
-         evaluator (over a mutation chain) reproduce every list \
-         schedule exactly";
+        "the zero-noise simulator, the makespan-only mode and the EA's \
+         evaluator (over a mutation chain) reproduce every list schedule \
+         exactly";
       check = check_differential;
     };
     {
       name = "determinism";
       doc =
         "one seed, one result: domains, fitness cache, early reject, \
-         delta fitness off, checkpoint/resume and the serve engine all \
-         agree bit for bit";
+         checkpoint/resume and the serve engine all agree bit for bit";
       check = check_determinism;
     };
     {
@@ -1581,8 +1554,8 @@ let all =
          never move, the merged realised schedule validates at or \
          above the clairvoyant lower bound, zero-noise plans replay \
          exactly, changeless re-plans are no-ops, and commitment logs \
-         are bit-identical across domains x islands x cache x delta \
-         and under seeded slowdown noise";
+         are bit-identical across domains x islands x cache and under \
+         seeded slowdown noise";
       check = check_online;
     };
   ]

@@ -1,7 +1,7 @@
 module Common = Emts_alloc.Common
 
 (* Early-reject effectiveness (paper conclusion): hits are offspring cut
-   off mid-schedule by [makespan_bounded], misses completed schedules.
+   off mid-schedule by [Evaluator.makespan], misses completed schedules.
    The hit rate quantifies how much mapping work the optimisation saves;
    bumped from worker domains, hence counters (atomic). *)
 let m_early_reject_hits = Emts_obs.Metrics.counter "ea.early_reject.hits"
@@ -20,13 +20,12 @@ type config = {
   adaptive_sigma : bool;
   early_reject : bool;
   fitness_cache : int option;
-  delta_fitness : bool;
   islands : int;
   migration_interval : int;
   migration_count : int;
 }
 
-(* Per-worker-domain delta evaluator scratch.  Toplevel on purpose: an
+(* Per-worker-domain evaluator scratch.  Toplevel on purpose: an
    [Emts_pool.Local] key wraps a DLS slot that is never reclaimed, so
    minting one per run would leak.  One process-wide key means every
    worker domain owns exactly one evaluator, reused across generations,
@@ -48,7 +47,6 @@ let emts5 =
     adaptive_sigma = false;
     early_reject = true;
     fitness_cache = None;
-    delta_fitness = true;
     islands = 1;
     migration_interval = 5;
     migration_count = 1;
@@ -89,7 +87,7 @@ let schedule_allocation ~ctx alloc =
     Emts_sched.Allocation.times_of_tables alloc ~tables:ctx.Common.tables
   in
   Emts_sched.List_scheduler.run ~graph:ctx.Common.graph ~times ~alloc
-    ~procs:ctx.Common.procs
+    ~procs:ctx.Common.procs ()
 
 let allocation_codec : Emts_sched.Allocation.t Emts_ea.codec =
   Emts_ea.int_array_codec
@@ -138,58 +136,34 @@ let run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?(resume = false)
      deterministic.  Written by [on_generation] on the main domain and
      read by fitness calls on worker domains, hence an [Atomic.t]. *)
   let cutoff = Atomic.make infinity in
-  (* Evaluate one allocation under [cutoff_now], returning the fitness
-     together with the cache entry that records it.  A rejection stores
-     the rejecting cutoff, not a bare [infinity]: the rejection is only
-     reusable while the cutoff stays at or below it. *)
-  (* Delta path: the per-domain evaluator computes the identical float
-     (property-tested + fuzz-checked) on preallocated scratch, allocating
-     nothing in steady state.  Rejection comes back as [infinity] plus a
-     flag instead of an option, so this path builds no intermediate
-     values at all. *)
-  let delta_makespan alloc cutoff_now =
+  (* The per-domain evaluator computes the makespan on preallocated
+     scratch, allocating nothing in steady state.  Rejection comes back
+     as [infinity] plus a flag instead of an option, so this path builds
+     no intermediate values at all. *)
+  let makespan alloc cutoff_now =
     let ev = Emts_pool.Local.get evaluator_slot in
     Emts_sched.Evaluator.makespan ev ~graph:ctx.Common.graph
       ~tables:ctx.Common.tables ~procs:ctx.Common.procs ~alloc
       ~cutoff:(if config.early_reject then cutoff_now else infinity)
       ()
   in
-  let delta_rejected () =
+  let rejected () =
     Emts_sched.Evaluator.last_rejected (Emts_pool.Local.get evaluator_slot)
   in
+  (* Evaluate one allocation under [cutoff_now], returning the fitness
+     together with the cache entry that records it.  A rejection stores
+     the rejecting cutoff, not a bare [infinity]: the rejection is only
+     reusable while the cutoff stays at or below it. *)
   let evaluate alloc cutoff_now =
-    if config.delta_fitness then begin
-      let m = delta_makespan alloc cutoff_now in
-      if delta_rejected () then begin
-        Emts_obs.Metrics.incr m_early_reject_hits;
-        (infinity, Emts_pool.Cache.Rejected_above cutoff_now)
-      end
-      else begin
-        if config.early_reject then Emts_obs.Metrics.incr m_early_reject_misses;
-        (m, Emts_pool.Cache.Known m)
-      end
+    let m = makespan alloc cutoff_now in
+    if rejected () then begin
+      Emts_obs.Metrics.incr m_early_reject_hits;
+      (infinity, Emts_pool.Cache.Rejected_above cutoff_now)
     end
-    else
-    let times =
-      Emts_sched.Allocation.times_of_tables alloc ~tables:ctx.Common.tables
-    in
-    if config.early_reject then
-      match
-        Emts_sched.List_scheduler.makespan_bounded ~graph:ctx.Common.graph
-          ~times ~alloc ~procs:ctx.Common.procs ~cutoff:cutoff_now
-      with
-      | Some m ->
-        Emts_obs.Metrics.incr m_early_reject_misses;
-        (m, Emts_pool.Cache.Known m)
-      | None ->
-        Emts_obs.Metrics.incr m_early_reject_hits;
-        (infinity, Emts_pool.Cache.Rejected_above cutoff_now)
-    else
-      let m =
-        Emts_sched.List_scheduler.makespan ~graph:ctx.Common.graph ~times
-          ~alloc ~procs:ctx.Common.procs
-      in
+    else begin
+      if config.early_reject then Emts_obs.Metrics.incr m_early_reject_misses;
       (m, Emts_pool.Cache.Known m)
+    end
   in
   let cache =
     (* An externally supplied cache (the serving layer shares one per
@@ -218,17 +192,13 @@ let run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?(resume = false)
     let c = Atomic.get cutoff in
     match cache with
     | None ->
-      if config.delta_fitness then begin
-        (* Hot path: no cache, no tuple, no option — zero steady-state
-           allocation end to end. *)
-        let m = delta_makespan alloc c in
-        if config.early_reject then
-          Emts_obs.Metrics.incr
-            (if delta_rejected () then m_early_reject_hits
-             else m_early_reject_misses);
-        m
-      end
-      else fst (evaluate alloc c)
+      (* Hot path: no cache, no tuple, no option — zero steady-state
+         allocation end to end. *)
+      let m = makespan alloc c in
+      if config.early_reject then
+        Emts_obs.Metrics.incr
+          (if rejected () then m_early_reject_hits else m_early_reject_misses);
+      m
     | Some cache -> (
       match Emts_pool.Cache.find cache alloc ~cutoff:c with
       | Some v -> v

@@ -3,9 +3,12 @@
     EMTS is a two-step scheduler: a (μ+λ) evolution strategy searches
     the space of allocation vectors (seeded by fast heuristics), and
     every candidate is mapped with the bottom-level list scheduler whose
-    makespan is the individual's fitness.  Because candidates only ever
-    consult the tabulated execution times, EMTS works with any
-    execution-time model — monotone or not. *)
+    makespan is the individual's fitness.  Fitness runs that scheduler's
+    kernel, {!Emts_sched.Evaluator.makespan}, on one preallocated
+    evaluator per worker domain, so an evaluation allocates nothing in
+    steady state.  Because candidates only ever consult the tabulated
+    execution times, EMTS works with any execution-time model —
+    monotone or not. *)
 
 type config = {
   mu : int;                        (** parents, μ *)
@@ -37,7 +40,7 @@ type config = {
       (** the rejection strategy from the paper's conclusion: abandon a
           fitness evaluation as soon as the partial schedule proves the
           makespan exceeds the worst surviving makespan of the previous
-          generation (the delta evaluator also rejects on a certified
+          generation (the evaluator also rejects on a certified
           critical-path bound, see {!Emts_sched.Evaluator.makespan}).
           Pure optimisation — the selected survivors are provably
           unchanged (a rejected individual scores above every current
@@ -55,16 +58,6 @@ type config = {
           cached together with its rejecting cutoff and only reused
           while the current cutoff is at or below it.  Default [None]
           (off). *)
-  delta_fitness : bool;
-      (** evaluate fitness through the per-worker-domain
-          {!Emts_sched.Evaluator}: a list-scheduling kernel over sorted
-          availability values, on preallocated scratch (zero
-          steady-state allocation per evaluation).  Pure optimisation —
-          the returned makespans are bit-identical to the from-scratch
-          path (property-tested and fuzz-checked), composing with
-          [domains], [early_reject] and [fitness_cache] unchanged.
-          Default [true]; set [false] ([--no-delta-fitness] on the CLI)
-          to fall back to from-scratch evaluation. *)
   islands : int;
       (** island-model sub-populations, [>= 1]; default 1 (plain
           (μ+λ), bit-identical to earlier releases).  With [k > 1] the

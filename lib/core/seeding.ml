@@ -28,7 +28,7 @@ let collect ~heuristics ctx =
       in
       let makespan =
         Emts_sched.List_scheduler.makespan ~graph:ctx.Emts_alloc.Common.graph
-          ~times ~alloc ~procs:ctx.Emts_alloc.Common.procs
+          ~times ~alloc ~procs:ctx.Emts_alloc.Common.procs ()
       in
       Emts_obs.Metrics.incr m_seeds;
       Emts_obs.Metrics.observe m_makespan makespan;

@@ -215,7 +215,7 @@ let mapping_priority ?(instances = default_instances) ~rng () =
     let t0 = Emts_obs.Clock.now () in
     let base =
       Emts_sched.List_scheduler.makespan ~graph ~times ~alloc
-        ~procs:ctx.Emts_alloc.Common.procs
+        ~procs:ctx.Emts_alloc.Common.procs ()
     in
     base_time := !base_time +. Emts_obs.Clock.elapsed ~since:t0;
     incr n_done;
@@ -231,8 +231,8 @@ let mapping_priority ?(instances = default_instances) ~rng () =
           | `Random -> Emts_sched.List_scheduler.Static random_priority
         in
         let m =
-          Emts_sched.List_scheduler.makespan_prioritized ~priority ~graph
-            ~times ~alloc ~procs:ctx.Emts_alloc.Common.procs
+          Emts_sched.List_scheduler.makespan ~priority ~graph ~times ~alloc
+            ~procs:ctx.Emts_alloc.Common.procs ()
         in
         Emts_stats.Acc.add acc (m /. base))
       variants accs

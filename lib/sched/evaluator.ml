@@ -1,12 +1,15 @@
 module Graph = Emts_ptg.Graph
 
-(* Fitness evaluation with an allocation-free hot path.
+(* The list-scheduling kernel: the paper's mapping step (Section III-A),
+   the one loop in this library that pops ready tasks by priority.
 
-   The baseline fitness path rebuilds everything from scratch for every
-   candidate: a fresh times array, fresh bottom levels, a fresh heap, a
-   schedule loop full of short-lived arrays.  This evaluator keeps all
-   of that in preallocated buffers and runs one lean list-scheduling
-   kernel per call.
+   It has two modes.  The value mode computes the makespan and is the
+   EA's fitness: [makespan] binds a per-domain evaluator to an instance
+   and runs the loop on preallocated buffers.  The record mode builds a
+   [Schedule.t] for [List_scheduler.run]: the loop records its pop order
+   (one int store per pop) and [First_fit] replays that order to choose
+   processor ids.  [List_scheduler]'s calls allocate their own scratch,
+   so they are safe from any thread.
 
    {b Processors as values.}  A makespan depends only on the multiset
    of processor availabilities, never on which ids a task gets, so
@@ -14,8 +17,13 @@ module Graph = Emts_ptg.Graph
    starts at [max dr avail.(s-1)], the s-th smallest value, whichever
    equal-valued processor supplies it.  Data-ready times are [>= 0], so
    a zero [avail.(s-1)] of either sign yields the start [dr].  The
-   makespan is therefore bit-identical to the id-tracking
-   [List_scheduler]'s (the full argument is in DESIGN.md §14).
+   makespan is therefore bit-identical to that of the id-tracking
+   schedule the record mode builds (DESIGN.md §14).
+
+   {b The pop order.}  A task becomes ready when its last predecessor
+   pops, whatever the processors hold, so the order depends on the
+   priorities and the graph alone.  Replaying it through [First_fit]
+   gives the id-tracking schedule exactly.
 
    {b Certified rejection.}  With a finite cutoff a call stops at the
    first pop whose start [st] plus bottom level already proves the
@@ -26,8 +34,8 @@ module Graph = Emts_ptg.Graph
    to left.  The two sums differ by less than the factor
    [1 + 4(n+2)·epsilon_float] the cutoff is padded with, so a bound
    rejection implies [makespan > cutoff], and the finish test still
-   catches every other such schedule: a call rejects exactly when
-   [List_scheduler.makespan_bounded] does (DESIGN.md §14).
+   catches every other such schedule: a call rejects exactly when the
+   makespan exceeds the cutoff (DESIGN.md §14).
 
    {b Allocation discipline.}  Steady state (same graph/tables/procs
    binding, capacities warm) must allocate nothing: every buffer is
@@ -56,13 +64,29 @@ module Graph = Emts_ptg.Graph
 
 (* Shared default for the optional release / initial-availability
    bindings: physical identity against this sentinel distinguishes "no
-   constraint" from an explicit all-zero array without a per-call
-   length check. *)
-let no_floats : float array = [||]
+   constraint" from an explicit array without a per-call length check.
+   A private block, so no caller's array, an empty one included, is
+   mistaken for it. *)
+let no_floats : float array = Array.make 1 Float.nan
 
+(* Value mode (the EA's fitness). *)
 let m_full = Emts_obs.Metrics.counter "sched.delta.full_runs"
 let m_scheduled = Emts_obs.Metrics.counter "sched.delta.scheduled_steps"
 let m_rejections = Emts_obs.Metrics.counter "sched.delta.cutoff_rejections"
+
+(* [List_scheduler]'s calls, offline and online.  Each call flushes once,
+   and only when collection is enabled.  [sched.cutoff_rejections]
+   counted the rejections of a bounded list-scheduler call, which no
+   longer exists; it stays registered, at 0, so the metric set is
+   unchanged ([sched.delta.cutoff_rejections] counts every rejection). *)
+let m_runs = Emts_obs.Metrics.counter "sched.runs"
+let m_tasks = Emts_obs.Metrics.counter "sched.tasks_scheduled"
+let m_ready_pushes = Emts_obs.Metrics.counter "sched.ready_pushes"
+let m_ready_pops = Emts_obs.Metrics.counter "sched.ready_pops"
+let m_proc_limited = Emts_obs.Metrics.counter "sched.proc_limited_starts"
+let _m_cutoff_rejections = Emts_obs.Metrics.counter "sched.cutoff_rejections"
+let m_online_runs = Emts_obs.Metrics.counter "sched.online.runs"
+let m_online_tasks = Emts_obs.Metrics.counter "sched.online.tasks_scheduled"
 
 (* Loop-carried mutable state.  All-int record: fields are immediates,
    so stores never allocate.  [fa] is all-float: such records are
@@ -70,6 +94,7 @@ let m_rejections = Emts_obs.Metrics.counter "sched.delta.cutoff_rejections"
 type iacc = {
   mutable hsize : int;  (* ready-heap size *)
   mutable finished : int;  (* pop steps completed so far *)
+  mutable limited : int;  (* pops whose start a processor set, not data *)
   mutable rejected : bool;  (* current evaluation hit the cutoff *)
 }
 
@@ -97,6 +122,7 @@ type t = {
   mutable avail : float array;  (* processor availabilities, ascending *)
   mutable hprio : float array;
   mutable hids : int array;
+  mutable order : int array;  (* pop order, for the record mode *)
   (* floats crossing a nested loop or a call: [fs.(0)] the popped
      task's start, then its finish; [fs.(1)] the padded cutoff *)
   fs : float array;
@@ -133,8 +159,9 @@ let create () =
     avail = [||];
     hprio = [||];
     hids = [||];
+    order = [||];
     fs = Array.make 2 0.;
-    ia = { hsize = 0; finished = 0; rejected = false };
+    ia = { hsize = 0; finished = 0; limited = 0; rejected = false };
     fa = { mk = 0. };
     last_rejected = false;
     full_runs = 0;
@@ -155,8 +182,6 @@ let last_rejected t = t.last_rejected
 
 let rebind t ~graph ~tables ~procs ~release ~avail0 =
   let n = Graph.task_count graph in
-  if Array.length tables <> n then
-    invalid_arg "Evaluator: tables length does not match task count";
   if procs < 1 then invalid_arg "Evaluator: procs must be >= 1";
   (* Validated once per binding (they are constant across candidates,
      like [tables]); callers must not mutate them while bound. *)
@@ -205,6 +230,7 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
     t.data_ready <- Array.make n 0.;
     t.hprio <- Array.make n 0.;
     t.hids <- Array.make n 0;
+    t.order <- Array.make n 0;
     t.base_indeg <- Array.make n 0
   end;
   for v = 0 to n - 1 do
@@ -212,16 +238,15 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
   done;
   if Array.length t.avail < procs then t.avail <- Array.make procs 0.
 
-(* Ready heap over parallel (priority, id) arrays; same total order as
-   [List_scheduler.Heap.before]: larger bottom level first,
-   [Float.compare] (not [>]) so the order is total, smaller id on ties.
-   The pop sequence depends only on the multiset of pushed elements, not
-   on the internal layout. *)
+(* Ready heap over parallel (priority, id) arrays: larger priority
+   first, smaller id on ties.  The pop sequence depends only on the
+   multiset of pushed elements, not on the internal layout. *)
 let heap_before (hp : float array) (hi : int array) i j =
-  (* primitive [>] / [=], not [Float.compare]: same total order on this
-     NaN-free, -0-free value domain (bottom levels are sums of
-     non-negative times), and the primitives compile to bare [comisd]
-     where the intrinsic's int result forces boxed floats *)
+  (* primitive [>] / [=], not [Float.compare]: the same total order on
+     NaN-free values, signed zeros included ([List_scheduler] rejects
+     NaN priorities, and bottom levels of validated times have none),
+     and the primitives compile to bare [comisd] where the intrinsic's
+     int result forces boxed floats *)
   let a = hp.(i) and b = hp.(j) in
   a > b || (a = b && hi.(i) < hi.(j))
 
@@ -287,6 +312,101 @@ let bad_time tables alloc v =
     (Printf.sprintf "Evaluator: task %d has invalid time %g" v
        tables.(v).(alloc.(v) - 1))
 
+(* Bottom levels of [t.times], the recurrence of [Analysis.bottom_levels]
+   ([tv +. fold Float.max 0.]) so the values are bit-identical.  Times
+   are validated non-NaN and non-negative, so the running max over [bl]
+   (all >= +0.) matches [Float.max]. *)
+let bottom_levels t graph =
+  let topo = t.topo and bl = t.bl and times = t.times in
+  for k = t.n - 1 downto 0 do
+    let v = topo.(k) in
+    let succs = Graph.succs graph v in
+    let ns = Array.length succs in
+    bl.(v) <- 0.;
+    for j = 0 to ns - 1 do
+      let b = bl.(succs.(j)) in
+      if b > bl.(v) then bl.(v) <- b
+    done;
+    bl.(v) <- times.(v) +. bl.(v)
+  done
+
+(* The list schedule of [t.times] under [alloc], ready tasks popped by
+   [prio].  Leaves the makespan in [t.fa.mk], the pop order in
+   [t.order], each task's data-ready time in [t.data_ready] and the
+   counts in [t.ia]. *)
+let kernel t ~graph ~procs ~alloc ~(prio : float array) ~cutoff =
+  let n = t.n in
+  let ia = t.ia and fa = t.fa in
+  let times = t.times
+  and bl = t.bl
+  and indeg = t.indeg
+  and base_indeg = t.base_indeg
+  and data_ready = t.data_ready
+  and avail = t.avail
+  and hprio = t.hprio
+  and hids = t.hids
+  and order = t.order
+  and fs = t.fs
+  and release = t.release in
+  let has_release = release != no_floats in
+  ia.hsize <- 0;
+  for v = 0 to n - 1 do
+    indeg.(v) <- base_indeg.(v);
+    data_ready.(v) <- (if has_release then release.(v) else 0.);
+    if indeg.(v) = 0 then heap_push hprio hids ia prio v
+  done;
+  Array.blit t.avail_init 0 avail 0 procs;
+  (* The bound's cutoff, padded for the rounding of both sums (module
+     header; DESIGN.md §14).  [infinity] stays [infinity]. *)
+  fs.(1) <- cutoff *. (1. +. (float_of_int (4 * (n + 2)) *. epsilon_float));
+  ia.finished <- 0;
+  ia.limited <- 0;
+  ia.rejected <- false;
+  fa.mk <- 0.;
+  while ia.hsize > 0 && not ia.rejected do
+    (* pop the highest-priority ready task *)
+    let v = hids.(0) in
+    ia.hsize <- ia.hsize - 1;
+    if ia.hsize > 0 then begin
+      hprio.(0) <- hprio.(ia.hsize);
+      hids.(0) <- hids.(ia.hsize);
+      heap_down hprio hids ia.hsize 0
+    end;
+    order.(ia.finished) <- v;
+    let s = alloc.(v) in
+    let a = avail.(s - 1) in
+    let dr = data_ready.(v) in
+    (* start = [Float.max dr a] (no NaN here, and [dr >= 0] so the sign
+       of a zero [a] is irrelevant — see the module header).  The start,
+       then the finish, live in [fs.(0)], not a let — the finish is read
+       inside the nested loop below, which would box a let-bound float
+       once per scheduling step. *)
+    if dr >= a then fs.(0) <- dr
+    else begin
+      fs.(0) <- a;
+      ia.limited <- ia.limited + 1
+    end;
+    if fs.(0) +. bl.(v) > fs.(1) then ia.rejected <- true
+    else begin
+      fs.(0) <- fs.(0) +. times.(v);
+      if fs.(0) > cutoff then ia.rejected <- true
+      else begin
+        claim avail procs s fs;
+        if fs.(0) > fa.mk then fa.mk <- fs.(0);
+        ia.finished <- ia.finished + 1;
+        (* release successors (at pop, not finish) *)
+        let succs = Graph.succs graph v in
+        let ns = Array.length succs in
+        for j = 0 to ns - 1 do
+          let w = succs.(j) in
+          if fs.(0) > data_ready.(w) then data_ready.(w) <- fs.(0);
+          indeg.(w) <- indeg.(w) - 1;
+          if indeg.(w) = 0 then heap_push hprio hids ia prio w
+        done
+      end
+    end
+  done
+
 let flush_metrics ~scheduled ~rejected =
   if Emts_obs.Metrics.enabled () then begin
     Emts_obs.Metrics.incr m_full;
@@ -301,15 +421,17 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
     when g == graph && t.tables == tables && t.procs = procs
          && t.release == release && t.avail0 == avail0 ->
     ()
-  | _ -> rebind t ~graph ~tables ~procs ~release ~avail0);
+  | _ ->
+    if Array.length tables <> Graph.task_count graph then
+      invalid_arg "Evaluator: tables length does not match task count";
+    rebind t ~graph ~tables ~procs ~release ~avail0);
   let n = t.n in
   if Array.length alloc <> n then
     invalid_arg "Evaluator: allocation length does not match task count";
   if cutoff <> cutoff then invalid_arg "Evaluator: cutoff is NaN";
-  let ia = t.ia and fa = t.fa in
-  let times = t.times and bl = t.bl and tables = t.tables in
-  (* Pass A: execution times + input validation (the same checks as
-     [Allocation.times_of_tables] + [List_scheduler.check_inputs]). *)
+  let times = t.times and tables = t.tables in
+  (* Execution times + input validation (the checks of
+     [Allocation.times_of_tables] and of [list_run] below). *)
   for v = 0 to n - 1 do
     let s = alloc.(v) in
     if s < 1 || s > procs then
@@ -326,83 +448,10 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
     if tv <> tv || tv < 0. then bad_time tables alloc v;
     times.(v) <- tv
   done;
-  (* Pass B: bottom levels, same recurrence as [Analysis.bottom_levels]
-     ([tv +. fold Float.max 0.]) so the values are bit-identical to the
-     from-scratch path.  Times are validated non-NaN and non-negative,
-     so the running max over [bl] (all >= +0.) matches [Float.max]. *)
-  let topo = t.topo in
-  for k = n - 1 downto 0 do
-    let v = topo.(k) in
-    let succs = Graph.succs graph v in
-    let ns = Array.length succs in
-    bl.(v) <- 0.;
-    for j = 0 to ns - 1 do
-      let b = bl.(succs.(j)) in
-      if b > bl.(v) then bl.(v) <- b
-    done;
-    bl.(v) <- times.(v) +. bl.(v)
-  done;
-  (* Pass C: the list schedule. *)
+  bottom_levels t graph;
   t.full_runs <- t.full_runs + 1;
-  let indeg = t.indeg
-  and base_indeg = t.base_indeg
-  and data_ready = t.data_ready
-  and avail = t.avail
-  and hprio = t.hprio
-  and hids = t.hids
-  and fs = t.fs in
-  let has_release = release != no_floats in
-  ia.hsize <- 0;
-  for v = 0 to n - 1 do
-    indeg.(v) <- base_indeg.(v);
-    data_ready.(v) <- (if has_release then release.(v) else 0.);
-    if indeg.(v) = 0 then heap_push hprio hids ia bl v
-  done;
-  Array.blit t.avail_init 0 avail 0 procs;
-  (* The bound's cutoff, padded for the rounding of both sums (module
-     header; DESIGN.md §14).  [infinity] stays [infinity]. *)
-  fs.(1) <- cutoff *. (1. +. (float_of_int (4 * (n + 2)) *. epsilon_float));
-  ia.finished <- 0;
-  ia.rejected <- false;
-  fa.mk <- 0.;
-  while ia.hsize > 0 && not ia.rejected do
-    (* pop the highest-priority ready task *)
-    let v = hids.(0) in
-    ia.hsize <- ia.hsize - 1;
-    if ia.hsize > 0 then begin
-      hprio.(0) <- hprio.(ia.hsize);
-      hids.(0) <- hids.(ia.hsize);
-      heap_down hprio hids ia.hsize 0
-    end;
-    let s = alloc.(v) in
-    let a = avail.(s - 1) in
-    let dr = data_ready.(v) in
-    (* start = [Float.max dr a] (no NaN here, and [dr >= 0] so the sign
-       of a zero [a] is irrelevant — see the module header).  The start,
-       then the finish, live in [fs.(0)], not a let — the finish is read
-       inside the nested loop below, which would box a let-bound float
-       once per scheduling step. *)
-    fs.(0) <- (if dr >= a then dr else a);
-    if fs.(0) +. bl.(v) > fs.(1) then ia.rejected <- true
-    else begin
-      fs.(0) <- fs.(0) +. times.(v);
-      if fs.(0) > cutoff then ia.rejected <- true
-      else begin
-        claim avail procs s fs;
-        if fs.(0) > fa.mk then fa.mk <- fs.(0);
-        ia.finished <- ia.finished + 1;
-        (* release successors (at pop, not finish, like the reference) *)
-        let succs = Graph.succs graph v in
-        let ns = Array.length succs in
-        for j = 0 to ns - 1 do
-          let w = succs.(j) in
-          if fs.(0) > data_ready.(w) then data_ready.(w) <- fs.(0);
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then heap_push hprio hids ia bl w
-        done
-      end
-    end
-  done;
+  kernel t ~graph ~procs ~alloc ~prio:t.bl ~cutoff;
+  let ia = t.ia in
   t.scheduled_steps <- t.scheduled_steps + ia.finished;
   flush_metrics ~scheduled:ia.finished ~rejected:ia.rejected;
   t.last_rejected <- ia.rejected;
@@ -410,4 +459,77 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
   else if ia.finished <> n then
     (* Unreachable for a validated DAG; defensive. *)
     invalid_arg "Evaluator: not all tasks were scheduled"
-  else fa.mk
+  else t.fa.mk
+
+(* A full run over the caller's times on fresh scratch: never the EA's
+   domain-local evaluator, whose owner may be mid-call on this domain
+   (the daemon plans online sessions on connection reader threads). *)
+let list_run ?(release = no_floats) ?(avail0 = no_floats) ?prio ~graph ~times
+    ~alloc ~procs () =
+  let t = create () in
+  rebind t ~graph ~tables:[||] ~procs ~release ~avail0;
+  let n = t.n in
+  if Array.length times <> n then
+    invalid_arg "Evaluator: times length does not match task count";
+  if Array.length alloc <> n then
+    invalid_arg "Evaluator: allocation length does not match task count";
+  Array.iteri
+    (fun v s ->
+      if s < 1 || s > procs then
+        invalid_arg
+          (Printf.sprintf "Evaluator: task %d allocated %d procs (1..%d)" v s
+             procs);
+      if Float.is_nan times.(v) || times.(v) < 0. then
+        invalid_arg
+          (Printf.sprintf "Evaluator: task %d has invalid time %g" v times.(v));
+      t.times.(v) <- times.(v))
+    alloc;
+  bottom_levels t graph;
+  kernel t ~graph ~procs ~alloc ~prio:(Option.value prio ~default:t.bl)
+    ~cutoff:infinity;
+  if t.ia.finished <> n then
+    (* Unreachable for a validated DAG; defensive. *)
+    invalid_arg "Evaluator: not all tasks were scheduled";
+  if Emts_obs.Metrics.enabled () then begin
+    if release == no_floats && avail0 == no_floats then begin
+      Emts_obs.Metrics.incr m_runs;
+      Emts_obs.Metrics.add m_tasks n;
+      Emts_obs.Metrics.add m_ready_pushes n;
+      Emts_obs.Metrics.add m_ready_pops n;
+      Emts_obs.Metrics.add m_proc_limited t.ia.limited
+    end
+    else begin
+      Emts_obs.Metrics.incr m_online_runs;
+      Emts_obs.Metrics.add m_online_tasks n
+    end
+  end;
+  t
+
+let makespan_of_times ?release ?avail0 ?prio ~graph ~times ~alloc ~procs () =
+  (list_run ?release ?avail0 ?prio ~graph ~times ~alloc ~procs ()).fa.mk
+
+(* The record mode: [First_fit] replays the pop order.  Every task's
+   data-ready time is final once it pops, and the kernel's finishes
+   match the replay's bit for bit except in the sign of a zero, which
+   no [>] update of [data_ready] sees, so [data_ready] is the replay's
+   too.  The start is recomputed with [Float.max]: the kernel's own may
+   be a zero of the other sign ([-0.] release, [+0.] availability). *)
+let schedule_of_times ?release ?avail0 ?prio ~graph ~times ~alloc ~procs () =
+  let t = list_run ?release ?avail0 ?prio ~graph ~times ~alloc ~procs () in
+  let ff =
+    First_fit.create
+      (if t.avail0 == no_floats then Array.make procs 0.
+       else Array.copy t.avail0)
+  in
+  let entries =
+    Array.make t.n { Schedule.task = 0; start = 0.; finish = 0.; procs = [||] }
+  in
+  for k = 0 to t.n - 1 do
+    let v = t.order.(k) in
+    let s = alloc.(v) in
+    let start = Float.max t.data_ready.(v) (First_fit.ready_at ff s) in
+    let finish = start +. t.times.(v) in
+    entries.(v) <-
+      { Schedule.task = v; start; finish; procs = First_fit.claim ff s finish }
+  done;
+  Schedule.make ~platform_procs:procs entries

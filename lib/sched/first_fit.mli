@@ -1,6 +1,6 @@
-(** First-fit processor selection, the step of the id-tracking list
-    schedulers ({!List_scheduler.run}, {!Online_list.run}) that picks a
-    task's processors.
+(** First-fit processor selection, the step of the list scheduler's
+    record mode ({!Evaluator.schedule_of_times}) that picks a task's
+    processors.
 
     The state keeps every processor's availability and the processor ids
     sorted by (availability, id).  A task of width [s] takes the first

@@ -11,10 +11,17 @@
       maximum of the data-ready time of [v] and the availability of the
       last processor chosen.
 
-    The result is deterministic.  Complexity O(E + V log V + V P), within
-    the O(E + V log V + V P log P) bound cited in the paper (Section
-    III-E): placing a task collects its processors in one O(P) scan and
-    merge, without sorting them. *)
+    Both calls run {!Evaluator}'s kernel, the library's one
+    list-scheduling loop, on scratch of their own, so they are safe from
+    any thread.  The result is deterministic.  Complexity
+    O(E + V log V + V P), within the O(E + V log V + V P log P) bound
+    cited in the paper (Section III-E).
+
+    Online re-planning schedules against a live cluster: [release.(v)]
+    is task [v]'s earliest start (DAG arrival, or the finish of a
+    committed predecessor) and [avail.(p)] processor [p]'s initial
+    availability.  Omitted, both are zero, the offline case; all-zero
+    arrays give the same schedule bit for bit. *)
 
 (** Ready-queue ordering.  The paper (and default) is [Bottom_level];
     the alternatives exist for the mapping-step ablation: how much of
@@ -28,56 +35,32 @@ type priority =
           for the ablation; length must equal the task count *)
 
 val run :
+  ?priority:priority ->
+  ?release:float array ->
+  ?avail:float array ->
   graph:Emts_ptg.Graph.t ->
   times:float array ->
   alloc:Allocation.t ->
   procs:int ->
+  unit ->
   Schedule.t
-(** Builds the full schedule.  [times.(v)] must be the execution time of
-    task [v] on [alloc.(v)] processors; raises [Invalid_argument] on
-    inconsistent sizes, on [alloc] entries outside [1, procs], or on
-    negative/NaN times. *)
+(** Builds the full schedule; task [v] starts at the maximum of
+    [release.(v)], its predecessors' finishes and the availability of
+    its last processor.  [times.(v)] must be the execution time of task
+    [v] on [alloc.(v)] processors.  Raises [Invalid_argument] on
+    inconsistent sizes ([release] of the task count, [avail] of
+    [procs]), on [alloc] entries outside [1, procs], on negative or NaN
+    times, releases or availabilities, and on a NaN static priority. *)
 
 val makespan :
+  ?priority:priority ->
+  ?release:float array ->
+  ?avail:float array ->
   graph:Emts_ptg.Graph.t ->
   times:float array ->
   alloc:Allocation.t ->
   procs:int ->
+  unit ->
   float
-(** Same algorithm without materialising processor sets: the EA fitness
-    fast path.  Equal to [Schedule.makespan (run ...)] for all inputs
-    (property-tested). *)
-
-val run_prioritized :
-  priority:priority ->
-  graph:Emts_ptg.Graph.t ->
-  times:float array ->
-  alloc:Allocation.t ->
-  procs:int ->
-  Schedule.t
-(** {!run} under an explicit ready-queue policy;
-    [run_prioritized ~priority:Bottom_level] = [run]. *)
-
-val makespan_prioritized :
-  priority:priority ->
-  graph:Emts_ptg.Graph.t ->
-  times:float array ->
-  alloc:Allocation.t ->
-  procs:int ->
-  float
-(** {!makespan} under an explicit ready-queue policy. *)
-
-val makespan_bounded :
-  graph:Emts_ptg.Graph.t ->
-  times:float array ->
-  alloc:Allocation.t ->
-  procs:int ->
-  cutoff:float ->
-  float option
-(** The rejection strategy proposed as future work in the paper's
-    conclusion: abandon the construction of the schedule as soon as the
-    partial makespan exceeds [cutoff] (any task finishing later than
-    [cutoff] can only keep or increase the final makespan).  Returns
-    [None] on rejection, [Some m] with [m = makespan ...] otherwise;
-    with [cutoff = infinity] it never rejects.  Used by EMTS's
-    early-rejection fitness mode to skip hopeless individuals. *)
+(** Same algorithm without materialising processor sets.  Equal to
+    [Schedule.makespan (run ...)] for all inputs (property-tested). *)

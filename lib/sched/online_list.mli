@@ -1,20 +1,6 @@
-(** Release-aware list scheduling: the mapping step against a live
-    cluster, plus the Perotin–Sun compromise allotment for online
-    moldable DAGs.
-
-    The offline {!List_scheduler} assumes an empty machine at time
-    zero.  Online re-planning schedules the {e unstarted} remainder of
-    the workload against committed work: each task has a release time
-    (DAG arrival, or the finish of an already-committed predecessor)
-    and each processor an initial availability.  The policy is
-    otherwise identical — decreasing bottom level, ties smaller id,
-    first-fit onto the earliest-available processors — and with
-    all-zero releases and availabilities the result is bit-identical to
-    {!List_scheduler.run} (property-tested).  Placing a task costs O(P),
-    as in {!List_scheduler}, after one O(P log P) sort of the initial
-    availabilities.  {!Evaluator.makespan} computes the same makespan
-    without materialising processor sets, for the re-planning EA's
-    inner loop. *)
+(** The Perotin–Sun compromise allotment for online moldable DAGs.
+    Their online baseline schedules these allotments with the
+    release-aware {!List_scheduler.run}. *)
 
 val compromise_allotment :
   tables:float array array -> procs:int -> Allocation.t
@@ -26,30 +12,3 @@ val compromise_allotment :
     the execution time of task [v] on [p] processors; rows shorter than
     [procs] bound the candidate counts.  Raises [Invalid_argument] on
     empty rows, NaN or negative times, or [procs < 1]. *)
-
-val run :
-  graph:Emts_ptg.Graph.t ->
-  times:float array ->
-  alloc:Allocation.t ->
-  procs:int ->
-  release:float array ->
-  avail:float array ->
-  Schedule.t
-(** [run ~graph ~times ~alloc ~procs ~release ~avail] builds the full
-    schedule; task [v] starts at
-    [max release.(v) (max data_ready proc_avail)] and [avail.(p)] is
-    processor [p]'s initial availability ([Array.length avail = procs]
-    required).  Raises [Invalid_argument] on inconsistent sizes, on
-    [alloc] entries outside [1, procs], or on negative/NaN times,
-    releases or availabilities. *)
-
-val makespan :
-  graph:Emts_ptg.Graph.t ->
-  times:float array ->
-  alloc:Allocation.t ->
-  procs:int ->
-  release:float array ->
-  avail:float array ->
-  float
-(** Same algorithm without materialising processor sets.  Equal to
-    [Schedule.makespan (run ...)] for all inputs (property-tested). *)

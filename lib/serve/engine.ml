@@ -106,17 +106,11 @@ let cache_for c req =
 type t = {
   pool : Emts_pool.t;
   caches : caches;
-  delta_fitness : bool;
   mutable alive : bool;
 }
 
-let create ?(pool_domains = 1) ?(delta_fitness = true) ~caches () =
-  {
-    pool = Emts_pool.create ~domains:pool_domains;
-    caches;
-    delta_fitness;
-    alive = true;
-  }
+let create ?(pool_domains = 1) ~caches () =
+  { pool = Emts_pool.create ~domains:pool_domains; caches; alive = true }
 
 let shutdown t =
   if t.alive then begin
@@ -215,7 +209,6 @@ let handle t (req : Protocol.Request.schedule) ~deadline =
       {
         config with
         Emts.Algorithm.time_budget = req.budget_s;
-        delta_fitness = t.delta_fitness;
         islands = req.islands;
         migration_interval = req.migration_interval;
         (* The wire field is validated only as >= 0; the EA requires

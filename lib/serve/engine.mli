@@ -64,17 +64,13 @@ val resolve_model : string -> (Emts_model.t, string) result
 
 type t
 
-val create :
-  ?pool_domains:int -> ?delta_fitness:bool -> caches:caches -> unit -> t
+val create : ?pool_domains:int -> caches:caches -> unit -> t
 (** [create ~caches ()] builds an engine with a persistent worker pool
     of [pool_domains] lanes (default 1 — no domains spawned).  Must be
-    called from the domain that will call {!handle}.
-
-    [delta_fitness] (default [true]) routes EMTS fitness through the
-    per-worker-domain {!Emts_sched.Evaluator}; the scratch
+    called from the domain that will call {!handle}.  EMTS fitness runs
+    through the per-worker-domain {!Emts_sched.Evaluator}, whose
     buffers live in domain-local storage, so they are reused across
-    requests handled by the same worker — bit-identical responses
-    either way (covered by the serve determinism tests). *)
+    requests handled by the same worker. *)
 
 val shutdown : t -> unit
 (** Join the engine's pool.  Idempotent. *)

@@ -16,9 +16,9 @@ module Schedule = Emts_sched.Schedule
    worse than the baseline plan for the same state.  All randomness
    derives from the session seed via labelled streams, so the same seed
    and arrival trace commit bit-identically regardless of worker
-   domains, fitness cache, delta evaluation or islands. *)
+   domains, fitness cache or islands. *)
 
-(* Per-worker-domain delta evaluator scratch; toplevel because a DLS
+(* Per-worker-domain evaluator scratch; toplevel because a DLS
    slot is never reclaimed (same rule as [Emts.Algorithm]). *)
 let evaluator_slot =
   Emts_pool.Local.key (fun () -> Emts_sched.Evaluator.create ())
@@ -27,7 +27,8 @@ let evaluator_slot =
    connection reader threads, all systhreads of one domain and so of
    one [evaluator_slot]: a thread switch inside [Evaluator.makespan]
    would corrupt another session's scratch.  Those threads never ran in
-   parallel anyway. *)
+   parallel anyway.  The final plan's [List_scheduler.run] runs outside
+   the lock, on scratch of its own. *)
 let ea_lock = Mutex.create ()
 
 type replanner =
@@ -57,13 +58,12 @@ type config = {
   migration_interval : int;
   migration_count : int;
   fitness_cache : int option;
-  delta_fitness : bool;
   noise : Emts_simulator.Noise.t;
 }
 
 let config ?(replanner = Baseline) ?(seed = 0x5EED_CA11) ?(domains = 1)
     ?(islands = 1) ?(migration_interval = 5) ?(migration_count = 1)
-    ?fitness_cache ?(delta_fitness = true) ?(noise = Emts_simulator.Noise.none)
+    ?fitness_cache ?(noise = Emts_simulator.Noise.none)
     ~platform ~model () =
   if domains < 1 then invalid_arg "Online.config: domains must be >= 1";
   if islands < 1 then invalid_arg "Online.config: islands must be >= 1";
@@ -84,7 +84,6 @@ let config ?(replanner = Baseline) ?(seed = 0x5EED_CA11) ?(domains = 1)
     migration_interval;
     migration_count;
     fitness_cache;
-    delta_fitness;
     noise;
   }
 
@@ -241,16 +240,11 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
      by fitness calls on worker domains. *)
   let cutoff = Atomic.make infinity in
   (* [infinity] on rejection, which {!Emts_sched.Evaluator.last_rejected}
-     tells apart.  [Online_list] has no bounded variant, so the
-     [delta_fitness = false] path never rejects. *)
+     tells apart. *)
   let raw_fitness alloc c =
-    if t.cfg.delta_fitness then
-      let ev = Emts_pool.Local.get evaluator_slot in
-      Emts_sched.Evaluator.makespan ev ~release:sub.release ~avail0:sub.avail
-        ~graph:sub.graph ~tables:sub.tables ~procs:t.procs ~alloc ~cutoff:c ()
-    else
-      Emts_sched.Online_list.makespan ~graph:sub.graph ~times:(times_of sub alloc)
-        ~alloc ~procs:t.procs ~release:sub.release ~avail:sub.avail
+    let ev = Emts_pool.Local.get evaluator_slot in
+    Emts_sched.Evaluator.makespan ev ~release:sub.release ~avail0:sub.avail
+      ~graph:sub.graph ~tables:sub.tables ~procs:t.procs ~alloc ~cutoff:c ()
   in
   let fitness alloc =
     let c = Atomic.get cutoff in
@@ -262,9 +256,8 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
       | None ->
         let m = raw_fitness alloc c in
         let rejected =
-          t.cfg.delta_fitness
-          && Emts_sched.Evaluator.last_rejected
-               (Emts_pool.Local.get evaluator_slot)
+          Emts_sched.Evaluator.last_rejected
+            (Emts_pool.Local.get evaluator_slot)
         in
         Emts_pool.Cache.store cache alloc
           (if rejected then Emts_pool.Cache.Rejected_above c
@@ -310,8 +303,9 @@ let replan t =
            emts_alloc t ~sub ~baseline ~mu ~lambda ~generations
        in
        let sched =
-         Emts_sched.Online_list.run ~graph:sub.graph ~times:(times_of sub alloc)
-           ~alloc ~procs:t.procs ~release:sub.release ~avail:sub.avail
+         Emts_sched.List_scheduler.run ~release:sub.release ~avail:sub.avail
+           ~graph:sub.graph ~times:(times_of sub alloc) ~alloc ~procs:t.procs
+           ()
        in
        let entries =
          Array.to_list

@@ -12,8 +12,7 @@
     labelled streams ([online/<seed>/noise] for duration noise,
     [online/<seed>/replan/<k>] for the k-th effective re-plan), so the
     same seed and arrival trace produce a bit-identical commitment log
-    regardless of worker domains, fitness cache, delta evaluation or
-    island count.
+    regardless of worker domains, fitness cache or island count.
 
     {b Commitment invariant}: once committed, a task's
     (start, finish, processors) never change; re-planning only ever
@@ -22,8 +21,9 @@
 (** Which solver re-plans the unstarted sub-problem. *)
 type replanner =
   | Baseline
-      (** Perotin–Sun: compromise allotments + release-aware
-          bottom-level list scheduling ({!Emts_sched.Online_list}). *)
+      (** Perotin–Sun: compromise allotments
+          ({!Emts_sched.Online_list}) + release-aware bottom-level list
+          scheduling ({!Emts_sched.List_scheduler.run}). *)
   | Emts of { mu : int; lambda : int; generations : int }
       (** (μ+λ)-ES over the sub-problem's allocation vectors, seeded
           with the baseline and the surviving previous plan; elitism
@@ -45,7 +45,6 @@ type config = private {
   migration_interval : int;
   migration_count : int;
   fitness_cache : int option;  (** per-replan cache capacity *)
-  delta_fitness : bool;  (** delta evaluator vs. full list scheduling *)
   noise : Emts_simulator.Noise.t;
 }
 
@@ -57,7 +56,6 @@ val config :
   ?migration_interval:int ->
   ?migration_count:int ->
   ?fitness_cache:int ->
-  ?delta_fitness:bool ->
   ?noise:Emts_simulator.Noise.t ->
   platform:Emts_platform.t ->
   model:Emts_model.t ->
@@ -65,7 +63,7 @@ val config :
   config
 (** Defaults: [Baseline] re-planner, seed [0x5EED_CA11], one domain,
     one island, migration every 5 generations moving 1, no fitness
-    cache, delta evaluation on, no noise.  Raises [Invalid_argument]
+    cache, no noise.  Raises [Invalid_argument]
     on non-positive knobs. *)
 
 type t

@@ -197,7 +197,7 @@ let test_hcpa_differs_from_cpa () =
 let cpr_makespan ctx alloc =
   let times = Common.times ctx alloc in
   Emts_sched.List_scheduler.makespan ~graph:ctx.Common.graph ~times ~alloc
-    ~procs:ctx.Common.procs
+    ~procs:ctx.Common.procs ()
 
 let test_cpr_improves_chain () =
   let g =

@@ -216,7 +216,7 @@ let test_adaptive_sigma_runs () =
 let test_island_matrix () =
   (* Fleet tentpole: an island run is a pure function of
      (seed, islands, interval, count) under every engine tuning —
-     worker domains, fitness cache, delta evaluation — and
+     worker domains, fitness cache — and
      [with_islands 1] is exactly the plain algorithm. *)
   let graph = small_graph () in
   let ctx =
@@ -246,13 +246,8 @@ let test_island_matrix () =
       ("plain", Fun.id);
       ("domains", Alg.with_domains Testutil.test_domains);
       ("cache", Alg.with_fitness_cache 512);
-      ("no-delta", fun c -> { c with Alg.delta_fitness = false });
-      ( "domains+cache+no-delta",
-        fun c ->
-          {
-            (Alg.with_fitness_cache 512 (Alg.with_domains 4 c)) with
-            Alg.delta_fitness = false;
-          } );
+      ( "domains+cache",
+        fun c -> Alg.with_fitness_cache 512 (Alg.with_domains 4 c) );
     ];
   (* islands = 1 never splits the caller's stream, so it reproduces the
      non-island algorithm exactly. *)
@@ -316,9 +311,9 @@ let test_extra_seeds () =
     without.Alg.ea.Emts_ea.evaluations dropped.Alg.ea.Emts_ea.evaluations
 
 (* Online tentpole: the re-planning controller is a pure function of
-   (seed, arrival trace) under every engine tuning.  Worker domains,
-   the per-replan fitness cache and the delta evaluator must never
-   move a single commitment bit; islands > 1 is a different EA search
+   (seed, arrival trace) under every engine tuning.  Worker domains and
+   the per-replan fitness cache must never move a single commitment
+   bit; islands > 1 is a different EA search
    trajectory by design, so it gets its own single-domain reference
    against which the same tunings are checked. *)
 module Online = Emts_serve.Online
@@ -354,11 +349,11 @@ let test_online_matrix () =
         Float.max acc e.Emts_sched.Schedule.finish)
       0. (Online.plan t)
   in
-  let run_trace ?domains ?islands ?fitness_cache ?delta_fitness () =
+  let run_trace ?domains ?islands ?fitness_cache () =
     let cfg =
       Online.config
         ~replanner:(Online.Emts { mu = 2; lambda = 6; generations = 2 })
-        ~seed:77 ?domains ?islands ?fitness_cache ?delta_fitness
+        ~seed:77 ?domains ?islands ?fitness_cache
         ~platform:chti ~model:Emts_model.synthetic ()
     in
     let t = Online.create cfg in
@@ -392,11 +387,9 @@ let test_online_matrix () =
     [
       ("domains", fun () -> run_trace ~domains:Testutil.test_domains ());
       ("cache", fun () -> run_trace ~fitness_cache:512 ());
-      ("no-delta", fun () -> run_trace ~delta_fitness:false ());
-      ( "domains+cache+no-delta",
+      ( "domains+cache",
         fun () ->
-          run_trace ~domains:Testutil.test_domains ~fitness_cache:512
-            ~delta_fitness:false () );
+          run_trace ~domains:Testutil.test_domains ~fitness_cache:512 () );
     ];
   let reference2 = run_trace ~islands:2 () in
   List.iter
@@ -404,9 +397,8 @@ let test_online_matrix () =
     [
       ( "islands=2 domains",
         fun () -> run_trace ~islands:2 ~domains:Testutil.test_domains () );
-      ( "islands=2 cache+no-delta",
-        fun () ->
-          run_trace ~islands:2 ~fitness_cache:512 ~delta_fitness:false () );
+      ( "islands=2 cache",
+        fun () -> run_trace ~islands:2 ~fitness_cache:512 () );
     ]
 
 let test_checkpoint_resume_matrix () =
@@ -534,8 +526,7 @@ let prop_early_reject_equivalent =
 
 (* Satellite 4: parallelism and the fitness cache are pure
    optimisations.  Any combination of domains x cache x early-reject
-   x delta-fitness-off must reproduce the sequential, cache-free run
-   bit for bit: same
+   must reproduce the sequential, cache-free run bit for bit: same
    best fitness, same history, same evaluation count.  The telemetry
    layer is observer-only, so the whole matrix is replayed a second
    time with every sink on (trace, metrics, GC profiling, flight ring)
@@ -543,8 +534,8 @@ let prop_early_reject_equivalent =
 let prop_pool_cache_determinism =
   QCheck.Test.make
     ~name:
-      "domains x cache x early-reject x delta x checkpoint x telemetry never \
-       change the outcome"
+      "domains x cache x early-reject x checkpoint x telemetry never change \
+       the outcome"
     ~count:10
     (Testutil.arbitrary_dag ~max_n:15 ())
     (fun graph ->
@@ -596,16 +587,6 @@ let prop_pool_cache_determinism =
             {
               (Alg.with_fitness_cache 512 (Alg.with_domains 4 c)) with
               Alg.early_reject = true;
-            });
-          (* the baseline runs with delta fitness on (the default);
-             the from-scratch evaluator must agree bit for bit, alone
-             and under the full optimisation stack *)
-          (fun c -> { c with Alg.delta_fitness = false });
-          (fun c ->
-            {
-              (Alg.with_fitness_cache 512 (Alg.with_domains 4 c)) with
-              Alg.early_reject = true;
-              delta_fitness = false;
             });
         ]
       in

@@ -1,25 +1,24 @@
 (* Tests for the fitness evaluator: bit-identical equivalence with the
-   from-scratch list-scheduler path over random mutation chains
-   (including cutoffs, duplicates and instance rebinds), at cluster
-   scale, and with online release / initial-availability bindings
-   against [Online_list]; the certified rejection bound at cutoffs one
-   ulp either side of the makespan; plus the zero-allocation budget the
-   hot path is designed around, for accepted and rejected calls. *)
+   reference spec of the list scheduler ([Testutil.reference_makespan])
+   over random mutation chains (including cutoffs, duplicates and
+   instance rebinds), at cluster scale, and with online release /
+   initial-availability bindings; the certified rejection bound at
+   cutoffs one ulp either side of the makespan; plus the zero-allocation
+   budget the hot path is designed around, for accepted and rejected
+   calls, offline and online. *)
 
 module Ev = Emts_sched.Evaluator
-module LS = Emts_sched.List_scheduler
-module OL = Emts_sched.Online_list
 module Graph = Emts_ptg.Graph
 
 let bits = Int64.bits_of_float
 let float_eq a b = Int64.equal (bits a) (bits b)
 
-(* From-scratch reference: [infinity] on rejection, like the evaluator. *)
-let reference ~graph ~tables ~procs ~alloc ~cutoff =
-  let times = Emts_sched.Allocation.times_of_tables alloc ~tables in
-  match LS.makespan_bounded ~graph ~times ~alloc ~procs ~cutoff with
-  | Some m -> m
-  | None -> infinity
+(* The reference over tabulated times: the largest finish of the
+   sort-based spec, or [infinity] when that exceeds [cutoff]. *)
+let reference ?release ?avail0 ~graph ~tables ~procs () ~alloc ~cutoff =
+  Testutil.reference_makespan ?release ?avail:avail0 ~graph
+    ~times:(Emts_sched.Allocation.times_of_tables alloc ~tables)
+    ~alloc ~procs ~cutoff ()
 
 (* Random execution-time tables drawn from a small discrete set, so
    distinct allocations frequently share bitwise-equal times and
@@ -29,10 +28,10 @@ let make_tables rng g ~procs =
       Array.init procs (fun _ -> float_of_int (Emts_prng.int rng 8) /. 2.))
 
 let check_against_reference ~what ev ~graph ~tables ~procs ~alloc ~cutoff =
-  let expected = reference ~graph ~tables ~procs ~alloc ~cutoff in
+  let expected = reference ~graph ~tables ~procs () ~alloc ~cutoff in
   let got = Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff () in
   if not (float_eq expected got) then
-    Alcotest.failf "%s: delta %h <> from-scratch %h" what got expected;
+    Alcotest.failf "%s: evaluator %h <> reference %h" what got expected;
   if Ev.last_rejected ev <> (expected = infinity && cutoff < infinity) then
     Alcotest.failf "%s: rejection flag disagrees with the reference" what
 
@@ -68,7 +67,8 @@ let run_chain ?release ?avail0 ~reference rng ev ~graph ~tables ~procs ~steps
     in
     let expected = reference ~alloc ~cutoff in
     if not (float_eq expected got) then
-      Alcotest.failf "step %d (procs %d, cutoff %h): delta %h <> reference %h"
+      Alcotest.failf
+        "step %d (procs %d, cutoff %h): evaluator %h <> reference %h"
         step procs cutoff got expected;
     if got < !best then best := got
   done
@@ -83,7 +83,7 @@ let prop_delta_equals_scratch =
       let tables = make_tables rng graph ~procs in
       let ev = Ev.create () in
       run_chain rng ev ~graph ~tables ~procs ~steps:40
-        ~reference:(reference ~graph ~tables ~procs);
+        ~reference:(reference ~graph ~tables ~procs ());
       true)
 
 (* Cluster widths: the paper's Chti (20) and Grelon (120), or any width
@@ -113,7 +113,7 @@ let prop_delta_equals_scratch_cluster =
       let procs = cluster_procs rng in
       let tables = cluster_tables rng graph ~procs in
       run_chain rng (Ev.create ()) ~graph ~tables ~procs ~steps:40
-        ~reference:(reference ~graph ~tables ~procs);
+        ~reference:(reference ~graph ~tables ~procs ());
       true)
 
 (* Release times and initial availabilities drawn from a small set, so
@@ -125,15 +125,8 @@ let online_floats rng len =
       | 1 -> -0.
       | _ -> float_of_int (Emts_prng.int rng 6) /. 2.)
 
-(* [Online_list] has no cutoff; a bounded run rejects exactly when some
-   task, hence the makespan, finishes past it. *)
-let online_reference ~graph ~tables ~procs ~release ~avail0 ~alloc ~cutoff =
-  let times = Emts_sched.Allocation.times_of_tables alloc ~tables in
-  let m = OL.makespan ~graph ~times ~alloc ~procs ~release ~avail:avail0 in
-  if m > cutoff then infinity else m
-
 let prop_delta_equals_online =
-  QCheck.Test.make ~name:"delta with release/avail0 == Online_list" ~count:100
+  QCheck.Test.make ~name:"delta with release/avail0 == reference" ~count:100
     QCheck.(pair (Testutil.arbitrary_dag ~max_n:40 ()) small_int)
     (fun (graph, seed) ->
       let rng = Emts_prng.create ~seed () in
@@ -143,7 +136,7 @@ let prop_delta_equals_online =
       let avail0 = online_floats rng procs in
       run_chain ~release ~avail0 rng (Ev.create ()) ~graph ~tables ~procs
         ~steps:40
-        ~reference:(online_reference ~graph ~tables ~procs ~release ~avail0);
+        ~reference:(reference ~release ~avail0 ~graph ~tables ~procs ());
       true)
 
 let test_first_and_last_allele () =
@@ -202,7 +195,7 @@ let test_rejections_interleaved () =
   let ev = Ev.create () in
   let n = Graph.task_count graph in
   let alloc = Array.make n 1 in
-  let full = reference ~graph ~tables ~procs ~alloc ~cutoff:infinity in
+  let full = reference ~graph ~tables ~procs () ~alloc ~cutoff:infinity in
   List.iter
     (fun cutoff ->
       check_against_reference ~what:"interleaved" ev ~graph ~tables ~procs
@@ -256,9 +249,10 @@ let test_rounding_chain () =
 
 (* Daggen DAGs with Model 2 tables: times are not dyadic, so the two
    sums the bound compares really round differently.  With [m] the
-   unbounded makespan, a cutoff of [m] or its successor must return [m]
-   and a cutoff of its predecessor must reject — with and without
-   releases and initial availabilities, also drawn off the dyadic grid. *)
+   unbounded makespan, which must be the reference's, a cutoff of [m]
+   or its successor must return [m] and a cutoff of its predecessor
+   must reject — with and without releases and initial
+   availabilities, also drawn off the dyadic grid. *)
 let prop_bound_at_the_makespan =
   QCheck.Test.make ~name:"rejects exactly above the makespan" ~count:100
     QCheck.(pair (int_range 1 60) small_int)
@@ -292,6 +286,12 @@ let prop_bound_at_the_makespan =
             ()
         in
         let m = eval infinity in
+        let expected =
+          reference ?release ?avail0 ~graph ~tables ~procs () ~alloc
+            ~cutoff:infinity
+        in
+        if not (float_eq m expected) then
+          Alcotest.failf "makespan %h <> reference %h" m expected;
         List.iter
           (fun cutoff ->
             let got = eval cutoff in
@@ -346,7 +346,10 @@ let test_stats_and_metrics_accounting () =
    crossing the function boundary (OCaml's calling convention), two
    words.  The budget below is deliberately far under one small
    scratch array, so any reintroduced per-eval allocation fails loudly.
-   The second loop holds rejected calls to the same budget. *)
+   The second loop holds rejected calls to the same budget, and the
+   last two hold the online re-planner's calls, with per-task releases
+   and an unsorted [avail0], passed as the re-planner passes them (each
+   [~release:r] builds a [Some r], two words). *)
 let test_steady_state_allocation () =
   let rng = Emts_prng.create ~seed:5 () in
   let graph = Testutil.random_triangular_dag rng ~n:60 ~p:0.15 in
@@ -386,7 +389,38 @@ let test_steady_state_allocation () =
      halfway through its schedule *)
   check "rejected calls"
     (Testutil.bytes_per_call ~rounds (loop ~cutoff:(0.7 *. !best)));
-  Alcotest.(check int) "every call rejected" rounds rejected.(0)
+  Alcotest.(check int) "every call rejected" rounds rejected.(0);
+  (* releases up to a quarter of the best makespan; availabilities in
+     descending order, so the binding has to sort them *)
+  let release = Array.init n (fun _ -> Emts_prng.float rng (!best /. 4.)) in
+  let avail0 =
+    Array.init procs (fun p -> float_of_int (procs - p) *. !best /. 64.)
+  in
+  let online_best = ref infinity in
+  for _ = 1 to 50 do
+    alloc.(Emts_prng.int rng n) <- 1 + Emts_prng.int rng procs;
+    online_best :=
+      Float.min !online_best
+        (Ev.makespan ev ~release ~avail0 ~graph ~tables ~procs ~alloc
+           ~cutoff:infinity ())
+  done;
+  sink.(0) <- 0.;
+  rejected.(0) <- 0;
+  let online_loop ~cutoff i =
+    alloc.(sites.(i)) <- values.(i);
+    sink.(0) <-
+      sink.(0)
+      +. Ev.makespan ev ~release ~avail0 ~graph ~tables ~procs ~alloc ~cutoff
+           ();
+    if Ev.last_rejected ev then rejected.(0) <- rejected.(0) + 1
+  in
+  check "online steady state"
+    (Testutil.bytes_per_call ~rounds (online_loop ~cutoff:infinity));
+  Alcotest.(check bool) "online sink finite" true (Float.is_finite sink.(0));
+  check "online rejected calls"
+    (Testutil.bytes_per_call ~rounds
+       (online_loop ~cutoff:(0.7 *. !online_best)));
+  Alcotest.(check int) "every online call rejected" rounds rejected.(0)
 
 let () =
   Alcotest.run "evaluator"

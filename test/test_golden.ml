@@ -60,7 +60,7 @@ let diamond_schedule () =
   let g = Testutil.diamond_graph () in
   let times = Array.init 4 (Testutil.unit_speed_times g) in
   Emts_sched.List_scheduler.run ~graph:g ~times ~alloc:[| 2; 1; 1; 2 |]
-    ~procs:2
+    ~procs:2 ()
 
 let daggen_schedule () =
   let rng = Emts_prng.create ~seed:2026 () in
@@ -72,7 +72,7 @@ let daggen_schedule () =
                    ~speed_gflops:1.)
       g alloc
   in
-  Emts_sched.List_scheduler.run ~graph:g ~times ~alloc ~procs:4
+  Emts_sched.List_scheduler.run ~graph:g ~times ~alloc ~procs:4 ()
 
 let render_twice label render =
   let a = render () in

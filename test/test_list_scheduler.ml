@@ -1,5 +1,7 @@
-(* Tests for the bottom-level list scheduler: hand-computed schedules
-   and the validity/equivalence properties the EA's fitness relies on. *)
+(* Tests for the bottom-level list scheduler: hand-computed schedules,
+   the online baseline's allotment rule, and the validity/equivalence
+   properties the EA's fitness relies on, against the reference spec
+   in [Testutil]. *)
 
 module LS = Emts_sched.List_scheduler
 module Schedule = Emts_sched.Schedule
@@ -9,7 +11,7 @@ let check_float = Alcotest.(check (float 1e-9))
 
 let test_single_task () =
   let g = Emts_daggen.Shapes.independent 1 in
-  let s = LS.run ~graph:g ~times:[| 3. |] ~alloc:[| 2 |] ~procs:4 in
+  let s = LS.run ~graph:g ~times:[| 3. |] ~alloc:[| 2 |] ~procs:4 () in
   check_float "makespan" 3. (Schedule.makespan s);
   Alcotest.(check (array int)) "first-fit procs" [| 0; 1 |]
     (Schedule.entry s 0).Schedule.procs
@@ -17,7 +19,7 @@ let test_single_task () =
 let test_chain_serialises () =
   let g = Emts_daggen.Shapes.chain 3 in
   let s =
-    LS.run ~graph:g ~times:[| 1.; 2.; 3. |] ~alloc:[| 1; 2; 3 |] ~procs:3
+    LS.run ~graph:g ~times:[| 1.; 2.; 3. |] ~alloc:[| 1; 2; 3 |] ~procs:3 ()
   in
   check_float "makespan = sum" 6. (Schedule.makespan s);
   check_float "t1 starts at 1" 1. (Schedule.entry s 1).Schedule.start;
@@ -28,6 +30,7 @@ let test_independent_pack () =
   let g = Emts_daggen.Shapes.independent 4 in
   let s =
     LS.run ~graph:g ~times:(Array.make 4 1.) ~alloc:(Array.make 4 1) ~procs:2
+      ()
   in
   check_float "two waves" 2. (Schedule.makespan s)
 
@@ -35,7 +38,7 @@ let test_priority_by_bottom_level () =
   (* Two independent tasks, one long one short, one processor: the long
      one (higher bottom level) must be scheduled first. *)
   let g = Emts_daggen.Shapes.independent 2 in
-  let s = LS.run ~graph:g ~times:[| 1.; 5. |] ~alloc:[| 1; 1 |] ~procs:1 in
+  let s = LS.run ~graph:g ~times:[| 1.; 5. |] ~alloc:[| 1; 1 |] ~procs:1 () in
   check_float "long task first" 0. (Schedule.entry s 1).Schedule.start;
   check_float "short task second" 5. (Schedule.entry s 0).Schedule.start
 
@@ -44,6 +47,7 @@ let test_diamond_parallel_branches () =
   (* times 1 each, allocs 1, two procs: 0; then 1 and 2 in parallel; then 3 *)
   let s =
     LS.run ~graph:g ~times:(Array.make 4 1.) ~alloc:(Array.make 4 1) ~procs:2
+      ()
   in
   check_float "makespan" 3. (Schedule.makespan s);
   check_float "branch 1 at t=1" 1. (Schedule.entry s 1).Schedule.start;
@@ -52,7 +56,7 @@ let test_diamond_parallel_branches () =
 let test_wide_task_waits_for_procs () =
   (* task 1 needs both procs but an unrelated task holds one: it waits. *)
   let g = Emts_daggen.Shapes.independent 2 in
-  let s = LS.run ~graph:g ~times:[| 4.; 1. |] ~alloc:[| 1; 2 |] ~procs:2 in
+  let s = LS.run ~graph:g ~times:[| 4.; 1. |] ~alloc:[| 1; 2 |] ~procs:2 () in
   (* bottom levels: t0=4 > t1=1, so t0 first on proc 0; t1 needs 2 procs,
      must wait until t0 finishes. *)
   check_float "wide task delayed" 4. (Schedule.entry s 1).Schedule.start;
@@ -71,7 +75,9 @@ let test_no_backfilling () =
   Graph.Builder.add_edge b ~src:a ~dst:c;
   let g = Graph.Builder.build b in
   (* times: a=2, c(wide, 2 procs)=2, d=1.  bl: a=4, c=2, d=1. *)
-  let s = LS.run ~graph:g ~times:[| 2.; 2.; 1. |] ~alloc:[| 1; 2; 1 |] ~procs:2 in
+  let s =
+    LS.run ~graph:g ~times:[| 2.; 2.; 1. |] ~alloc:[| 1; 2; 1 |] ~procs:2 ()
+  in
   ignore (a, d);
   check_float "wide task right after its parent" 2.
     (Schedule.entry s 1).Schedule.start;
@@ -89,33 +95,49 @@ let test_input_validation () =
        with Invalid_argument _ -> true)
   in
   reject "times length" (fun () ->
-      LS.run ~graph:g ~times:[| 1. |] ~alloc:[| 1; 1 |] ~procs:2);
+      LS.run ~graph:g ~times:[| 1. |] ~alloc:[| 1; 1 |] ~procs:2 ());
   reject "alloc length" (fun () ->
-      LS.run ~graph:g ~times:[| 1.; 1. |] ~alloc:[| 1 |] ~procs:2);
+      LS.run ~graph:g ~times:[| 1.; 1. |] ~alloc:[| 1 |] ~procs:2 ());
   reject "alloc too large" (fun () ->
-      LS.run ~graph:g ~times:[| 1.; 1. |] ~alloc:[| 3; 1 |] ~procs:2);
+      LS.run ~graph:g ~times:[| 1.; 1. |] ~alloc:[| 3; 1 |] ~procs:2 ());
   reject "alloc zero" (fun () ->
-      LS.run ~graph:g ~times:[| 1.; 1. |] ~alloc:[| 0; 1 |] ~procs:2);
+      LS.run ~graph:g ~times:[| 1.; 1. |] ~alloc:[| 0; 1 |] ~procs:2 ());
   reject "negative time" (fun () ->
-      LS.run ~graph:g ~times:[| -1.; 1. |] ~alloc:[| 1; 1 |] ~procs:2);
+      LS.run ~graph:g ~times:[| -1.; 1. |] ~alloc:[| 1; 1 |] ~procs:2 ());
   reject "NaN time" (fun () ->
-      LS.run ~graph:g ~times:[| nan; 1. |] ~alloc:[| 1; 1 |] ~procs:2)
+      LS.run ~graph:g ~times:[| nan; 1. |] ~alloc:[| 1; 1 |] ~procs:2 ());
+  let times = [| 1.; 1. |] and alloc = [| 1; 1 |] in
+  reject "release length" (fun () ->
+      LS.run ~release:[| 0. |] ~graph:g ~times ~alloc ~procs:2 ());
+  reject "empty release" (fun () ->
+      LS.run ~release:[||] ~graph:g ~times ~alloc ~procs:2 ());
+  reject "NaN release" (fun () ->
+      LS.run ~release:[| 0.; nan |] ~graph:g ~times ~alloc ~procs:2 ());
+  reject "avail length" (fun () ->
+      LS.makespan ~avail:[| 0. |] ~graph:g ~times ~alloc ~procs:2 ());
+  reject "negative avail" (fun () ->
+      LS.makespan ~avail:[| 0.; -1. |] ~graph:g ~times ~alloc ~procs:2 ())
 
+(* The bounded evaluation of the paper's conclusion: a cutoff at the
+   makespan accepts, any lower one rejects. *)
 let test_makespan_bounded () =
   let g = Emts_daggen.Shapes.chain 3 in
-  let times = [| 1.; 2.; 3. |] and alloc = [| 1; 1; 1 |] in
+  let tables = [| [| 1. |]; [| 2. |]; [| 3. |] |] and alloc = [| 1; 1; 1 |] in
+  let ev = Emts_sched.Evaluator.create () in
+  let eval cutoff =
+    Emts_sched.Evaluator.makespan ev ~graph:g ~tables ~procs:2 ~alloc ~cutoff ()
+  in
+  let rejected () = Emts_sched.Evaluator.last_rejected ev in
   (* full makespan is 6 *)
-  (match LS.makespan_bounded ~graph:g ~times ~alloc ~procs:2 ~cutoff:infinity with
-  | Some m -> check_float "no cutoff" 6. m
-  | None -> Alcotest.fail "rejected with infinite cutoff");
-  (match LS.makespan_bounded ~graph:g ~times ~alloc ~procs:2 ~cutoff:6. with
-  | Some m -> check_float "cutoff = makespan accepted" 6. m
-  | None -> Alcotest.fail "rejected at exact cutoff");
-  Alcotest.(check bool) "tight cutoff rejects" true
-    (LS.makespan_bounded ~graph:g ~times ~alloc ~procs:2 ~cutoff:5.9 = None);
+  check_float "no cutoff" 6. (eval infinity);
+  Alcotest.(check bool) "not rejected" false (rejected ());
+  check_float "cutoff = makespan accepted" 6. (eval 6.);
+  Alcotest.(check bool) "not rejected at exact cutoff" false (rejected ());
+  Alcotest.(check (float 0.)) "tight cutoff rejects" infinity (eval 5.9);
+  Alcotest.(check bool) "rejected" true (rejected ());
   Alcotest.(check bool) "NaN cutoff rejected" true
     (try
-       ignore (LS.makespan_bounded ~graph:g ~times ~alloc ~procs:2 ~cutoff:nan);
+       ignore (eval nan);
        false
      with Invalid_argument _ -> true)
 
@@ -125,36 +147,34 @@ let test_priority_policies () =
   let g = Emts_daggen.Shapes.independent 2 in
   let times = [| 1.; 5. |] and alloc = [| 1; 1 |] in
   let s =
-    LS.run_prioritized ~priority:LS.Bottom_level ~graph:g ~times ~alloc
-      ~procs:1
+    LS.run ~priority:LS.Bottom_level ~graph:g ~times ~alloc ~procs:1 ()
   in
   check_float "bl: long first" 0. (Schedule.entry s 1).Schedule.start;
   let s =
-    LS.run_prioritized
+    LS.run
       ~priority:(LS.Static [| 10.; 1. |])
-      ~graph:g ~times ~alloc ~procs:1
+      ~graph:g ~times ~alloc ~procs:1 ()
   in
   check_float "static: short first" 0. (Schedule.entry s 0).Schedule.start;
   (* Top_level_first: sources tie at top level 0, then ids break ties *)
   let s =
-    LS.run_prioritized ~priority:LS.Top_level_first ~graph:g ~times ~alloc
-      ~procs:1
+    LS.run ~priority:LS.Top_level_first ~graph:g ~times ~alloc ~procs:1 ()
   in
   check_float "tlf: id order" 0. (Schedule.entry s 0).Schedule.start;
   (* validation *)
   Alcotest.(check bool) "static length checked" true
     (try
        ignore
-         (LS.run_prioritized ~priority:(LS.Static [| 1. |]) ~graph:g ~times
-            ~alloc ~procs:1);
+         (LS.run ~priority:(LS.Static [| 1. |]) ~graph:g ~times ~alloc
+            ~procs:1 ());
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "NaN priority rejected" true
     (try
        ignore
-         (LS.run_prioritized
+         (LS.run
             ~priority:(LS.Static [| nan; 1. |])
-            ~graph:g ~times ~alloc ~procs:1);
+            ~graph:g ~times ~alloc ~procs:1 ());
        false
      with Invalid_argument _ -> true)
 
@@ -174,23 +194,56 @@ let test_heap_equal_priorities () =
         (Schedule.entry s v).Schedule.start
     done
   in
-  check_id_order "equal bottom levels" (LS.run ~graph:g ~times ~alloc ~procs:1);
+  check_id_order "equal bottom levels"
+    (LS.run ~graph:g ~times ~alloc ~procs:1 ());
   check_id_order "equal static priorities"
-    (LS.run_prioritized
+    (LS.run
        ~priority:(LS.Static (Array.make n 3.14))
-       ~graph:g ~times ~alloc ~procs:1);
+       ~graph:g ~times ~alloc ~procs:1 ());
   check_id_order "equal top levels"
-    (LS.run_prioritized ~priority:LS.Top_level_first ~graph:g ~times ~alloc
-       ~procs:1);
+    (LS.run ~priority:LS.Top_level_first ~graph:g ~times ~alloc ~procs:1 ());
   (* -0. and +0. compare equal, so they are a tie, not an ordering:
      task 0 keeps its id-order advantage either way *)
   let g2 = Emts_daggen.Shapes.independent 2 in
   let s =
-    LS.run_prioritized
+    LS.run
       ~priority:(LS.Static [| -0.; 0. |])
-      ~graph:g2 ~times:[| 1.; 1. |] ~alloc:[| 1; 1 |] ~procs:1
+      ~graph:g2 ~times:[| 1.; 1. |] ~alloc:[| 1; 1 |] ~procs:1 ()
   in
   check_float "-0/+0 tie: id order" 0. (Schedule.entry s 0).Schedule.start
+
+(* Perotin and Sun's compromise allotment, the online baseline's rule:
+   the argmin over p of max(t(v,p), p t(v,p) / P). *)
+let test_compromise_allotment () =
+  let allot tables procs =
+    Emts_sched.Online_list.compromise_allotment ~tables ~procs
+  in
+  let check label expected tables procs =
+    Alcotest.(check (array int)) label expected (allot tables procs)
+  in
+  (* 8/4/3/2 falls to p = 4; a flat row stays at 1; 5/4/4/6 ties at
+     p = 2 and 3, and the tie keeps 2 *)
+  check "argmin, ties keep the smaller p" [| 4; 1; 2 |]
+    [| [| 8.; 4.; 3.; 2. |]; [| 4.; 4.; 4.; 4. |]; [| 5.; 4.; 4.; 6. |] |]
+    4;
+  (* P bounds the candidates of a longer row, a shorter row bounds its
+     own *)
+  check "P limits the candidates" [| 2 |] [| [| 6.; 3.; 1. |] |] 2;
+  check "a short row limits the candidates" [| 2 |] [| [| 6.; 3. |] |] 8;
+  (* p = P: 3 *. 0.1 /. 3. rounds up to succ 0.1, so the area term ties
+     p = 3 with p = 2, and the smaller p wins; by time alone p = 3 would *)
+  check "the area term counts" [| 2 |] [| [| 1.; Float.succ 0.1; 0.1 |] |] 3;
+  let reject label tables procs =
+    Alcotest.(check bool) label true
+      (try
+         ignore (allot tables procs);
+         false
+       with Invalid_argument _ -> true)
+  in
+  reject "empty row" [| [| 1. |]; [||] |] 2;
+  reject "NaN time" [| [| 1.; nan |] |] 2;
+  reject "negative time" [| [| 1.; -1. |] |] 2;
+  reject "procs < 1" [| [| 1. |] |] 0
 
 (* --- properties --- *)
 
@@ -209,7 +262,7 @@ let prop_schedule_always_valid =
     (Testutil.arbitrary_dag_alloc ~procs ())
     (fun (g, alloc) ->
       let times = times_of (g, alloc) in
-      let s = LS.run ~graph:g ~times ~alloc ~procs in
+      let s = LS.run ~graph:g ~times ~alloc ~procs () in
       Schedule.validate ~alloc s ~graph:g = Ok ())
 
 let prop_makespan_fast_path_agrees =
@@ -217,8 +270,8 @@ let prop_makespan_fast_path_agrees =
     (Testutil.arbitrary_dag_alloc ~procs ())
     (fun (g, alloc) ->
       let times = times_of (g, alloc) in
-      let fast = LS.makespan ~graph:g ~times ~alloc ~procs in
-      let full = Schedule.makespan (LS.run ~graph:g ~times ~alloc ~procs) in
+      let fast = LS.makespan ~graph:g ~times ~alloc ~procs () in
+      let full = Schedule.makespan (LS.run ~graph:g ~times ~alloc ~procs ()) in
       Float.abs (fast -. full) < 1e-9)
 
 let prop_makespan_bounds =
@@ -226,7 +279,7 @@ let prop_makespan_bounds =
     (Testutil.arbitrary_dag_alloc ~procs ())
     (fun (g, alloc) ->
       let times = times_of (g, alloc) in
-      let m = LS.makespan ~graph:g ~times ~alloc ~procs in
+      let m = LS.makespan ~graph:g ~times ~alloc ~procs () in
       let cp =
         Emts_ptg.Analysis.critical_path_length g ~time:(fun v -> times.(v))
       in
@@ -245,107 +298,20 @@ let prop_any_priority_schedule_valid =
       in
       List.for_all
         (fun priority ->
-          let s = LS.run_prioritized ~priority ~graph:g ~times ~alloc ~procs in
+          let s = LS.run ~priority ~graph:g ~times ~alloc ~procs () in
           Schedule.validate ~alloc s ~graph:g = Ok ())
         [ LS.Bottom_level; LS.Top_level_first; LS.Static random ])
-
-let prop_bounded_agrees_with_makespan =
-  QCheck.Test.make
-    ~name:"makespan_bounded: Some iff makespan <= cutoff, same value"
-    ~count:200
-    QCheck.(pair (Testutil.arbitrary_dag_alloc ~procs ()) (float_range 0. 2.))
-    (fun ((g, alloc), cutoff_factor) ->
-      let times = times_of (g, alloc) in
-      let m = LS.makespan ~graph:g ~times ~alloc ~procs in
-      let cutoff = cutoff_factor *. m in
-      match LS.makespan_bounded ~graph:g ~times ~alloc ~procs ~cutoff with
-      | Some m' -> m <= cutoff +. 1e-9 && Float.abs (m -. m') < 1e-9
-      | None -> m > cutoff)
 
 let prop_deterministic =
   QCheck.Test.make ~name:"scheduling is deterministic" ~count:100
     (Testutil.arbitrary_dag_alloc ~procs ())
     (fun (g, alloc) ->
       let times = times_of (g, alloc) in
-      let s1 = LS.run ~graph:g ~times ~alloc ~procs in
-      let s2 = LS.run ~graph:g ~times ~alloc ~procs in
+      let s1 = LS.run ~graph:g ~times ~alloc ~procs () in
+      let s2 = LS.run ~graph:g ~times ~alloc ~procs () in
       Schedule.entries s1 = Schedule.entries s2)
 
-(* --- reference spec: the sort-based selection loop --- *)
-
-(* The mapping loop as it stood while processor selection still sorted:
-   a task takes the first [s] ids of the (avail, id) order, which are
-   copied, sorted with [Int.compare] and merged back into the rest at
-   their new availability.  The ready set is a list scanned for the
-   highest bottom level (ties: smaller id), where the schedulers use a
-   heap; both pop the same task.  [release] and [avail] give the online
-   variant; all zero, the offline one.  Returns the entries by task. *)
-let reference_entries ~graph ~times ~alloc ~procs ~release ~avail:avail0 =
-  let n = Graph.task_count graph in
-  let bl = Emts_ptg.Analysis.bottom_levels graph ~time:(fun v -> times.(v)) in
-  let indeg = Array.init n (fun v -> Array.length (Graph.preds graph v)) in
-  let data_ready = Array.copy release in
-  let avail = Array.copy avail0 in
-  let order = Array.init procs Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare avail.(a) avail.(b) in
-      if c <> 0 then c else Int.compare a b)
-    order;
-  let scratch = Array.make procs 0 in
-  let merge_front s =
-    let chosen = Array.sub order 0 s in
-    Array.sort Int.compare chosen;
-    Array.blit order s scratch 0 (procs - s);
-    let finish = avail.(chosen.(0)) in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to procs - 1 do
-      let take_chosen =
-        !j >= procs - s
-        || (!i < s
-           &&
-           let b = scratch.(!j) in
-           let c = Float.compare finish avail.(b) in
-           c < 0 || (c = 0 && chosen.(!i) < b))
-      in
-      if take_chosen then begin
-        order.(k) <- chosen.(!i);
-        incr i
-      end
-      else begin
-        order.(k) <- scratch.(!j);
-        incr j
-      end
-    done;
-    chosen
-  in
-  let ready = ref (List.filter (fun v -> indeg.(v) = 0) (List.init n Fun.id)) in
-  let entries = Array.make n None in
-  while !ready <> [] do
-    let v =
-      List.fold_left
-        (fun b v ->
-          let c = Float.compare bl.(v) bl.(b) in
-          if c > 0 || (c = 0 && v < b) then v else b)
-        (List.hd !ready) !ready
-    in
-    ready := List.filter (( <> ) v) !ready;
-    let s = alloc.(v) in
-    let start = Float.max data_ready.(v) avail.(order.(s - 1)) in
-    let finish = start +. times.(v) in
-    for k = 0 to s - 1 do
-      avail.(order.(k)) <- finish
-    done;
-    let procs = merge_front s in
-    entries.(v) <- Some { Schedule.task = v; start; finish; procs };
-    Array.iter
-      (fun w ->
-        if finish > data_ready.(w) then data_ready.(w) <- finish;
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then ready := w :: !ready)
-      (Graph.succs graph v)
-  done;
-  Array.map Option.get entries
+(* --- reference spec: [Testutil.reference_entries] --- *)
 
 let same_entries (a : Schedule.entry array) (b : Schedule.entry array) =
   let bits = Int64.bits_of_float in
@@ -379,36 +345,49 @@ let reference_instance seed =
   in
   (rng, graph, times, alloc, procs)
 
+(* Every ready-queue policy: the reference pops by the same priorities,
+   computed from [Analysis]. *)
 let prop_run_matches_reference =
   QCheck.Test.make ~name:"run == sort-based reference, daggen, 1-128 procs"
     ~count:150 QCheck.int
     (fun seed ->
-      let _, graph, times, alloc, procs = reference_instance seed in
+      let rng, graph, times, alloc, procs = reference_instance seed in
       let n = Graph.task_count graph in
-      same_entries
-        (Schedule.entries (LS.run ~graph ~times ~alloc ~procs))
-        (reference_entries ~graph ~times ~alloc ~procs
-           ~release:(Array.make n 0.) ~avail:(Array.make procs 0.)))
+      let random = Array.init n (fun _ -> Emts_prng.float rng 1.) in
+      List.for_all
+        (fun priority ->
+          same_entries
+            (Schedule.entries (LS.run ~priority ~graph ~times ~alloc ~procs ()))
+            (Testutil.reference_entries ~priority ~graph ~times ~alloc ~procs
+               ~release:(Array.make n 0.) ~avail:(Array.make procs 0.)))
+        [ LS.Bottom_level; LS.Top_level_first; LS.Static random ])
 
 (* Off-grid releases (arbitrary floats, zero for some tasks), and
-   availabilities drawn from three values so processors tie. *)
+   availabilities drawn from three levels so processors tie.  Zeros
+   come as [0.] and [-0.]: a start computed as [if dr >= a then dr else
+   a] instead of [Float.max dr a] keeps a [-0.] release against a [+0.]
+   availability. *)
 let prop_online_run_matches_reference =
   QCheck.Test.make
-    ~name:"Online_list.run == sort-based reference, releases and avail ties"
+    ~name:"release-aware run == sort-based reference, ties and -0."
     ~count:150 QCheck.int
     (fun seed ->
       let rng, graph, times, alloc, procs = reference_instance seed in
+      let zero () = if Emts_prng.bool rng then 0. else -0. in
       let release =
         Array.init (Graph.task_count graph) (fun _ ->
-            if Emts_prng.bool rng then 0. else Emts_prng.float rng 7.)
+            if Emts_prng.bool rng then zero () else Emts_prng.float rng 7.)
       in
       let levels = [| 0.; Emts_prng.float rng 3.; Emts_prng.float rng 6. |] in
-      let avail = Array.init procs (fun _ -> levels.(Emts_prng.int rng 3)) in
+      let avail =
+        Array.init procs (fun _ ->
+            match Emts_prng.int rng 3 with 0 -> zero () | k -> levels.(k))
+      in
       same_entries
         (Schedule.entries
-           (Emts_sched.Online_list.run ~graph ~times ~alloc ~procs ~release
-              ~avail))
-        (reference_entries ~graph ~times ~alloc ~procs ~release ~avail))
+           (LS.run ~release ~avail ~graph ~times ~alloc ~procs ()))
+        (Testutil.reference_entries ~priority:LS.Bottom_level ~graph ~times
+           ~alloc ~procs ~release ~avail))
 
 let () =
   Alcotest.run "list_scheduler"
@@ -429,6 +408,8 @@ let () =
           Alcotest.test_case "priority policies" `Quick test_priority_policies;
           Alcotest.test_case "heap equal priorities" `Quick
             test_heap_equal_priorities;
+          Alcotest.test_case "compromise allotment" `Quick
+            test_compromise_allotment;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -436,7 +417,6 @@ let () =
             prop_schedule_always_valid;
             prop_makespan_fast_path_agrees;
             prop_makespan_bounds;
-            prop_bounded_agrees_with_makespan;
             prop_any_priority_schedule_valid;
             prop_deterministic;
             prop_run_matches_reference;

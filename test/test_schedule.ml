@@ -328,7 +328,7 @@ let arbitrary_schedule =
           g
       in
       let times = Emts_sched.Allocation.times_of_tables alloc ~tables in
-      Emts_sched.List_scheduler.run ~graph:g ~times ~alloc ~procs:12)
+      Emts_sched.List_scheduler.run ~graph:g ~times ~alloc ~procs:12 ())
     (Testutil.arbitrary_dag_alloc ~procs:12 ())
 
 let prop_renderers_total =
@@ -350,7 +350,9 @@ let prop_allocation_round_trip =
           g
       in
       let times = Emts_sched.Allocation.times_of_tables alloc ~tables in
-      let s = Emts_sched.List_scheduler.run ~graph:g ~times ~alloc ~procs:12 in
+      let s =
+        Emts_sched.List_scheduler.run ~graph:g ~times ~alloc ~procs:12 ()
+      in
       S.allocation s = alloc)
 
 let () =

@@ -6,7 +6,7 @@ module LS = Emts_sched.List_scheduler
 
 let check_float = Alcotest.(check (float 1e-9))
 
-let schedule_of g alloc times procs = LS.run ~graph:g ~times ~alloc ~procs
+let schedule_of g alloc times procs = LS.run ~graph:g ~times ~alloc ~procs ()
 
 let diamond_setup () =
   let g = Testutil.diamond_graph () in
@@ -74,9 +74,9 @@ let test_zero_duration_reservation () =
   let times = [| 0.; 12.; 0.; 2.; 3. |] in
   let alloc = [| 1; 1; 1; 1; 1 |] in
   let schedule =
-    LS.run_prioritized
+    LS.run
       ~priority:(LS.Static [| 1.; 5.; 3.; 4.; 2. |])
-      ~graph:g ~times ~alloc ~procs:2
+      ~graph:g ~times ~alloc ~procs:2 ()
   in
   let e v = Schedule.entry schedule v in
   (* The planned shape the regression depends on — fail loudly if the
@@ -254,7 +254,7 @@ let arbitrary_sim_input =
         Emts_model.Memo.tabulate_graph Emts_model.synthetic platform g
       in
       let times = Emts_sched.Allocation.times_of_tables alloc ~tables in
-      (g, LS.run ~graph:g ~times ~alloc ~procs:16))
+      (g, LS.run ~graph:g ~times ~alloc ~procs:16 ()))
     (Testutil.arbitrary_dag_alloc ~procs:16 ())
 
 let prop_exact_replay =

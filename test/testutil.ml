@@ -110,6 +110,109 @@ let test_domains =
     | Some d when d >= 1 -> d
     | Some _ | None -> 1)
 
+(* Reference spec of the list scheduler: the mapping loop as it stood
+   while processor selection still sorted, independent of the shipped
+   kernel.  A task takes the first [s] ids of the (avail, id) order,
+   which are copied, sorted with [Int.compare] and merged back into the
+   rest at their new availability.  The ready set is a list scanned for
+   the highest priority (ties: smaller id), where the kernel uses a
+   heap; both pop the same task.  Priorities come from [Analysis], not
+   from the scheduler.  [release] and [avail] give the online variant;
+   all zero, the offline one.  Returns the entries by task. *)
+let reference_entries ~priority ~graph ~times ~alloc ~procs ~release
+    ~avail:avail0 =
+  let n = Graph.task_count graph in
+  let time v = times.(v) in
+  let prio =
+    match priority with
+    | Emts_sched.List_scheduler.Bottom_level ->
+      Emts_ptg.Analysis.bottom_levels graph ~time
+    | Top_level_first ->
+      Array.map (fun t -> -.t) (Emts_ptg.Analysis.top_levels graph ~time)
+    | Static p -> p
+  in
+  let indeg = Array.init n (fun v -> Array.length (Graph.preds graph v)) in
+  let data_ready = Array.copy release in
+  let avail = Array.copy avail0 in
+  let order = Array.init procs Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare avail.(a) avail.(b) in
+      if c <> 0 then c else Int.compare a b)
+    order;
+  let scratch = Array.make procs 0 in
+  let merge_front s =
+    let chosen = Array.sub order 0 s in
+    Array.sort Int.compare chosen;
+    Array.blit order s scratch 0 (procs - s);
+    let finish = avail.(chosen.(0)) in
+    let i = ref 0 and j = ref 0 in
+    for k = 0 to procs - 1 do
+      let take_chosen =
+        !j >= procs - s
+        || (!i < s
+           &&
+           let b = scratch.(!j) in
+           let c = Float.compare finish avail.(b) in
+           c < 0 || (c = 0 && chosen.(!i) < b))
+      in
+      if take_chosen then begin
+        order.(k) <- chosen.(!i);
+        incr i
+      end
+      else begin
+        order.(k) <- scratch.(!j);
+        incr j
+      end
+    done;
+    chosen
+  in
+  let ready = ref (List.filter (fun v -> indeg.(v) = 0) (List.init n Fun.id)) in
+  let entries = Array.make n None in
+  while !ready <> [] do
+    let v =
+      List.fold_left
+        (fun b v ->
+          let c = Float.compare prio.(v) prio.(b) in
+          if c > 0 || (c = 0 && v < b) then v else b)
+        (List.hd !ready) !ready
+    in
+    ready := List.filter (( <> ) v) !ready;
+    let s = alloc.(v) in
+    let start = Float.max data_ready.(v) avail.(order.(s - 1)) in
+    let finish = start +. times.(v) in
+    for k = 0 to s - 1 do
+      avail.(order.(k)) <- finish
+    done;
+    let procs = merge_front s in
+    entries.(v) <- Some { Emts_sched.Schedule.task = v; start; finish; procs };
+    Array.iter
+      (fun w ->
+        if finish > data_ready.(w) then data_ready.(w) <- finish;
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then ready := w :: !ready)
+      (Graph.succs graph v)
+  done;
+  Array.map Option.get entries
+
+(* The reference makespan: the largest finish, [+0.] for none; and
+   [infinity] when it exceeds [cutoff], as a bounded call rejects
+   exactly then.  Bottom-level priorities. *)
+let reference_makespan ?release ?avail ~graph ~times ~alloc ~procs ~cutoff ()
+    =
+  let zeros k = function Some a -> a | None -> Array.make k 0. in
+  let m =
+    Array.fold_left
+      (fun m (e : Emts_sched.Schedule.entry) ->
+        if e.finish > m then e.finish else m)
+      0.
+      (reference_entries ~priority:Emts_sched.List_scheduler.Bottom_level
+         ~graph ~times ~alloc ~procs
+         ~release:(zeros (Graph.task_count graph) release)
+         ~avail:(zeros procs avail))
+  in
+  if m > cutoff then infinity else m
+
 (* Bytes allocated per call of [f] over [rounds] calls, counted in
    words in a freshly spawned domain that runs only the loop: minor
    words, plus major words net of promotions (a promoted word was

@@ -33,16 +33,6 @@ let domains_arg =
            run (one persistent pool per run; results are identical for any \
            value).")
 
-let fitness_cache_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fitness-cache" ] ~docv:"CAP"
-        ~doc:
-          "Memoize fitness evaluations by allocation vector in a bounded \
-           cache of capacity $(docv) per EMTS run (0 disables).  Duplicate \
-           genomes are list-scheduled once; results are identical either \
-           way.")
-
 let journal_arg =
   Arg.(
     value
@@ -121,17 +111,11 @@ let with_journal ~journal ~resume f =
           | r -> r
           | exception Failure msg -> Error msg))
 
-(* The outcome-preserving performance knobs, as a config transform for
+(* The outcome-preserving performance knob, as a config transform for
    Emts_experiments.Figures and the direct Relative.run call sites. *)
-let tune_of ~domains ~fitness_cache =
+let tune_of ~domains =
   if domains < 1 then Error "domains must be >= 1"
-  else if fitness_cache < 0 then Error "fitness-cache must be >= 0"
-  else
-    Ok
-      (fun config ->
-        config
-        |> Emts.Algorithm.with_domains domains
-        |> Emts.Algorithm.with_fitness_cache fitness_cache)
+  else Ok (Emts.Algorithm.with_domains domains)
 
 let progress quiet =
   if quiet then fun _ -> ()
@@ -183,12 +167,11 @@ let write_csv csv groups =
     Printf.eprintf "wrote %s\n%!" path
 
 let fig4_cmd =
-  let run obs scale seed quiet csv domains fitness_cache journal resume classes
-      =
+  let run obs scale seed quiet csv domains journal resume classes =
     Obs_cli.with_obs_graceful obs @@ fun () ->
     let ( let* ) = Result.bind in
     let* counts = counts_of_scale scale in
-    let* tune = tune_of ~domains ~fitness_cache in
+    let* tune = tune_of ~domains in
     let* classes = classes_of classes in
     with_journal ~journal ~resume @@ fun journal ->
     let rng = Emts_prng.create ~seed () in
@@ -205,16 +188,15 @@ let fig4_cmd =
     Term.(
       term_result'
         (const run $ Obs_cli.term $ scale_arg $ seed_arg $ quiet_arg $ csv_arg
-       $ domains_arg $ fitness_cache_arg $ journal_arg $ resume_arg
+       $ domains_arg $ journal_arg $ resume_arg
        $ classes_arg))
 
 let fig5_cmd =
-  let run obs scale seed quiet csv domains fitness_cache journal resume classes
-      =
+  let run obs scale seed quiet csv domains journal resume classes =
     Obs_cli.with_obs_graceful obs @@ fun () ->
     let ( let* ) = Result.bind in
     let* counts = counts_of_scale scale in
-    let* tune = tune_of ~domains ~fitness_cache in
+    let* tune = tune_of ~domains in
     let* classes = classes_of classes in
     with_journal ~journal ~resume @@ fun journal ->
     let rng = Emts_prng.create ~seed () in
@@ -231,7 +213,7 @@ let fig5_cmd =
     Term.(
       term_result'
         (const run $ Obs_cli.term $ scale_arg $ seed_arg $ quiet_arg $ csv_arg
-       $ domains_arg $ fitness_cache_arg $ journal_arg $ resume_arg
+       $ domains_arg $ journal_arg $ resume_arg
        $ classes_arg))
 
 let fig6_cmd =
@@ -274,11 +256,11 @@ let fig6_cmd =
     Term.(term_result' (const run $ Obs_cli.term $ width $ svg $ seed_arg))
 
 let runtime_cmd =
-  let run obs scale seed quiet domains fitness_cache journal resume classes =
+  let run obs scale seed quiet domains journal resume classes =
     Obs_cli.with_obs_graceful obs @@ fun () ->
     let ( let* ) = Result.bind in
     let* counts = counts_of_scale scale in
-    let* tune = tune_of ~domains ~fitness_cache in
+    let* tune = tune_of ~domains in
     let* classes = classes_of classes in
     with_journal ~journal ~resume @@ fun journal ->
     let scoped label = Option.map (E.Journal.scope ~label) journal in
@@ -311,15 +293,15 @@ let runtime_cmd =
     Term.(
       term_result'
         (const run $ Obs_cli.term $ scale_arg $ seed_arg $ quiet_arg
-       $ domains_arg $ fitness_cache_arg $ journal_arg $ resume_arg
+       $ domains_arg $ journal_arg $ resume_arg
        $ classes_arg))
 
 let all_cmd =
-  let run obs scale seed quiet domains fitness_cache journal resume =
+  let run obs scale seed quiet domains journal resume =
     Obs_cli.with_obs_graceful obs @@ fun () ->
     let ( let* ) = Result.bind in
     let* counts = counts_of_scale scale in
-    let* tune = tune_of ~domains ~fitness_cache in
+    let* tune = tune_of ~domains in
     with_journal ~journal ~resume @@ fun journal ->
     let rng = Emts_prng.create ~seed () in
     print_string (E.Fig1.render ());
@@ -355,7 +337,7 @@ let all_cmd =
     Term.(
       term_result'
         (const run $ Obs_cli.term $ scale_arg $ seed_arg $ quiet_arg
-       $ domains_arg $ fitness_cache_arg $ journal_arg $ resume_arg))
+       $ domains_arg $ journal_arg $ resume_arg))
 
 let instances_arg default =
   Arg.(
@@ -386,11 +368,6 @@ let ablation_cmd =
       print_newline ();
       print_string
         (E.Ablation.render
-           ~title:"Ablation: early rejection (EMTS10; ratio must be 1.0)"
-           (E.Ablation.early_rejection ~instances ~rng ()));
-      print_newline ();
-      print_string
-        (E.Ablation.render
            ~title:"Ablation: mapping-step ready-queue priority (MCPA allocations)"
            (E.Ablation.mapping_priority ~instances ~rng ()));
       print_newline ();
@@ -405,7 +382,9 @@ let ablation_cmd =
   in
   Cmd.v
     (Cmd.info "ablation"
-       ~doc:"Seeding / crossover / early-rejection ablations (DESIGN.md §5).")
+       ~doc:
+         "Seeding / crossover / selection / mapping / monotonization \
+          ablations (DESIGN.md §5).")
     Term.(term_result' (const run $ Obs_cli.term $ instances_arg 20 $ seed_arg))
 
 let robustness_cmd =

@@ -8,7 +8,7 @@
      fixed arrival schedule of --rate per second regardless of how fast
      responses come back, against a corpus of daggen-style random PTGs,
      reporting throughput and p50/p95/p99 latency, optionally as JSON
-     (the serving benchmark writes BENCH_SERVE.json through this).
+     (--json).
 
    Fleet mode: --connect repeats.  Requests round-robin across every
    endpoint (and rotate to the next one on an overloaded retry), and
@@ -277,8 +277,8 @@ let run_hangup ~ep ~corpus ~platform ~model ~algorithm ~seed =
    to completion and reports its realised makespan against the server's
    clairvoyant lower bound.  Two sessions are driven per run — the
    Perotin–Sun baseline and the requested EMTS re-planner — so the
-   report (and BENCH_SERVE.json) carries both online/clairvoyant
-   ratios side by side. *)
+   report (and its --json form) carries both online/clairvoyant ratios
+   side by side. *)
 
 let online_default_gap ~corpus ~platform ~model =
   let ( let* ) = Result.bind in
@@ -851,8 +851,7 @@ let json_arg =
     value
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the load-run report as JSON to $(docv) \
-              (e.g. BENCH_SERVE.json).")
+        ~doc:"Write the load-run report as JSON to $(docv).")
 
 let trace_arg =
   Arg.(

@@ -2,9 +2,10 @@
 
    Speaks the length-prefixed EMTS/JSON frame protocol on both sides:
    clients connect here exactly as they would to a single daemon, and
-   schedule requests are sharded over the --backend list by rendezvous
-   hashing of the scheduling instance so each backend's per-instance
-   fitness cache stays hot.  Dead backends are detected (hangup or
+   schedule and migrate requests are sharded over the --backend list by
+   rendezvous hashing of the scheduling instance, so migrants offered
+   for an instance wait on the backend that solves it next.  Dead
+   backends are detected (hangup or
    failed health probe) and routed around; SIGINT/SIGTERM drain
    gracefully.  See DESIGN.md §16. *)
 

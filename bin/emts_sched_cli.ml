@@ -42,16 +42,6 @@ let domains_arg =
            results are identical for any value).  The workers form one \
            persistent pool per run.")
 
-let fitness_cache_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fitness-cache" ] ~docv:"CAP"
-        ~doc:
-          "Memoize fitness evaluations by allocation vector in a bounded \
-           cache of capacity $(docv) (EMTS only; 0 disables).  Duplicate \
-           genomes are list-scheduled once; results are identical either \
-           way.  65536 is a good default capacity.")
-
 let islands_arg =
   Arg.(
     value & opt int 1
@@ -135,12 +125,11 @@ let resolve_model spec =
     else Error (Printf.sprintf "unknown model %S (no such preset or file)" spec)
 
 let run obs graph_file platform_spec model_spec algorithm seed domains
-    fitness_cache islands migration_interval migration_count
+    islands migration_interval migration_count
     checkpoint checkpoint_every resume gantt csv svg =
   Obs_cli.with_obs_graceful obs @@ fun () ->
   let ( let* ) = Result.bind in
   if domains < 1 then Error "domains must be >= 1"
-  else if fitness_cache < 0 then Error "fitness-cache must be >= 0"
   else if checkpoint_every < 1 then Error "checkpoint-every must be >= 1"
   else if resume && checkpoint = None then
     Error "--resume requires --checkpoint FILE"
@@ -169,7 +158,6 @@ let run obs graph_file platform_spec model_spec algorithm seed domains
       let config =
         config
         |> Emts.Algorithm.with_domains domains
-        |> Emts.Algorithm.with_fitness_cache fitness_cache
         |> Emts.Algorithm.with_islands ~migration_interval
              ~migration_count:(min migration_count config.Emts.Algorithm.mu)
              islands
@@ -242,9 +230,8 @@ let () =
     Term.(
       term_result'
         (const run $ Obs_cli.term $ graph_arg $ platform_arg $ model_arg
-       $ algorithm_arg $ seed_arg $ domains_arg $ fitness_cache_arg
-       $ islands_arg $ migration_interval_arg
-       $ migration_count_arg $ checkpoint_arg $ checkpoint_every_arg
-       $ resume_arg $ gantt_arg $ csv_arg $ svg_arg))
+       $ algorithm_arg $ seed_arg $ domains_arg $ islands_arg
+       $ migration_interval_arg $ migration_count_arg $ checkpoint_arg
+       $ checkpoint_every_arg $ resume_arg $ gantt_arg $ csv_arg $ svg_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -55,19 +55,6 @@ let max_frame_arg =
         ~doc:"Refuse request frames whose payload exceeds $(docv) bytes \
               (checked before the payload is read).")
 
-let cache_capacity_arg =
-  Arg.(
-    value & opt int Server.default.Server.cache_capacity
-    & info [ "cache-capacity" ] ~docv:"N"
-        ~doc:"Entries in each per-instance fitness cache shared across \
-              requests; 0 disables cross-request caching.")
-
-let cache_instances_arg =
-  Arg.(
-    value & opt int Server.default.Server.cache_instances
-    & info [ "cache-instances" ] ~docv:"N"
-        ~doc:"Bound on distinct scheduling instances cached at once.")
-
 let watchdog_grace_arg =
   Arg.(
     value & opt float Server.default.Server.watchdog_grace
@@ -153,7 +140,7 @@ let gc_profile_arg =
 let parse_listen = Emts_serve.Endpoint.parse_hostport ~flag:"--listen"
 
 let run socket listen metrics_listen workers pool_domains queue_capacity
-    max_frame cache_capacity cache_instances watchdog_grace shed_budget
+    max_frame watchdog_grace shed_budget
     no_steal fault_plan metrics_json trace flight gc_profile =
   let ( let* ) = Result.bind in
   let* tcp =
@@ -177,8 +164,6 @@ let run socket listen metrics_listen workers pool_domains queue_capacity
       pool_domains;
       queue_capacity;
       max_frame;
-      cache_capacity;
-      cache_instances;
       watchdog_grace;
       shed_budget;
       steal = not no_steal;
@@ -266,8 +251,7 @@ let () =
       term_result'
         (const run $ socket_arg $ listen_arg $ metrics_listen_arg
        $ workers_arg $ pool_domains_arg $ queue_arg $ max_frame_arg
-       $ cache_capacity_arg $ cache_instances_arg $ watchdog_grace_arg
-       $ shed_budget_arg $ no_steal_arg $ fault_plan_arg $ metrics_json_arg
-       $ trace_arg $ flight_arg $ gc_profile_arg))
+       $ watchdog_grace_arg $ shed_budget_arg $ no_steal_arg $ fault_plan_arg
+       $ metrics_json_arg $ trace_arg $ flight_arg $ gc_profile_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -8,7 +8,8 @@
     scenarios ({!Gen}), checks them against an oracle registry
     ({!Oracle}), minimises failures ({!Shrink}) and persists them as
     replayable repro files ({!Corpus}); {!Fuzz} is the driver behind
-    the [emts-fuzz] binary. *)
+    the [emts-fuzz] binary.  {!Reference} runs EMTS without early
+    rejection, the answer the optimised run must reproduce. *)
 
 module Scenario = Scenario
 module Gen = Gen
@@ -16,3 +17,4 @@ module Oracle = Oracle
 module Shrink = Shrink
 module Corpus = Corpus
 module Fuzz = Fuzz
+module Reference = Reference

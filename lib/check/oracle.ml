@@ -28,7 +28,7 @@ let ctx_of (s : Scenario.t) =
     ~platform:(Scenario.platform s) ~graph:s.Scenario.graph
 
 (* A small-but-real EMTS: enough generations for mutation, selection,
-   caching and checkpointing to all fire, cheap enough to run on every
+   rejection and checkpointing to all fire, cheap enough to run on every
    scenario. *)
 let mini_config = { Alg.emts5 with Alg.mu = 3; lambda = 8; generations = 3 }
 
@@ -274,17 +274,18 @@ let check_determinism (s : Scenario.t) =
       base
       (summarize (run (Alg.with_domains 2 mini_config)))
   in
+  (* Early rejection is on under Plus selection; the reference run
+     without any cutoff must follow the same trajectory. *)
   let* () =
-    summaries_agree ~label:"fitness-cache"
-      base
-      (summarize (run (Alg.with_fitness_cache 512 mini_config)))
-  in
-  (* Early rejection is on by default; running without it must not
-     change the trajectory. *)
-  let* () =
-    summaries_agree ~label:"early-reject"
-      base
-      (summarize (run { mini_config with Alg.early_reject = false }))
+    let r =
+      Reference.emts ~rng:(Emts_prng.create ~seed ()) ~config:mini_config ~ctx
+    in
+    summaries_agree ~label:"early-reject" base
+      {
+        makespan = r.Emts_ea.best_fitness;
+        alloc = r.Emts_ea.best;
+        history = r.Emts_ea.history;
+      }
   in
   (* Interrupt after k generations, resume from the checkpoint: the
      stitched run must equal the uninterrupted one bit for bit. *)
@@ -313,8 +314,7 @@ let check_determinism (s : Scenario.t) =
     match Scenario.serve_model_spec s with
     | None -> Ok ()
     | Some model_spec -> (
-      let caches = Engine.caches ~capacity:256 ~max_instances:4 in
-      let engine = Engine.create ~caches () in
+      let engine = Engine.create ~migrants:(Engine.migrants ()) () in
       Fun.protect
         ~finally:(fun () -> Engine.shutdown engine)
         (fun () ->
@@ -1332,11 +1332,9 @@ let check_list_fold f init xs =
 
 (* Drive one controller through the trace, checking prefix stability at
    every step; returns the session and its final commitment log. *)
-let online_run_trace (s : Scenario.t) ~replanner ~noise ~domains ~islands
-    ~fitness_cache =
+let online_run_trace (s : Scenario.t) ~replanner ~noise ~domains ~islands =
   let cfg =
-    Online.config ~replanner ~seed:s.Scenario.seed ~domains ~islands
-      ?fitness_cache ~noise
+    Online.config ~replanner ~seed:s.Scenario.seed ~domains ~islands ~noise
       ~platform:(Scenario.platform s) ~model:(Scenario.model s) ()
   in
   let t = Online.create cfg in
@@ -1418,7 +1416,6 @@ let online_logs_eq ~label a b =
 let check_online (s : Scenario.t) =
   let base ~replanner ~noise =
     online_run_trace s ~replanner ~noise ~domains:1 ~islands:1
-      ~fitness_cache:None
   in
   (* Baseline re-planner, exact durations. *)
   let* t, log = base ~replanner:Online.Baseline ~noise:Emts_simulator.Noise.none in
@@ -1452,28 +1449,21 @@ let check_online (s : Scenario.t) =
   (* EMTS re-planning: determinism across the full matrix.  Each run
      must commit bit-identically to the single-domain reference. *)
   let emts = Online.Emts { mu = 2; lambda = 6; generations = 2 } in
-  let emts_run ~domains ~islands ~fitness_cache =
+  let emts_run ~domains ~islands =
     online_run_trace s ~replanner:emts ~noise:Emts_simulator.Noise.none
-      ~domains ~islands ~fitness_cache
+      ~domains ~islands
   in
   (* islands change the search trajectory (a different algorithm), so
      each island count gets its own single-domain reference; domains
-     and the cache must never change anything. *)
-  let* _, ref1 = emts_run ~domains:1 ~islands:1 ~fitness_cache:None in
-  let* _, ref2 = emts_run ~domains:1 ~islands:2 ~fitness_cache:None in
-  let matrix =
-    [
-      ("domains=2", ref1, (2, 1, None));
-      ("fitness_cache", ref1, (1, 1, Some 256));
-      ("islands=2+domains=2+cache", ref2, (2, 2, Some 256));
-    ]
-  in
+     must never change anything. *)
+  let* _, ref1 = emts_run ~domains:1 ~islands:1 in
+  let* _, ref2 = emts_run ~domains:1 ~islands:2 in
   let* () =
     check_list
-      (fun (label, ref_log, (domains, islands, fitness_cache)) ->
-        let* _, log = emts_run ~domains ~islands ~fitness_cache in
+      (fun (label, ref_log, (domains, islands)) ->
+        let* _, log = emts_run ~domains ~islands in
         online_logs_eq ~label ref_log log)
-      matrix
+      [ ("domains=2", ref1, (2, 1)); ("islands=2+domains=2", ref2, (2, 2)) ]
   in
   (* Drift leg: every task only ever runs slower, so the bound stays
      valid while (almost) every commit drifts and forces a re-plan. *)
@@ -1507,8 +1497,9 @@ let all =
     {
       name = "determinism";
       doc =
-        "one seed, one result: domains, fitness cache, early reject, \
-         checkpoint/resume and the serve engine all agree bit for bit";
+        "one seed, one result: domains, early reject (against a run \
+         without cutoff), checkpoint/resume and the serve engine all \
+         agree bit for bit";
       check = check_determinism;
     };
     {
@@ -1554,8 +1545,8 @@ let all =
          never move, the merged realised schedule validates at or \
          above the clairvoyant lower bound, zero-noise plans replay \
          exactly, changeless re-plans are no-ops, and commitment logs \
-         are bit-identical across domains x islands x cache and under \
-         seeded slowdown noise";
+         are bit-identical across domains x islands and under seeded \
+         slowdown noise";
       check = check_online;
     };
   ]

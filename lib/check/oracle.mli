@@ -14,9 +14,9 @@
       every list schedule exactly (start times, finish times,
       processor sets, makespan);
     - [determinism] — the same seed yields bit-identical results
-      across worker domains, the fitness cache, early rejection,
-      checkpoint/resume at any generation, and the serve {!Engine}
-      path;
+      across worker domains, early rejection (against
+      {!Reference.emts}, which runs without a cutoff), checkpoint/resume
+      at any generation, and the serve {!Engine} path;
     - [wire] — random and bit-flipped frames against a live
       {!Emts_serve} daemon only ever produce typed errors or clean
       closes, and the daemon stays alive;
@@ -42,8 +42,8 @@
       makespan never beats the certified clairvoyant lower bound,
       zero-noise plans commit exactly as planned, re-planning a
       changeless state is a no-op, and commitment logs are
-      bit-identical across worker domains, islands, the fitness cache
-      and repeated noisy runs. *)
+      bit-identical across worker domains, islands and repeated noisy
+      runs. *)
 
 type t = {
   name : string;

@@ -18,8 +18,6 @@ type config = {
   recombination : (Recombination.kind * float) option;
   selection : Emts_ea.selection;
   adaptive_sigma : bool;
-  early_reject : bool;
-  fitness_cache : int option;
   islands : int;
   migration_interval : int;
   migration_count : int;
@@ -45,8 +43,6 @@ let emts5 =
     recombination = None;
     selection = Emts_ea.Plus;
     adaptive_sigma = false;
-    early_reject = true;
-    fitness_cache = None;
     islands = 1;
     migration_interval = 5;
     migration_count = 1;
@@ -69,11 +65,6 @@ let with_domains domains config =
   if domains < 1 then invalid_arg "Emts.with_domains: domains must be >= 1";
   { config with domains }
 
-let with_fitness_cache capacity config =
-  if capacity < 0 then
-    invalid_arg "Emts.with_fitness_cache: capacity must be >= 0";
-  { config with fitness_cache = (if capacity = 0 then None else Some capacity) }
-
 type result = {
   alloc : Emts_sched.Allocation.t;
   makespan : float;
@@ -92,16 +83,12 @@ let schedule_allocation ~ctx alloc =
 let allocation_codec : Emts_sched.Allocation.t Emts_ea.codec =
   Emts_ea.int_array_codec
 
-let run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?(resume = false)
+let run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?(resume = false)
     ?(extra_seeds = []) ~config ~ctx () =
   if Emts_ptg.Graph.task_count ctx.Common.graph = 0 then
     invalid_arg "Emts.run: empty graph";
   if resume && Option.is_none checkpoint then
     invalid_arg "Emts.run: resume requires a checkpoint path";
-  if config.selection = Emts_ea.Comma && config.early_reject then
-    invalid_arg
-      "Emts.run: early_reject requires Plus selection (rejected offspring \
-       could survive under Comma)";
   let rng = match rng with Some r -> r | None -> Emts_prng.create () in
   Emts_obs.Trace.span "emts.run_ctx"
     ~args:
@@ -127,85 +114,32 @@ let run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?(resume = false)
         && Array.for_all (fun p -> p >= 1 && p <= ctx.Common.procs) a)
       extra_seeds
   in
-  (* Early rejection (paper conclusion): the cutoff is the WORST
-     fitness among the previous generation's survivors — an offspring
-     scoring strictly above it can never enter the population (the mu
-     parents themselves outrank it, and ties favour the older
-     individual), so rejection cannot change any outcome.  The cutoff is
-     refreshed between generations only, so parallel evaluation stays
-     deterministic.  Written by [on_generation] on the main domain and
-     read by fitness calls on worker domains, hence an [Atomic.t]. *)
+  (* Early rejection (paper conclusion): under Plus selection the
+     cutoff is the WORST fitness among the previous generation's
+     survivors — an offspring scoring strictly above it can never enter
+     the population (the mu parents themselves outrank it, and ties
+     favour the older individual), so rejection cannot change any
+     outcome.  Under Comma the parents do not survive, so the cutoff
+     stays at [infinity].  It is refreshed between generations only, so
+     parallel evaluation stays deterministic.  Written by
+     [on_generation] on the main domain and read by fitness calls on
+     worker domains, hence an [Atomic.t]. *)
   let cutoff = Atomic.make infinity in
+  let plus = config.selection = Emts_ea.Plus in
   (* The per-domain evaluator computes the makespan on preallocated
-     scratch, allocating nothing in steady state.  Rejection comes back
-     as [infinity] plus a flag instead of an option, so this path builds
-     no intermediate values at all. *)
-  let makespan alloc cutoff_now =
-    let ev = Emts_pool.Local.get evaluator_slot in
-    Emts_sched.Evaluator.makespan ev ~graph:ctx.Common.graph
-      ~tables:ctx.Common.tables ~procs:ctx.Common.procs ~alloc
-      ~cutoff:(if config.early_reject then cutoff_now else infinity)
-      ()
-  in
-  let rejected () =
-    Emts_sched.Evaluator.last_rejected (Emts_pool.Local.get evaluator_slot)
-  in
-  (* Evaluate one allocation under [cutoff_now], returning the fitness
-     together with the cache entry that records it.  A rejection stores
-     the rejecting cutoff, not a bare [infinity]: the rejection is only
-     reusable while the cutoff stays at or below it. *)
-  let evaluate alloc cutoff_now =
-    let m = makespan alloc cutoff_now in
-    if rejected () then begin
-      Emts_obs.Metrics.incr m_early_reject_hits;
-      (infinity, Emts_pool.Cache.Rejected_above cutoff_now)
-    end
-    else begin
-      if config.early_reject then Emts_obs.Metrics.incr m_early_reject_misses;
-      (m, Emts_pool.Cache.Known m)
-    end
-  in
-  let cache =
-    (* An externally supplied cache (the serving layer shares one per
-       scheduling instance across requests) takes precedence over the
-       per-run capacity setting. *)
-    match cache with
-    | Some _ -> cache
-    | None ->
-      Option.map
-        (fun capacity -> Emts_pool.Cache.create ~capacity)
-        config.fitness_cache
-  in
-  (* [Seeding.collect] just list-scheduled every heuristic allocation,
-     and the EA immediately re-evaluates those same vectors for its
-     initial population: seed the cache so the recomputation is a hit.
-     Identical scheduler, identical inputs, so the cached float is the
-     one [evaluate] would produce. *)
-  (match cache with
-  | None -> ()
-  | Some cache ->
-    List.iter
-      (fun (s : Seeding.seed) ->
-        Emts_pool.Cache.store cache s.alloc (Emts_pool.Cache.Known s.makespan))
-      seeds);
+     scratch, allocating nothing in steady state; a rejection comes
+     back as [infinity] plus a flag instead of an option. *)
   let fitness alloc =
-    let c = Atomic.get cutoff in
-    match cache with
-    | None ->
-      (* Hot path: no cache, no tuple, no option — zero steady-state
-         allocation end to end. *)
-      let m = makespan alloc c in
-      if config.early_reject then
-        Emts_obs.Metrics.incr
-          (if rejected () then m_early_reject_hits else m_early_reject_misses);
-      m
-    | Some cache -> (
-      match Emts_pool.Cache.find cache alloc ~cutoff:c with
-      | Some v -> v
-      | None ->
-        let v, entry = evaluate alloc c in
-        Emts_pool.Cache.store cache alloc entry;
-        v)
+    let ev = Emts_pool.Local.get evaluator_slot in
+    let m =
+      Emts_sched.Evaluator.makespan ev ~graph:ctx.Common.graph
+        ~tables:ctx.Common.tables ~procs:ctx.Common.procs ~alloc
+        ~cutoff:(Atomic.get cutoff) ()
+    in
+    Emts_obs.Metrics.incr
+      (if Emts_sched.Evaluator.last_rejected ev then m_early_reject_hits
+       else m_early_reject_misses);
+    m
   in
   (* 1/5-rule step-size adaptation (optional): scale both sigmas by a
      factor updated from the fraction of fresh survivors.  Same
@@ -249,7 +183,7 @@ let run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?(resume = false)
      restored history through it, so [cutoff] and [sigma_scale] are
      rebuilt exactly before the first resumed generation runs. *)
   let on_generation stats =
-    Atomic.set cutoff stats.Emts_ea.worst;
+    if plus then Atomic.set cutoff stats.Emts_ea.worst;
     if config.adaptive_sigma && stats.Emts_ea.generation >= 1 then begin
       let success =
         float_of_int stats.Emts_ea.fresh_survivors /. float_of_int config.mu
@@ -297,7 +231,7 @@ let run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?(resume = false)
     ea;
   }
 
-let run ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?resume ~config ~model
+let run ?rng ?stop ?deadline ?pool ?checkpoint ?resume ~config ~model
     ~platform ~graph () =
   let ctx = Common.make_ctx ~model ~platform ~graph in
-  run_ctx ?rng ?stop ?deadline ?cache ?pool ?checkpoint ?resume ~config ~ctx ()
+  run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?resume ~config ~ctx ()

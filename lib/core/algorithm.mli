@@ -23,11 +23,19 @@ type config = {
           the paper's mutation-only strategy.  See {!Recombination}. *)
   selection : Emts_ea.selection;
       (** survivor selection; the paper's choice (and default) is the
-          elitist [Plus] strategy.  [Comma] exists for the selection
-          ablation and is incompatible with [early_reject] (the
-          rejection proof relies on parents surviving) — {!run} raises
-          [Invalid_argument] on that combination, so a [Comma] config
-          must set [early_reject = false]. *)
+          elitist [Plus] strategy, which also turns on the rejection
+          strategy from the paper's conclusion: a fitness evaluation is
+          abandoned as soon as the partial schedule proves the makespan
+          exceeds the worst surviving makespan of the previous
+          generation (the evaluator also rejects on a certified
+          critical-path bound, see {!Emts_sched.Evaluator.makespan}).
+          Pure optimisation — the selected survivors are provably
+          unchanged (a rejected individual scores above every current
+          parent and ties break toward the older individual, so it
+          could never have been selected); [test_emts] checks it against
+          a run without any cutoff.  [Comma] exists for the selection
+          ablation; its parents do not survive, so it evaluates every
+          offspring in full. *)
   adaptive_sigma : bool;
       (** Rechenberg's 1/5 success rule applied to the mutation sigmas
           (the "different evolutionary methods" the paper's conclusion
@@ -36,28 +44,6 @@ type config = {
           (x1.22), otherwise it shrinks (/1.22), clamped to
           [0.1x, 10x] of the configured sigmas.  Default [false] — the
           paper's fixed-sigma operator. *)
-  early_reject : bool;
-      (** the rejection strategy from the paper's conclusion: abandon a
-          fitness evaluation as soon as the partial schedule proves the
-          makespan exceeds the worst surviving makespan of the previous
-          generation (the evaluator also rejects on a certified
-          critical-path bound, see {!Emts_sched.Evaluator.makespan}).
-          Pure optimisation — the selected survivors are provably
-          unchanged (a rejected individual scores above every current
-          parent and ties break toward the older individual, so it could
-          never have been selected); property-tested in [test_emts].
-          Default [true] in every preset; [Comma] selection needs
-          [false]. *)
-  fitness_cache : int option;
-      (** when [Some capacity], memoize fitness evaluations by
-          allocation vector in an {!Emts_pool.Cache} of at most
-          [capacity] entries: duplicate genomes — frequent under (μ+λ)
-          selection with seeded starts — are list-scheduled once.  Pure
-          optimisation, bit-identical results (property-tested),
-          including under [early_reject]: a rejected evaluation is
-          cached together with its rejecting cutoff and only reused
-          while the current cutoff is at or below it.  Default [None]
-          (off). *)
   islands : int;
       (** island-model sub-populations, [>= 1]; default 1 (plain
           (μ+λ), bit-identical to earlier releases).  With [k > 1] the
@@ -75,8 +61,8 @@ type config = {
 
 val emts5 : config
 (** The paper's EMTS5: a (5+25)-EA over 5 generations (125 offspring
-    evaluations), default mutation, default seeds, sequential, early
-    rejection on. *)
+    evaluations), default mutation, default seeds, sequential, Plus
+    selection (so early rejection on). *)
 
 val emts10 : config
 (** The paper's EMTS10: a (10+100)-EA over 10 generations (1000
@@ -96,12 +82,6 @@ val with_islands :
 val with_domains : int -> config -> config
 (** Enable parallel fitness evaluation (identical results). *)
 
-val with_fitness_cache : int -> config -> config
-(** [with_fitness_cache capacity config] enables the fitness
-    memoization cache with the given capacity; [0] disables it
-    (identical results either way).  Raises [Invalid_argument] on a
-    negative capacity. *)
-
 type result = {
   alloc : Emts_sched.Allocation.t;   (** best allocation found *)
   makespan : float;                  (** its list-scheduled makespan *)
@@ -117,7 +97,6 @@ val run :
   ?rng:Emts_prng.t ->
   ?stop:(unit -> bool) ->
   ?deadline:float ->
-  ?cache:Emts_pool.Cache.t ->
   ?pool:Emts_pool.t ->
   ?checkpoint:string * int ->
   ?resume:bool ->
@@ -139,10 +118,6 @@ val run :
       first generation ending past it and the best-so-far allocation is
       returned.  The serving layer sets it from the request's arrival
       time, so queue wait counts against the latency budget.
-    - [cache] supplies an external fitness cache shared across runs of
-      the {e same} scheduling instance (graph, platform, model); it
-      overrides [config.fitness_cache].  Sharing a cache between
-      different instances is unsound — keys are allocation vectors.
     - [pool] evaluates fitness through a persistent caller-owned worker
       pool instead of spawning one per run (see {!Emts_ea.run});
       [config.domains] is then ignored.
@@ -155,8 +130,8 @@ val run :
       {!Emts_ea.checkpoint}).
     - [resume:true] (requires [checkpoint], else [Invalid_argument])
       restores [path] and continues — bit-identical to the
-      uninterrupted run under any [domains] / [fitness_cache] /
-      [early_reject] / [adaptive_sigma] setting, because the restored
+      uninterrupted run under any [domains] / [selection] /
+      [adaptive_sigma] setting, because the restored
       generation history is replayed through the internal adaptive
       state.  A missing checkpoint file falls back to a fresh run; a
       corrupt file or config mismatch raises [Failure] with a one-line
@@ -166,7 +141,6 @@ val run_ctx :
   ?rng:Emts_prng.t ->
   ?stop:(unit -> bool) ->
   ?deadline:float ->
-  ?cache:Emts_pool.Cache.t ->
   ?pool:Emts_pool.t ->
   ?checkpoint:string * int ->
   ?resume:bool ->

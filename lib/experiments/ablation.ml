@@ -87,26 +87,12 @@ let crossover ?(instances = default_instances) ~rng () =
         ("crossover: level-aware", with_kind Emts.Recombination.Level_aware);
       ]
 
-let early_rejection ?(instances = default_instances) ~rng () =
-  paired ~instances ~rng
-    ~baseline:{ Emts.Algorithm.emts10 with early_reject = false }
-    ~variants:
-      [
-        ( "early rejection on",
-          { Emts.Algorithm.emts10 with early_reject = true } );
-      ]
-
 let selection ?(instances = default_instances) ~rng () =
   paired ~instances ~rng ~baseline:Emts.Algorithm.emts5
     ~variants:
       [
-        (* rejection relies on parents surviving, so Comma runs without *)
         ( "comma selection",
-          {
-            Emts.Algorithm.emts5 with
-            selection = Emts_ea.Comma;
-            early_reject = false;
-          } );
+          { Emts.Algorithm.emts5 with selection = Emts_ea.Comma } );
         ( "adaptive sigma (1/5 rule)",
           { Emts.Algorithm.emts5 with adaptive_sigma = true } );
       ]

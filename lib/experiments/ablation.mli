@@ -1,13 +1,16 @@
 (** Ablation experiments for EMTS's design decisions (DESIGN.md §5;
     extensions beyond the paper's own evaluation).
 
-    Three claims from the paper are tested head-on:
+    Two claims from the paper are tested head-on:
 
     + seeding the EA with heuristic solutions matters (Section III-B);
     + a mutation-only strategy is sufficient — recombination does not
-      buy a significant improvement at equal budget (Section III-C);
-    + the rejection strategy sketched in the conclusion accelerates
-      fitness evaluation without changing results.
+      buy a significant improvement at equal budget (Section III-C).
+
+    The third, that the rejection strategy sketched in the conclusion
+    changes no result, is checked against a run without any cutoff
+    ([test_emts], and at this module's instance scale in
+    [test_experiments]), not an ablation.
 
     Every variant runs on the same PTG instances with split random
     streams, so comparisons are paired. *)
@@ -35,15 +38,6 @@ val crossover :
   row list
 (** Baseline: mutation-only EMTS5.  Variants: uniform, one-point and
     level-aware recombination at rate 0.5, same budget. *)
-
-val early_rejection :
-  ?instances:int ->
-  rng:Emts_prng.t ->
-  unit ->
-  row list
-(** Baseline: EMTS10 without rejection.  Variant: with rejection.  The
-    ratio must be exactly 1 (same survivors); the interesting column is
-    the runtime. *)
 
 val selection :
   ?instances:int ->

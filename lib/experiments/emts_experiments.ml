@@ -17,9 +17,9 @@ module Walltime = Walltime
 (** One-call drivers for the composite figures.
 
     [tune] post-processes the EMTS configuration before each campaign —
-    the hook the CLIs use for [--domains] and [--fitness-cache].  It
-    must stay outcome-preserving (both of those flags are) for the
-    rendered figures to match the paper.
+    the hook the CLIs use for [--domains].  It must stay
+    outcome-preserving (that flag is) for the rendered figures to match
+    the paper.
 
     [journal] is the crash-safety hook: each driver scopes the shared
     {!Journal.t} per campaign (["fig4"], ["fig5-top"], ["fig5-bottom"])

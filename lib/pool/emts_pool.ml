@@ -225,65 +225,3 @@ module Local = struct
   let key init = Domain.DLS.new_key init
   let get k = Domain.DLS.get k
 end
-
-module Cache = struct
-  let m_hits = Emts_obs.Metrics.counter "ea.cache.hits"
-  let m_misses = Emts_obs.Metrics.counter "ea.cache.misses"
-
-  (* [Hashtbl.hash] folds only a bounded prefix of an array, which would
-     collide badly on long allocation vectors differing near the end;
-     hash every element (FNV-1a over the ints). *)
-  module Tbl = Hashtbl.Make (struct
-    type t = int array
-
-    let equal = Stdlib.( = )
-
-    let hash a =
-      let h = ref 0x811c9dc5 in
-      Array.iter (fun x -> h := (!h lxor x) * 0x01000193 land max_int) a;
-      !h
-  end)
-
-  type entry = Known of float | Rejected_above of float
-
-  type t = { table : entry Tbl.t; cap : int; lock : Mutex.t }
-
-  let create ~capacity =
-    if capacity < 1 then
-      invalid_arg "Emts_pool.Cache.create: capacity must be >= 1";
-    { table = Tbl.create (min capacity 1024); cap = capacity; lock = Mutex.create () }
-
-  let capacity t = t.cap
-
-  let find t key ~cutoff =
-    Mutex.lock t.lock;
-    let entry = Tbl.find_opt t.table key in
-    Mutex.unlock t.lock;
-    match entry with
-    | Some (Known v) ->
-      Emts_obs.Metrics.incr m_hits;
-      Some v
-    | Some (Rejected_above c) when cutoff <= c ->
-      (* The true makespan exceeds [c] >= the current cutoff, so this
-         genome would be rejected again: reuse the rejection. *)
-      Emts_obs.Metrics.incr m_hits;
-      Some infinity
-    | Some (Rejected_above _) | None ->
-      (* Either unknown, or rejected under a stricter cutoff than the
-         current one — it might complete now, so re-evaluate. *)
-      Emts_obs.Metrics.incr m_misses;
-      None
-
-  let store t key entry =
-    Mutex.lock t.lock;
-    if Tbl.length t.table >= t.cap && not (Tbl.mem t.table key) then
-      Tbl.reset t.table;
-    Tbl.replace t.table (Array.copy key) entry;
-    Mutex.unlock t.lock
-
-  let length t =
-    Mutex.lock t.lock;
-    let n = Tbl.length t.table in
-    Mutex.unlock t.lock;
-    n
-end

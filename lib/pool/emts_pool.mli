@@ -1,24 +1,17 @@
-(** Persistent worker-domain pool and fitness memoization cache.
+(** Persistent worker-domain pool.
 
     The EA spends essentially all of its runtime in fitness evaluation
-    (one list schedule per offspring).  This module provides the two
-    throughput layers underneath {!Emts_ea}:
+    (one list schedule per offspring).  This module is the throughput
+    layer underneath {!Emts_ea}: a pool of worker domains created once
+    per run instead of once per generation, fed by dynamic chunked work
+    distribution (an atomic claim index), with results landing by item
+    index so the outcome is bit-identical to sequential evaluation
+    regardless of worker count or scheduling.
 
-    - a {b pool} of worker domains created once per run instead of once
-      per generation, fed by dynamic chunked work distribution (an
-      atomic claim index), with results landing by item index so the
-      outcome is bit-identical to sequential evaluation regardless of
-      worker count or scheduling;
-    - a {b cache} memoizing fitness values by allocation vector, so
-      duplicate genomes — common under (μ+λ) selection with seeded
-      starts — are scheduled once.
-
-    Both layers are strictly outcome-preserving: they may only change
-    how fast a result is obtained, never which result.  Observability:
-    the pool bumps the [pool.jobs] / [pool.chunks] / [pool.steals]
-    counters and emits one trace span per worker per job on a stable
-    per-worker-slot lane ([tid = slot + 1]); the cache bumps
-    [ea.cache.hits] / [ea.cache.misses]. *)
+    The pool may only change how fast a result is obtained, never which
+    result.  Observability: it bumps the [pool.jobs] / [pool.chunks] /
+    [pool.steals] counters and emits one trace span per worker per job
+    on a stable per-worker-slot lane ([tid = slot + 1]). *)
 
 type t
 (** A pool handle.  Owned by the domain that created it: only that
@@ -84,51 +77,4 @@ module Local : sig
 
   val get : 'a key -> 'a
   (** This domain's value, creating it with [init] if absent. *)
-end
-
-(** Fitness memoization keyed by allocation vector.
-
-    Entries are {e cutoff-aware} so the cache composes correctly with
-    the early-rejection fitness mode ({!Emts.Algorithm}): a completed
-    schedule stores its true makespan ([Known m], reusable under any
-    cutoff), while a rejection records the cutoff it was rejected at
-    ([Rejected_above c], i.e. the true makespan exceeds [c]).  A
-    rejected entry only answers lookups whose current cutoff is [<= c]
-    — a laxer cutoff could let the same genome complete with a finite
-    makespan, so it must be re-evaluated (and the entry is then
-    upgraded in place).
-
-    The table is domain-safe (a mutex guards lookups and stores; the
-    critical section is tiny next to a list-schedule evaluation) and
-    capacity-bounded: inserting a fresh key into a full cache flushes
-    the table, so memory stays bounded without bookkeeping on the hit
-    path.  Keys are copied on store; callers must not mutate an array
-    between {!find} and {!store}. *)
-module Cache : sig
-  type entry =
-    | Known of float
-        (** the genome's exact fitness (completed schedule) *)
-    | Rejected_above of float
-        (** evaluation was cut off at this cutoff: the true makespan is
-            strictly greater than it *)
-
-  type t
-
-  val create : capacity:int -> t
-  (** Raises [Invalid_argument] if [capacity < 1]. *)
-
-  val capacity : t -> int
-
-  val find : t -> int array -> cutoff:float -> float option
-  (** [find t key ~cutoff] is [Some fitness] when the cache can answer
-      under the current [cutoff] ([Some infinity] for a reusable
-      rejection), [None] otherwise.  Bumps [ea.cache.hits] or
-      [ea.cache.misses]. *)
-
-  val store : t -> int array -> entry -> unit
-  (** Record (or upgrade) the entry for [key].  The key array is
-      copied. *)
-
-  val length : t -> int
-  (** Number of entries currently held ([<= capacity]). *)
 end

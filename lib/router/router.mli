@@ -8,8 +8,9 @@
     {e rendezvous (highest-random-weight) hashing} of the scheduling
     instance key — the verbatim (ptg, platform, model) triple — over
     the currently-ready backends: each instance has a stable home
-    backend, so that backend's per-instance fitness cache stays hot,
-    and removing one backend reassigns only that backend's instances.
+    backend, so migrants offered for an instance wait on the backend
+    that solves it next, and removing one backend reassigns only that
+    backend's instances.
 
     {b Failover.}  A transport failure marks the backend dead and the
     request is retried on the next backend in the instance's

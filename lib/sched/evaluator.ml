@@ -75,16 +75,12 @@ let m_scheduled = Emts_obs.Metrics.counter "sched.delta.scheduled_steps"
 let m_rejections = Emts_obs.Metrics.counter "sched.delta.cutoff_rejections"
 
 (* [List_scheduler]'s calls, offline and online.  Each call flushes once,
-   and only when collection is enabled.  [sched.cutoff_rejections]
-   counted the rejections of a bounded list-scheduler call, which no
-   longer exists; it stays registered, at 0, so the metric set is
-   unchanged ([sched.delta.cutoff_rejections] counts every rejection). *)
+   and only when collection is enabled. *)
 let m_runs = Emts_obs.Metrics.counter "sched.runs"
 let m_tasks = Emts_obs.Metrics.counter "sched.tasks_scheduled"
 let m_ready_pushes = Emts_obs.Metrics.counter "sched.ready_pushes"
 let m_ready_pops = Emts_obs.Metrics.counter "sched.ready_pops"
 let m_proc_limited = Emts_obs.Metrics.counter "sched.proc_limited_starts"
-let _m_cutoff_rejections = Emts_obs.Metrics.counter "sched.cutoff_rejections"
 let m_online_runs = Emts_obs.Metrics.counter "sched.online.runs"
 let m_online_tasks = Emts_obs.Metrics.counter "sched.online.tasks_scheduled"
 

@@ -1,47 +1,14 @@
-let m_cache_instances = Emts_obs.Metrics.gauge "serve.cache_instances"
-
-(* One fitness cache per scheduling instance.  Keys are the verbatim
-   (ptg, platform, model) request fields: two requests share a cache
-   only when their instances are byte-identical, which is exactly the
-   condition under which allocation-vector-keyed memoization is sound.
-   The algorithm and seed deliberately do not participate — any EMTS
-   variant on the same instance computes the same fitness function. *)
-type caches = {
-  lock : Mutex.t;
-  table : (string, Emts_pool.Cache.t) Hashtbl.t;
-  capacity : int;
-  max_instances : int;
-  (* Migrant allocations offered by fleet peers ([migrate] verb),
-     buffered per instance until the next solve of that instance drains
-     them as extra seeds.  Guarded by [lock]; bounded both per instance
-     ([max_migrants_per_instance], newest kept) and across instances
-     (flush-on-full, mirroring [table]). *)
-  migrants : (string, int array list) Hashtbl.t;
-}
+(* Migrant allocations offered by fleet peers ([migrate] verb), buffered
+   per scheduling instance until the next solve of that instance drains
+   them as extra seeds.  Keys are the verbatim (ptg, platform, model)
+   request fields.  Bounded both per instance
+   ([max_migrants_per_instance], newest kept) and across instances
+   (flush-on-full). *)
+type migrants = { lock : Mutex.t; table : (string, int array list) Hashtbl.t }
 
 let max_migrants_per_instance = 64
 
-let caches ~capacity ~max_instances =
-  if capacity < 0 then
-    invalid_arg "Emts_serve.Engine.caches: capacity must be >= 0";
-  if capacity > 0 && max_instances < 1 then
-    invalid_arg "Emts_serve.Engine.caches: max_instances must be >= 1";
-  {
-    lock = Mutex.create ();
-    table = Hashtbl.create 16;
-    capacity;
-    max_instances;
-    migrants = Hashtbl.create 16;
-  }
-
-let cache_instances c =
-  Mutex.lock c.lock;
-  let n = Hashtbl.length c.table in
-  Mutex.unlock c.lock;
-  n
-
-let instance_key (req : Protocol.Request.schedule) =
-  String.concat "\x01" [ req.ptg; req.platform; req.model ]
+let migrants () = { lock = Mutex.create (); table = Hashtbl.create 16 }
 
 let migrant_key ~ptg ~platform ~model =
   String.concat "\x01" [ ptg; platform; model ]
@@ -52,15 +19,13 @@ let offer_migrants c ~ptg ~platform ~model vectors =
   | _ ->
     let key = migrant_key ~ptg ~platform ~model in
     Mutex.lock c.lock;
-    let existing =
-      Option.value ~default:[] (Hashtbl.find_opt c.migrants key)
-    in
-    if existing = [] && Hashtbl.length c.migrants >= max_migrants_per_instance
-    then Hashtbl.reset c.migrants;
+    let existing = Option.value ~default:[] (Hashtbl.find_opt c.table key) in
+    if existing = [] && Hashtbl.length c.table >= max_migrants_per_instance
+    then Hashtbl.reset c.table;
     (* Newest first; trim the oldest past the per-instance bound. *)
     let merged = List.rev_append (List.rev vectors) existing in
     let trimmed = List.filteri (fun i _ -> i < max_migrants_per_instance) merged in
-    Hashtbl.replace c.migrants key trimmed;
+    Hashtbl.replace c.table key trimmed;
     let accepted =
       min (List.length vectors) (List.length trimmed)
     in
@@ -68,49 +33,30 @@ let offer_migrants c ~ptg ~platform ~model vectors =
     accepted
 
 let take_migrants c (req : Protocol.Request.schedule) =
-  let key = instance_key req in
+  let key =
+    migrant_key ~ptg:req.ptg ~platform:req.platform ~model:req.model
+  in
   Mutex.lock c.lock;
   let taken =
-    match Hashtbl.find_opt c.migrants key with
+    match Hashtbl.find_opt c.table key with
     | None -> []
     | Some vs ->
-      Hashtbl.remove c.migrants key;
+      Hashtbl.remove c.table key;
       vs
   in
   Mutex.unlock c.lock;
   taken
 
-let cache_for c req =
-  if c.capacity = 0 then None
-  else begin
-    let key = instance_key req in
-    Mutex.lock c.lock;
-    let cache =
-      match Hashtbl.find_opt c.table key with
-      | Some cache -> cache
-      | None ->
-        if Hashtbl.length c.table >= c.max_instances then
-          Hashtbl.reset c.table;
-        let cache = Emts_pool.Cache.create ~capacity:c.capacity in
-        Hashtbl.add c.table key cache;
-        cache
-    in
-    Emts_obs.Metrics.set_gauge m_cache_instances
-      (float_of_int (Hashtbl.length c.table));
-    Mutex.unlock c.lock;
-    Some cache
-  end
-
 (* ------------------------------------------------------------------ *)
 
 type t = {
   pool : Emts_pool.t;
-  caches : caches;
+  migrants : migrants;
   mutable alive : bool;
 }
 
-let create ?(pool_domains = 1) ~caches () =
-  { pool = Emts_pool.create ~domains:pool_domains; caches; alive = true }
+let create ?(pool_domains = 1) ~migrants () =
+  { pool = Emts_pool.create ~domains:pool_domains; migrants; alive = true }
 
 let shutdown t =
   if t.alive then begin
@@ -216,14 +162,13 @@ let handle t (req : Protocol.Request.schedule) ~deadline =
         migration_count = min req.migration_count config.Emts.Algorithm.mu;
       }
     in
-    let cache = cache_for t.caches req in
-    let extra_seeds = take_migrants t.caches req in
+    let extra_seeds = take_migrants t.migrants req in
     let rng = Emts_prng.create ~seed:req.seed () in
     let result =
       Emts_obs.Trace.span "engine.solve"
         ~args:[ ("algorithm", Emts_obs.Trace.Str name) ]
         (fun () ->
-          Emts.Algorithm.run_ctx ?deadline ?cache ~pool:t.pool ~rng ~config
+          Emts.Algorithm.run_ctx ?deadline ~pool:t.pool ~rng ~config
             ~extra_seeds ~ctx ())
     in
     let generations_done =

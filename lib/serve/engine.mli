@@ -3,27 +3,10 @@
 
     One engine belongs to one worker domain (it owns an {!Emts_pool}
     whose owner is the creating domain); all engines of a server share
-    one {!caches} — a pool of fitness-memoization caches keyed by
-    scheduling instance, so repeated requests for the same (PTG,
-    platform, model) triple reuse each other's evaluations.  Both are
-    outcome-preserving: a response is a function of the request alone
-    (property-tested by the serve determinism matrix). *)
-
-(** {1 Shared cross-request cache pool} *)
-
-type caches
-
-val caches : capacity:int -> max_instances:int -> caches
-(** [caches ~capacity ~max_instances] provides one
-    {!Emts_pool.Cache} of [capacity] entries per distinct scheduling
-    instance, holding at most [max_instances] instances (inserting
-    beyond the bound flushes the pool, mirroring the cache's own
-    flush-on-full policy).  [capacity = 0] disables caching entirely.
-    Domain-safe.  Raises [Invalid_argument] on negative values or
-    [max_instances = 0] with a positive capacity. *)
-
-val cache_instances : caches -> int
-(** Number of instance caches currently held. *)
+    one {!migrants} buffer.  The pool is outcome-preserving: a response
+    is a function of the request and the migrants previously offered
+    for its instance (property-tested by the serve determinism
+    matrix). *)
 
 (** {1 Migrant buffers (fleet gossip)}
 
@@ -34,17 +17,22 @@ val cache_instances : caches -> int
     kept) and 64 buffered instances (flush-on-full).  Vectors that do
     not fit the instance are dropped at solve time
     ({!Emts.Algorithm.run_ctx}), so garbage from a confused peer is a
-    no-op.  Domain-safe (same lock as the cache pool). *)
+    no-op.  Domain-safe. *)
+
+type migrants
+
+val migrants : unit -> migrants
+(** An empty buffer. *)
 
 val offer_migrants :
-  caches ->
+  migrants ->
   ptg:string -> platform:string -> model:string ->
   int array list -> int
 (** [offer_migrants c ~ptg ~platform ~model vectors] buffers migrants
     for the instance keyed by the verbatim request fields, returning
     how many were kept after the per-instance bound was applied. *)
 
-val take_migrants : caches -> Protocol.Request.schedule -> int array list
+val take_migrants : migrants -> Protocol.Request.schedule -> int array list
 (** Drain (return and clear) the migrants buffered for [req]'s
     instance. *)
 
@@ -64,8 +52,8 @@ val resolve_model : string -> (Emts_model.t, string) result
 
 type t
 
-val create : ?pool_domains:int -> caches:caches -> unit -> t
-(** [create ~caches ()] builds an engine with a persistent worker pool
+val create : ?pool_domains:int -> migrants:migrants -> unit -> t
+(** [create ~migrants ()] builds an engine with a persistent worker pool
     of [pool_domains] lanes (default 1 — no domains spawned).  Must be
     called from the domain that will call {!handle}.  EMTS fitness runs
     through the per-worker-domain {!Emts_sched.Evaluator}, whose

@@ -16,7 +16,7 @@ module Schedule = Emts_sched.Schedule
    worse than the baseline plan for the same state.  All randomness
    derives from the session seed via labelled streams, so the same seed
    and arrival trace commit bit-identically regardless of worker
-   domains, fitness cache or islands. *)
+   domains or islands. *)
 
 (* Per-worker-domain evaluator scratch; toplevel because a DLS
    slot is never reclaimed (same rule as [Emts.Algorithm]). *)
@@ -57,13 +57,12 @@ type config = {
   islands : int;
   migration_interval : int;
   migration_count : int;
-  fitness_cache : int option;
   noise : Emts_simulator.Noise.t;
 }
 
 let config ?(replanner = Baseline) ?(seed = 0x5EED_CA11) ?(domains = 1)
     ?(islands = 1) ?(migration_interval = 5) ?(migration_count = 1)
-    ?fitness_cache ?(noise = Emts_simulator.Noise.none)
+    ?(noise = Emts_simulator.Noise.none)
     ~platform ~model () =
   if domains < 1 then invalid_arg "Online.config: domains must be >= 1";
   if islands < 1 then invalid_arg "Online.config: islands must be >= 1";
@@ -71,9 +70,6 @@ let config ?(replanner = Baseline) ?(seed = 0x5EED_CA11) ?(domains = 1)
     invalid_arg "Online.config: migration_interval must be >= 1";
   if migration_count < 0 then
     invalid_arg "Online.config: migration_count must be >= 0";
-  (match fitness_cache with
-  | Some c when c < 1 -> invalid_arg "Online.config: fitness_cache must be >= 1"
-  | _ -> ());
   {
     platform;
     model;
@@ -83,7 +79,6 @@ let config ?(replanner = Baseline) ?(seed = 0x5EED_CA11) ?(domains = 1)
     islands;
     migration_interval;
     migration_count;
-    fitness_cache;
     noise;
   }
 
@@ -227,11 +222,6 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
         | None -> baseline.(i))
       sub.global
   in
-  let cache =
-    Option.map
-      (fun capacity -> Emts_pool.Cache.create ~capacity)
-      t.cfg.fitness_cache
-  in
   (* Certified early rejection, as in [Emts.Algorithm.run_ctx]: the
      cutoff is the worst survivor of the previous generation, which an
      offspring scoring above it could never displace under Plus
@@ -239,30 +229,14 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
      island's own.  Written by [on_generation] on the main domain, read
      by fitness calls on worker domains. *)
   let cutoff = Atomic.make infinity in
-  (* [infinity] on rejection, which {!Emts_sched.Evaluator.last_rejected}
-     tells apart. *)
-  let raw_fitness alloc c =
-    let ev = Emts_pool.Local.get evaluator_slot in
-    Emts_sched.Evaluator.makespan ev ~release:sub.release ~avail0:sub.avail
-      ~graph:sub.graph ~tables:sub.tables ~procs:t.procs ~alloc ~cutoff:c ()
-  in
+  (* Bound once per re-plan: passing [~release:sub.release] at each call
+     would build a fresh [Some] block per evaluation. *)
+  let release = Some sub.release and avail0 = Some sub.avail in
   let fitness alloc =
-    let c = Atomic.get cutoff in
-    match cache with
-    | None -> raw_fitness alloc c
-    | Some cache -> (
-      match Emts_pool.Cache.find cache alloc ~cutoff:c with
-      | Some v -> v
-      | None ->
-        let m = raw_fitness alloc c in
-        let rejected =
-          Emts_sched.Evaluator.last_rejected
-            (Emts_pool.Local.get evaluator_slot)
-        in
-        Emts_pool.Cache.store cache alloc
-          (if rejected then Emts_pool.Cache.Rejected_above c
-           else Emts_pool.Cache.Known m);
-        m)
+    Emts_sched.Evaluator.makespan
+      (Emts_pool.Local.get evaluator_slot)
+      ?release ?avail0 ~graph:sub.graph ~tables:sub.tables ~procs:t.procs
+      ~alloc ~cutoff:(Atomic.get cutoff) ()
   in
   let mutate rng ~generation ~total_generations genome =
     Emts.Mutation.mutate rng Emts.Mutation.default ~procs:t.procs ~generation

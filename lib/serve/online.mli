@@ -12,7 +12,7 @@
     labelled streams ([online/<seed>/noise] for duration noise,
     [online/<seed>/replan/<k>] for the k-th effective re-plan), so the
     same seed and arrival trace produce a bit-identical commitment log
-    regardless of worker domains, fitness cache or island count.
+    regardless of worker domains or island count.
 
     {b Commitment invariant}: once committed, a task's
     (start, finish, processors) never change; re-planning only ever
@@ -44,7 +44,6 @@ type config = private {
   islands : int;
   migration_interval : int;
   migration_count : int;
-  fitness_cache : int option;  (** per-replan cache capacity *)
   noise : Emts_simulator.Noise.t;
 }
 
@@ -55,16 +54,14 @@ val config :
   ?islands:int ->
   ?migration_interval:int ->
   ?migration_count:int ->
-  ?fitness_cache:int ->
   ?noise:Emts_simulator.Noise.t ->
   platform:Emts_platform.t ->
   model:Emts_model.t ->
   unit ->
   config
 (** Defaults: [Baseline] re-planner, seed [0x5EED_CA11], one domain,
-    one island, migration every 5 generations moving 1, no fitness
-    cache, no noise.  Raises [Invalid_argument]
-    on non-positive knobs. *)
+    one island, migration every 5 generations moving 1, no noise.
+    Raises [Invalid_argument] on non-positive knobs. *)
 
 type t
 

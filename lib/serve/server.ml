@@ -73,8 +73,6 @@ type config = {
   pool_domains : int;
   queue_capacity : int;
   max_frame : int;
-  cache_capacity : int;
-  cache_instances : int;
   watchdog_grace : float;
   shed_budget : float option;
   steal : bool;
@@ -89,8 +87,6 @@ let default =
     pool_domains = 1;
     queue_capacity = 64;
     max_frame = Protocol.default_max_frame;
-    cache_capacity = 65536;
-    cache_instances = 32;
     watchdog_grace = 0.5;
     shed_budget = None;
     steal = true;
@@ -464,13 +460,13 @@ let reply_once job resp =
   end
   else false
 
-let worker_loop q ~worker ~pool_domains ~caches () =
+let worker_loop q ~worker ~pool_domains ~migrants () =
   (* The engine is a lane-local resource behind a ref so a crashed lane
      can be respawned in place: after a worker exception we cannot
      prove the pool domains and evaluator scratch are in a sane state,
-     so the whole engine is torn down and rebuilt.  Caches are shared
-     and purely memoizing, so they survive the respawn. *)
-  let engine = ref (Engine.create ~pool_domains ~caches ()) in
+     so the whole engine is torn down and rebuilt.  The migrant buffer
+     is shared and survives the respawn. *)
+  let engine = ref (Engine.create ~pool_domains ~migrants ()) in
   let rec loop () =
     (* Queue-poll injection site: a delayed poll starves the queue and
        drives queue-wait up, which is what the shedding policy must
@@ -569,7 +565,7 @@ let worker_loop q ~worker ~pool_domains ~caches () =
                       retry_after_ms = None;
                     }));
             (try Engine.shutdown !engine with _ -> ());
-            engine := Engine.create ~pool_domains ~caches ();
+            engine := Engine.create ~pool_domains ~migrants ();
             Metrics.incr m_respawns));
       job_done q;
       loop ()
@@ -579,7 +575,7 @@ let worker_loop q ~worker ~pool_domains ~caches () =
 (* ------------------------------------------------------------------ *)
 (* Connection readers *)
 
-let handle_conn q wd ~max_frame ~caches ~online conn =
+let handle_conn q wd ~max_frame ~migrants ~online conn =
   let error ?(finish = false) ?retry_after_ms id code message =
     send ~finish conn
       (Protocol.Response.Error { id; code; message; retry_after_ms })
@@ -708,13 +704,14 @@ let handle_conn q wd ~max_frame ~caches ~online conn =
              { id; live = true; ready = not draining; draining;
                backends_live = None });
         loop ()
-      | Ok (Protocol.Request.Migrate { id; ptg; platform; model; migrants })
-        ->
+      | Ok
+          (Protocol.Request.Migrate
+             { id; ptg; platform; model; migrants = vectors }) ->
         (* Fleet gossip: buffer and acknowledge from the reader thread
            — cheap (no solve), and the ack must not wait behind the
            admission queue. *)
         let accepted =
-          Engine.offer_migrants caches ~ptg ~platform ~model migrants
+          Engine.offer_migrants migrants ~ptg ~platform ~model vectors
         in
         send conn (Protocol.Response.Migrate_ack { id; accepted });
         loop ()
@@ -838,7 +835,7 @@ let bind_metrics config =
 
 (* Accept connections until [stop]; [select] with a short timeout keeps
    the loop responsive to the stop flag without busy-waiting. *)
-let accept_loop ~stop ~max_frame ~caches ~online q wd listeners =
+let accept_loop ~stop ~max_frame ~migrants ~online q wd listeners =
   let rec loop () =
     if not (stop ()) then begin
       (match Unix.select listeners [] [] 0.2 with
@@ -851,7 +848,8 @@ let accept_loop ~stop ~max_frame ~caches ~online q wd listeners =
               let conn = conn_make fd in
               ignore
                 (Thread.create
-                   (fun () -> handle_conn q wd ~max_frame ~caches ~online conn)
+                   (fun () ->
+                     handle_conn q wd ~max_frame ~migrants ~online conn)
                    ())
             | exception
                 Unix.Unix_error
@@ -880,13 +878,8 @@ let run ?(stop = Emts_resilience.Shutdown.requested) config =
   then Error "shed budget must be > 0"
   else if config.socket = None && config.tcp = None then
     Error "no listeners configured (set a socket path or a TCP address)"
-  else
-    match
-      Engine.caches ~capacity:config.cache_capacity
-        ~max_instances:config.cache_instances
-    with
-    | exception Invalid_argument m -> Error m
-    | caches -> (
+  else begin
+      let migrants = Engine.migrants () in
       (* A client that disconnects mid-reply must cost one failed
          write, not the process. *)
       (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -930,9 +923,9 @@ let run ?(stop = Emts_resilience.Shutdown.requested) config =
             List.init config.workers (fun i ->
                 Domain.spawn
                   (worker_loop q ~worker:i ~pool_domains:config.pool_domains
-                     ~caches))
+                     ~migrants))
           in
-          accept_loop ~stop ~max_frame:config.max_frame ~caches ~online q wd
+          accept_loop ~stop ~max_frame:config.max_frame ~migrants ~online q wd
             listeners;
           (* Shutdown: stop accepting, answer everything admitted
              (readers still running reject new work with [draining]),
@@ -958,4 +951,5 @@ let run ?(stop = Emts_resilience.Shutdown.requested) config =
           (match config.socket with
           | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
           | None -> ());
-          Ok ()))
+          Ok ())
+  end

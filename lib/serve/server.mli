@@ -4,7 +4,7 @@
     client) decode frames and admit [schedule] jobs into a bounded
     queue of per-worker deques; a fixed set of worker domains drains
     it, each holding a persistent {!Engine} (worker pool + shared
-    fitness cache pool) across requests.  Admission round-robins jobs
+    migrant buffer) across requests.  Admission round-robins jobs
     across the deques; an owner pops its own deque LIFO and a worker
     whose deque is empty steals the oldest job (FIFO) from a
     seeded-random victim, so no job starves while any worker idles —
@@ -52,10 +52,6 @@ type config = {
       (** fitness-evaluation lanes per worker's persistent pool *)
   queue_capacity : int;  (** admission queue bound, [>= 1] *)
   max_frame : int;  (** request frame payload cap in bytes *)
-  cache_capacity : int;
-      (** per-instance fitness cache entries shared across requests;
-          0 disables cross-request caching *)
-  cache_instances : int;  (** bound on distinct cached instances *)
   watchdog_grace : float;
       (** seconds past a request's deadline before the watchdog
           answers it [deadline_exceeded] (the EA normally returns
@@ -79,9 +75,8 @@ type config = {
 
 val default : config
 (** No listeners (callers must set at least one), 2 workers, 1 pool
-    domain, queue of 64, {!Protocol.default_max_frame}, 65536-entry
-    caches over at most 32 instances, 0.5 s watchdog grace, no
-    shedding, stealing on. *)
+    domain, queue of 64, {!Protocol.default_max_frame}, 0.5 s watchdog
+    grace, no shedding, stealing on. *)
 
 val server_id : string
 (** ["emts-serve <version>"], echoed in [ping] responses. *)

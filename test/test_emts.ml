@@ -37,17 +37,6 @@ let test_with_domains () =
        false
      with Invalid_argument _ -> true)
 
-let test_with_fitness_cache () =
-  let c = Alg.with_fitness_cache 4096 Alg.emts5 in
-  Alcotest.(check (option int)) "capacity set" (Some 4096) c.Alg.fitness_cache;
-  let off = Alg.with_fitness_cache 0 c in
-  Alcotest.(check (option int)) "zero disables" None off.Alg.fitness_cache;
-  Alcotest.(check bool) "negative rejected" true
-    (try
-       ignore (Alg.with_fitness_cache (-1) Alg.emts5);
-       false
-     with Invalid_argument _ -> true)
-
 let test_seeding_defaults () =
   let names =
     List.map (fun (h : Emts_alloc.heuristic) -> h.name)
@@ -162,14 +151,26 @@ let test_time_budget_respected () =
     (List.length r.Alg.ea.Emts_ea.history <= 2)
 
 let test_early_reject_identical_results () =
-  (* Rejection is a pure optimisation: same seed, same survivors. *)
+  (* Rejection is a pure optimisation: the EMTS10 preset, whose Plus
+     selection rejects, returns what the run without any cutoff
+     returns. *)
   let graph = small_graph () in
-  let with_reject b = { Alg.emts10 with Alg.early_reject = b } in
-  let r_off = run ~seed:77 ~config:(with_reject false) ~graph () in
-  let r_on = run ~seed:77 ~config:(with_reject true) ~graph () in
-  Alcotest.(check (float 0.)) "same makespan" r_off.Alg.makespan
-    r_on.Alg.makespan;
-  Alcotest.(check (array int)) "same allocation" r_off.Alg.alloc r_on.Alg.alloc
+  let ctx =
+    Emts_alloc.Common.make_ctx ~model:Emts_model.synthetic ~platform:chti
+      ~graph
+  in
+  let config = Alg.emts10 in
+  let r = Alg.run_ctx ~rng:(Emts_prng.create ~seed:77 ()) ~config ~ctx () in
+  let reference =
+    Emts_check.Reference.emts ~rng:(Emts_prng.create ~seed:77 ()) ~config ~ctx
+  in
+  Alcotest.(check int64) "same makespan bits"
+    (Int64.bits_of_float reference.Emts_ea.best_fitness)
+    (Int64.bits_of_float r.Alg.makespan);
+  Alcotest.(check (array int)) "same allocation" reference.Emts_ea.best
+    r.Alg.alloc;
+  Alcotest.(check int) "same evaluations" reference.Emts_ea.evaluations
+    r.Alg.ea.Emts_ea.evaluations
 
 let test_recombination_configs_run () =
   let graph = small_graph () in
@@ -215,9 +216,8 @@ let test_adaptive_sigma_runs () =
 
 let test_island_matrix () =
   (* Fleet tentpole: an island run is a pure function of
-     (seed, islands, interval, count) under every engine tuning —
-     worker domains, fitness cache — and
-     [with_islands 1] is exactly the plain algorithm. *)
+     (seed, islands, interval, count) under any number of worker
+     domains, and [with_islands 1] is exactly the plain algorithm. *)
   let graph = small_graph () in
   let ctx =
     Emts_alloc.Common.make_ctx ~model:Emts_model.synthetic ~platform:chti
@@ -245,9 +245,7 @@ let test_island_matrix () =
     [
       ("plain", Fun.id);
       ("domains", Alg.with_domains Testutil.test_domains);
-      ("cache", Alg.with_fitness_cache 512);
-      ( "domains+cache",
-        fun c -> Alg.with_fitness_cache 512 (Alg.with_domains 4 c) );
+      ("4 domains", Alg.with_domains 4);
     ];
   (* islands = 1 never splits the caller's stream, so it reproduces the
      non-island algorithm exactly. *)
@@ -311,11 +309,10 @@ let test_extra_seeds () =
     without.Alg.ea.Emts_ea.evaluations dropped.Alg.ea.Emts_ea.evaluations
 
 (* Online tentpole: the re-planning controller is a pure function of
-   (seed, arrival trace) under every engine tuning.  Worker domains and
-   the per-replan fitness cache must never move a single commitment
-   bit; islands > 1 is a different EA search
-   trajectory by design, so it gets its own single-domain reference
-   against which the same tunings are checked. *)
+   (seed, arrival trace) under any number of worker domains, which must
+   never move a single commitment bit; islands > 1 is a different EA
+   search trajectory by design, so it gets its own single-domain
+   reference against which the same domains are checked. *)
 module Online = Emts_serve.Online
 module Sim_online = Emts_simulator.Online
 
@@ -349,11 +346,11 @@ let test_online_matrix () =
         Float.max acc e.Emts_sched.Schedule.finish)
       0. (Online.plan t)
   in
-  let run_trace ?domains ?islands ?fitness_cache () =
+  let run_trace ?domains ?islands () =
     let cfg =
       Online.config
         ~replanner:(Online.Emts { mu = 2; lambda = 6; generations = 2 })
-        ~seed:77 ?domains ?islands ?fitness_cache
+        ~seed:77 ?domains ?islands
         ~platform:chti ~model:Emts_model.synthetic ()
     in
     let t = Online.create cfg in
@@ -386,10 +383,7 @@ let test_online_matrix () =
     (fun (label, log) -> check_same label reference (log ()))
     [
       ("domains", fun () -> run_trace ~domains:Testutil.test_domains ());
-      ("cache", fun () -> run_trace ~fitness_cache:512 ());
-      ( "domains+cache",
-        fun () ->
-          run_trace ~domains:Testutil.test_domains ~fitness_cache:512 () );
+      ("4 domains", fun () -> run_trace ~domains:4 ());
     ];
   let reference2 = run_trace ~islands:2 () in
   List.iter
@@ -397,18 +391,16 @@ let test_online_matrix () =
     [
       ( "islands=2 domains",
         fun () -> run_trace ~islands:2 ~domains:Testutil.test_domains () );
-      ( "islands=2 cache",
-        fun () -> run_trace ~islands:2 ~fitness_cache:512 () );
+      ("islands=2 4 domains", fun () -> run_trace ~islands:2 ~domains:4 ());
     ]
 
 let test_checkpoint_resume_matrix () =
   (* Crash-safety tentpole: interrupting an EMTS run at any generation
      and resuming from its checkpoint reproduces the uninterrupted run
      bit for bit — same allocation, makespan, history and evaluation
-     count — under every combination of worker domains, fitness cache
-     and early rejection.  The stop closure counts polls: the EA polls
-     once per generation boundary, so [calls > k] halts after exactly
-     [k] generations. *)
+     count — with worker domains and under Comma selection.  The stop
+     closure counts polls: the EA polls once per generation boundary,
+     so [calls > k] halts after exactly [k] generations. *)
   let graph = small_graph () in
   let ctx =
     Emts_alloc.Common.make_ctx ~model:Emts_model.synthetic ~platform:chti
@@ -419,13 +411,9 @@ let test_checkpoint_resume_matrix () =
     [
       ("plain", Fun.id);
       ("domains", Alg.with_domains Testutil.test_domains);
-      ("cache", Alg.with_fitness_cache 512);
-      ( "domains+cache+reject",
-        fun c ->
-          {
-            (Alg.with_fitness_cache 512 (Alg.with_domains 4 c)) with
-            Alg.early_reject = true;
-          } );
+      ( "4 domains+comma",
+        fun c -> { (Alg.with_domains 4 c) with Alg.selection = Emts_ea.Comma }
+      );
     ]
   in
   List.iter
@@ -502,40 +490,49 @@ let test_resume_without_checkpoint_is_fresh () =
       Alcotest.(check bool) "checkpoint written for next time" true
         (Sys.file_exists path))
 
+(* Early rejection is exact: [Alg.run] returns what the reference run
+   without any cutoff returns — same best allocation and fitness, same
+   history and same evaluation count, bit for bit — under Plus
+   selection (which rejects) and Comma (which must not). *)
 let prop_early_reject_equivalent =
   QCheck.Test.make
     ~name:"early rejection never changes the outcome" ~count:20
     (Testutil.arbitrary_dag ~max_n:15 ())
     (fun graph ->
-      let conf b =
-        { quick_config with Alg.early_reject = b; generations = 4 }
+      let ctx =
+        Emts_alloc.Common.make_ctx ~model:Emts_model.synthetic ~platform:chti
+          ~graph
       in
-      let r1 =
-        Alg.run
-          ~rng:(Emts_prng.create ~seed:11 ())
-          ~config:(conf false) ~model:Emts_model.synthetic ~platform:chti
-          ~graph ()
-      in
-      let r2 =
-        Alg.run
-          ~rng:(Emts_prng.create ~seed:11 ())
-          ~config:(conf true) ~model:Emts_model.synthetic ~platform:chti
-          ~graph ()
-      in
-      r1.Alg.makespan = r2.Alg.makespan && r1.Alg.alloc = r2.Alg.alloc)
+      List.for_all
+        (fun selection ->
+          let config =
+            Alg.with_domains Testutil.test_domains
+              { quick_config with Alg.generations = 4; selection }
+          in
+          let r =
+            Alg.run_ctx ~rng:(Emts_prng.create ~seed:11 ()) ~config ~ctx ()
+          in
+          let reference =
+            Emts_check.Reference.emts
+              ~rng:(Emts_prng.create ~seed:11 ())
+              ~config ~ctx
+          in
+          Int64.bits_of_float r.Alg.makespan
+          = Int64.bits_of_float reference.Emts_ea.best_fitness
+          && r.Alg.alloc = reference.Emts_ea.best
+          && r.Alg.ea.Emts_ea.history = reference.Emts_ea.history
+          && r.Alg.ea.Emts_ea.evaluations = reference.Emts_ea.evaluations)
+        [ Emts_ea.Plus; Emts_ea.Comma ])
 
-(* Satellite 4: parallelism and the fitness cache are pure
-   optimisations.  Any combination of domains x cache x early-reject
-   must reproduce the sequential, cache-free run bit for bit: same
-   best fitness, same history, same evaluation count.  The telemetry
-   layer is observer-only, so the whole matrix is replayed a second
-   time with every sink on (trace, metrics, GC profiling, flight ring)
-   plus a checkpointing leg, against the telemetry-off baseline. *)
-let prop_pool_cache_determinism =
+(* Parallelism is a pure optimisation: worker domains must reproduce
+   the sequential run bit for bit — same best fitness, same history,
+   same evaluation count.  The telemetry layer is observer-only, so the
+   runs are replayed a second time with every sink on (trace, metrics,
+   GC profiling, flight ring) plus a checkpointing leg, against the
+   telemetry-off baseline. *)
+let prop_pool_determinism =
   QCheck.Test.make
-    ~name:
-      "domains x cache x early-reject x checkpoint x telemetry never change \
-       the outcome"
+    ~name:"domains x checkpoint x telemetry never change the outcome"
     ~count:10
     (Testutil.arbitrary_dag ~max_n:15 ())
     (fun graph ->
@@ -578,18 +575,7 @@ let prop_pool_cache_determinism =
         && r.Alg.ea.Emts_ea.evaluations
            = baseline.Alg.ea.Emts_ea.evaluations
       in
-      let variants =
-        [
-          Alg.with_domains 4;
-          Alg.with_fitness_cache 512;
-          (fun c -> Alg.with_fitness_cache 512 (Alg.with_domains 4 c));
-          (fun c ->
-            {
-              (Alg.with_fitness_cache 512 (Alg.with_domains 4 c)) with
-              Alg.early_reject = true;
-            });
-        ]
-      in
+      let variants = [ Alg.with_domains 4 ] in
       List.for_all (fun tune -> same (run_with tune)) variants
       && List.for_all
            (fun tune -> same (with_telemetry (fun () -> run_with tune)))
@@ -679,8 +665,6 @@ let () =
         [
           Alcotest.test_case "presets" `Quick test_presets;
           Alcotest.test_case "with_domains" `Quick test_with_domains;
-          Alcotest.test_case "with_fitness_cache" `Quick
-            test_with_fitness_cache;
           Alcotest.test_case "default seeds" `Quick test_seeding_defaults;
         ] );
       ( "seeding",
@@ -730,7 +714,7 @@ let () =
           [
             prop_early_reject_equivalent;
             prop_online_replan_noop;
-            prop_pool_cache_determinism;
+            prop_pool_determinism;
             prop_emts_beats_every_seed;
             prop_emts_schedule_valid;
           ] );

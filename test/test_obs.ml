@@ -414,7 +414,7 @@ let test_openmetrics_golden () =
 
 (* --- observer-only guarantee ----------------------------------------- *)
 
-let emts_result ~seed ~early_reject () =
+let emts_result ~seed () =
   let rng = Emts_prng.create ~seed:7 () in
   let graph = Testutil.random_triangular_dag rng ~n:40 ~p:0.15 in
   let ctx =
@@ -422,7 +422,7 @@ let emts_result ~seed ~early_reject () =
       ~platform:Emts_platform.chti ~graph
   in
   let config =
-    { Emts.Algorithm.emts5 with domains = 2; early_reject }
+    { Emts.Algorithm.emts5 with domains = 2 }
   in
   Emts.Algorithm.run_ctx ~rng:(Emts_prng.create ~seed ()) ~config ~ctx ()
 
@@ -431,11 +431,11 @@ let test_determinism_tracing () =
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled false;
   Obs.Trace.stop ();
-  let plain = emts_result ~seed:99 ~early_reject:false () in
+  let plain = emts_result ~seed:99 () in
   let path = Filename.temp_file "emts_obs_det" ".jsonl" in
   Obs.Metrics.set_enabled true;
   Obs.Trace.start ~path ();
-  let observed = emts_result ~seed:99 ~early_reject:false () in
+  let observed = emts_result ~seed:99 () in
   Obs.Trace.stop ();
   Obs.Metrics.set_enabled false;
   Alcotest.(check (float 0.)) "best_fitness identical" plain.Emts.Algorithm.makespan
@@ -460,7 +460,7 @@ let test_determinism_tracing () =
 let test_counters_match_result () =
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
-  let result = emts_result ~seed:123 ~early_reject:true () in
+  let result = emts_result ~seed:123 () in
   Obs.Metrics.set_enabled false;
   Alcotest.(check (option int))
     "ea.evaluations matches result.evaluations"
@@ -473,9 +473,8 @@ let test_counters_match_result () =
     Option.value ~default:0
       (Obs.Metrics.find_counter "ea.early_reject.misses")
   in
-  (* seed evaluations bypass the bounded path only when cutoff is inf:
-     every fitness call goes through early_reject, so hits+misses
-     accounts for every evaluation *)
+  (* every fitness call, the seeds' included, counts one hit or one
+     miss, so hits + misses accounts for every evaluation *)
   Alcotest.(check int) "hits + misses = evaluations"
     result.Emts.Algorithm.ea.Emts_ea.evaluations (hits + misses);
   Alcotest.(check bool) "early reject fired" true (hits > 0)
@@ -483,10 +482,10 @@ let test_counters_match_result () =
 let test_determinism_early_reject_metrics () =
   (* metrics collection on the early-reject path must not change results *)
   Obs.Metrics.set_enabled false;
-  let plain = emts_result ~seed:5 ~early_reject:true () in
+  let plain = emts_result ~seed:5 () in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
-  let observed = emts_result ~seed:5 ~early_reject:true () in
+  let observed = emts_result ~seed:5 () in
   Obs.Metrics.set_enabled false;
   Alcotest.(check (float 0.)) "makespan identical" plain.Emts.Algorithm.makespan
     observed.Emts.Algorithm.makespan;
@@ -499,13 +498,13 @@ let test_determinism_full_telemetry () =
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled false;
   Obs.Trace.stop ();
-  let plain = emts_result ~seed:31 ~early_reject:true () in
+  let plain = emts_result ~seed:31 () in
   let path = Filename.temp_file "emts_obs_full" ".jsonl" in
   Obs.Trace.start ~path ();
   Obs.Metrics.set_enabled true;
   Obs.Gcprof.set_enabled true;
   Obs.Flight.configure ~capacity:256 ();
-  let observed = emts_result ~seed:31 ~early_reject:true () in
+  let observed = emts_result ~seed:31 () in
   Obs.Gcprof.set_enabled false;
   Obs.Metrics.set_enabled false;
   Obs.Flight.disable ();

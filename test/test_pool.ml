@@ -1,8 +1,6 @@
-(* Tests for the persistent worker pool and the fitness memoization
-   cache (Emts_pool). *)
+(* Tests for the persistent worker pool (Emts_pool). *)
 
 module Pool = Emts_pool
-module Cache = Emts_pool.Cache
 
 let sequential n f =
   let out = Array.make n 0. in
@@ -194,85 +192,6 @@ let test_disarmed_fire_is_inert () =
     "disarmed pool run" (sequential 50 f)
     (pooled ~domains:4 50 f)
 
-(* --- cache ----------------------------------------------------------- *)
-
-let test_cache_known_hits_any_cutoff () =
-  let c = Cache.create ~capacity:16 in
-  Cache.store c [| 1; 2; 3 |] (Cache.Known 42.);
-  List.iter
-    (fun cutoff ->
-      Alcotest.(check (option (float 0.)))
-        (Printf.sprintf "cutoff %g" cutoff)
-        (Some 42.)
-        (Cache.find c [| 1; 2; 3 |] ~cutoff))
-    [ infinity; 100.; 42.; 1. ];
-  Alcotest.(check (option (float 0.))) "unknown key misses" None
-    (Cache.find c [| 3; 2; 1 |] ~cutoff:infinity)
-
-let test_cache_rejection_cutoff_aware () =
-  (* A genome rejected at cutoff 5 has makespan > 5.  That rejection is
-     reusable for any cutoff <= 5 but NOT for a laxer one, where the
-     schedule could complete below the new cutoff. *)
-  let c = Cache.create ~capacity:16 in
-  Cache.store c [| 7; 7 |] (Cache.Rejected_above 5.);
-  Alcotest.(check (option (float 0.))) "tighter cutoff reuses rejection"
-    (Some infinity)
-    (Cache.find c [| 7; 7 |] ~cutoff:4.);
-  Alcotest.(check (option (float 0.))) "equal cutoff reuses rejection"
-    (Some infinity)
-    (Cache.find c [| 7; 7 |] ~cutoff:5.);
-  Alcotest.(check (option (float 0.))) "laxer cutoff must re-evaluate" None
-    (Cache.find c [| 7; 7 |] ~cutoff:6.);
-  (* the re-evaluation completed: the entry upgrades in place *)
-  Cache.store c [| 7; 7 |] (Cache.Known 5.5);
-  Alcotest.(check (option (float 0.))) "upgraded entry answers everything"
-    (Some 5.5)
-    (Cache.find c [| 7; 7 |] ~cutoff:6.)
-
-let test_cache_capacity_bounded () =
-  let c = Cache.create ~capacity:4 in
-  for i = 0 to 99 do
-    Cache.store c [| i |] (Cache.Known (Float.of_int i))
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "length %d <= capacity" (Cache.length c))
-    true
-    (Cache.length c <= Cache.capacity c);
-  Alcotest.(check bool) "capacity 0 rejected" true
-    (try
-       ignore (Cache.create ~capacity:0);
-       false
-     with Invalid_argument _ -> true)
-
-let test_cache_copies_keys () =
-  let c = Cache.create ~capacity:16 in
-  let key = [| 9; 9; 9 |] in
-  Cache.store c key (Cache.Known 1.);
-  (* mutating the caller's array must not corrupt the stored key *)
-  key.(0) <- 0;
-  Alcotest.(check (option (float 0.))) "original key still present"
-    (Some 1.)
-    (Cache.find c [| 9; 9; 9 |] ~cutoff:infinity);
-  Alcotest.(check (option (float 0.))) "mutated key is a different genome"
-    None
-    (Cache.find c key ~cutoff:infinity)
-
-let test_cache_concurrent_use () =
-  (* Hammer one cache from several domains through the pool: no crash,
-     and every lookup that hits returns the value stored for that key. *)
-  Pool.with_pool ~domains:4 @@ fun pool ->
-  let c = Cache.create ~capacity:1024 in
-  Pool.run pool ~n:400 (fun i ->
-      let key = [| i mod 32; (i / 32) mod 4 |] in
-      match Cache.find c key ~cutoff:infinity with
-      | Some v ->
-        if v <> Float.of_int ((i mod 32) + (100 * ((i / 32) mod 4))) then
-          failwith "stale value"
-      | None ->
-        Cache.store c key
-          (Cache.Known (Float.of_int ((i mod 32) + (100 * ((i / 32) mod 4))))));
-  Alcotest.(check bool) "table bounded" true (Cache.length c <= 1024)
-
 (* Property: any (domains, n) split produces exactly the sequential
    result array. *)
 let prop_pool_matches_sequential =
@@ -313,16 +232,6 @@ let () =
             test_injected_eval_fault_kills_one_worker_mid_batch;
           Alcotest.test_case "disarmed hooks are inert" `Quick
             test_disarmed_fire_is_inert;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "known entries" `Quick
-            test_cache_known_hits_any_cutoff;
-          Alcotest.test_case "cutoff-aware rejections" `Quick
-            test_cache_rejection_cutoff_aware;
-          Alcotest.test_case "capacity bound" `Quick test_cache_capacity_bounded;
-          Alcotest.test_case "keys copied" `Quick test_cache_copies_keys;
-          Alcotest.test_case "concurrent use" `Quick test_cache_concurrent_use;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_pool_matches_sequential ]);
     ]

@@ -1,7 +1,7 @@
 (* Tests for the serving subsystem: frame codec, request/response JSON,
-   engine determinism across pool widths, deadline best-so-far
-   behaviour, the instance-keyed cache pool, and an in-process
-   end-to-end daemon exchange. *)
+   engine determinism across pool widths and repeated requests,
+   deadline best-so-far behaviour, and an in-process end-to-end daemon
+   exchange. *)
 
 module Protocol = Emts_serve.Protocol
 module Engine = Emts_serve.Engine
@@ -347,10 +347,9 @@ let test_response_round_trip () =
 
 (* --- engine --- *)
 
-let with_engine ?(pool_domains = 1) ?(capacity = 1024) f =
-  let caches = Engine.caches ~capacity ~max_instances:4 in
-  let e = Engine.create ~pool_domains ~caches () in
-  Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () -> f caches e)
+let with_engine ?(pool_domains = 1) f =
+  let e = Engine.create ~pool_domains ~migrants:(Engine.migrants ()) () in
+  Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () -> f e)
 
 let handle_exn e req ~deadline =
   match Engine.handle e req ~deadline with
@@ -358,15 +357,15 @@ let handle_exn e req ~deadline =
   | Error m -> Alcotest.fail m
 
 (* The response to a request must be a function of the request alone:
-   same outcome whatever the pool width and whether caches are on. *)
+   same outcome whatever the pool width. *)
 let test_engine_determinism () =
   let ptg = graph_string () in
   let outcomes =
     List.map
-      (fun (pool_domains, capacity) ->
-        with_engine ~pool_domains ~capacity (fun _ e ->
+      (fun pool_domains ->
+        with_engine ~pool_domains (fun e ->
             handle_exn e (schedule_req ptg) ~deadline:None))
-      [ (1, 1024); (3, 1024); (2, 0) ]
+      [ 1; 3; 2 ]
   in
   match outcomes with
   | first :: rest ->
@@ -378,29 +377,20 @@ let test_engine_determinism () =
       rest
   | [] -> assert false
 
-let test_engine_repeat_hits_cache () =
+(* A warm engine answers a repeated request exactly as it answered the
+   first: nothing it keeps between requests reaches the result. *)
+let test_engine_repeat_request () =
   let ptg = graph_string () in
-  with_engine (fun caches e ->
+  with_engine (fun e ->
       let a = handle_exn e (schedule_req ptg) ~deadline:None in
-      Alcotest.(check int) "one instance cached" 1
-        (Engine.cache_instances caches);
       let b = handle_exn e (schedule_req ptg) ~deadline:None in
       Alcotest.(check (float 0.)) "same makespan" a.Engine.makespan
         b.Engine.makespan;
       Alcotest.(check (array int)) "same alloc" a.Engine.alloc b.Engine.alloc)
 
-let test_engine_cache_instances_bounded () =
-  with_engine (fun caches e ->
-      for seed = 1 to 9 do
-        ignore
-          (handle_exn e (schedule_req (graph_string ~seed ())) ~deadline:None)
-      done;
-      Alcotest.(check bool) "bounded" true
-        (Engine.cache_instances caches <= 4))
-
 let test_engine_heuristic_and_errors () =
   let ptg = graph_string () in
-  with_engine (fun _ e ->
+  with_engine (fun e ->
       let o = handle_exn e (schedule_req ~algorithm:"mcpa" ptg) ~deadline:None in
       Alcotest.(check string) "label" "MCPA" o.Engine.algorithm;
       Alcotest.(check bool) "positive makespan" true (o.Engine.makespan > 0.);
@@ -417,7 +407,7 @@ let test_engine_heuristic_and_errors () =
    EA stops at the first generation boundary and reports best-so-far. *)
 let test_engine_deadline_best_so_far () =
   let ptg = graph_string ~tasks:20 () in
-  with_engine (fun _ e ->
+  with_engine (fun e ->
       let full =
         handle_exn e (schedule_req ~algorithm:"emts10" ptg) ~deadline:None
       in
@@ -733,9 +723,8 @@ let test_server_self_healing () =
         | Error e -> Alcotest.fail (Protocol.frame_error_to_string e)
       in
       let roundtrip req = send req; read_resp () in
-      (* One distinct graph per storm: the engine caches completed
-         solves, and a cache hit would skip evaluation entirely — the
-         injected fault must actually be reached. *)
+      (* One distinct graph per storm: each storm's request is an
+         instance of its own. *)
       let ptg_hung = graph_string ~seed:101 () in
       let ptg_boom = graph_string ~seed:102 () in
       let ptg_after = graph_string ~seed:103 () in
@@ -1346,10 +1335,7 @@ let () =
         [
           Alcotest.test_case "determinism across pool widths" `Quick
             test_engine_determinism;
-          Alcotest.test_case "repeat request, shared cache" `Quick
-            test_engine_repeat_hits_cache;
-          Alcotest.test_case "cache instances bounded" `Quick
-            test_engine_cache_instances_bounded;
+          Alcotest.test_case "repeat request" `Quick test_engine_repeat_request;
           Alcotest.test_case "heuristics and request errors" `Quick
             test_engine_heuristic_and_errors;
           Alcotest.test_case "deadline returns best-so-far" `Quick

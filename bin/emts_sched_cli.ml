@@ -40,7 +40,12 @@ let domains_arg =
         ~doc:
           "Worker domains for parallel fitness evaluation (EMTS only; \
            results are identical for any value).  The workers form one \
-           persistent pool per run.")
+           persistent pool per run.  The work counts that --metrics \
+           reports (ea.early_reject.hits, ea.early_reject.misses, \
+           sched.delta.scheduled_steps) are exact, the same on every \
+           run, only at 1: with parallel workers, which offspring are \
+           rejected early depends on which evaluations finish first; \
+           the answer does not.")
 
 let islands_arg =
   Arg.(

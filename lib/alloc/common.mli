@@ -10,7 +10,8 @@ type ctx = {
   graph : Emts_ptg.Graph.t;
   cover : Emts_ptg.Graph.t;
       (** [Graph.transitive_reduction graph]: the covering edges, over
-          which {!growth_loop} keeps its bottom levels *)
+          which {!growth_loop} keeps its bottom levels and EMTS
+          evaluates fitness *)
   procs : int;                  (** processors of the target cluster *)
   tables : float array array;   (** [tables.(v).(p-1)] = time of task [v] on [p] procs *)
 }

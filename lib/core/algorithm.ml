@@ -1,12 +1,5 @@
 module Common = Emts_alloc.Common
 
-(* Early-reject effectiveness (paper conclusion): hits are offspring cut
-   off mid-schedule by [Evaluator.makespan], misses completed schedules.
-   The hit rate quantifies how much mapping work the optimisation saves;
-   bumped from worker domains, hence counters (atomic). *)
-let m_early_reject_hits = Emts_obs.Metrics.counter "ea.early_reject.hits"
-let m_early_reject_misses = Emts_obs.Metrics.counter "ea.early_reject.misses"
-
 type config = {
   mu : int;
   lambda : int;
@@ -114,37 +107,23 @@ let run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?(resume = false)
         && Array.for_all (fun p -> p >= 1 && p <= ctx.Common.procs) a)
       extra_seeds
   in
-  (* Early rejection (paper conclusion): under Plus selection the
-     cutoff is the WORST fitness among the previous generation's
-     survivors — an offspring scoring strictly above it can never enter
-     the population (the mu parents themselves outrank it, and ties
-     favour the older individual), so rejection cannot change any
-     outcome.  Under Comma the parents do not survive, so the cutoff
-     stays at [infinity].  It is refreshed between generations only, so
-     parallel evaluation stays deterministic.  Written by
-     [on_generation] on the main domain and read by fitness calls on
-     worker domains, hence an [Atomic.t]. *)
-  let cutoff = Atomic.make infinity in
-  let plus = config.selection = Emts_ea.Plus in
   (* The per-domain evaluator computes the makespan on preallocated
-     scratch, allocating nothing in steady state; a rejection comes
-     back as [infinity] plus a flag instead of an option. *)
-  let fitness alloc =
-    let ev = Emts_pool.Local.get evaluator_slot in
-    let m =
-      Emts_sched.Evaluator.makespan ev ~graph:ctx.Common.graph
-        ~tables:ctx.Common.tables ~procs:ctx.Common.procs ~alloc
-        ~cutoff:(Atomic.get cutoff) ()
-    in
-    Emts_obs.Metrics.incr
-      (if Emts_sched.Evaluator.last_rejected ev then m_early_reject_hits
-       else m_early_reject_misses);
-    m
+     scratch, allocating nothing in steady state, and returns [infinity]
+     once it proves the makespan exceeds the EA's selection bound (early
+     rejection, paper conclusion).  It runs over the covering edges: a
+     transitive edge never carries a maximum, and a task's last
+     predecessor to pop is always a covering one, so the pop order and
+     the makespan are those of the full graph. *)
+  let fitness ~cutoff alloc =
+    Emts_sched.Evaluator.makespan
+      (Emts_pool.Local.get evaluator_slot)
+      ~graph:ctx.Common.cover ~tables:ctx.Common.tables
+      ~procs:ctx.Common.procs ~alloc ~cutoff ()
   in
   (* 1/5-rule step-size adaptation (optional): scale both sigmas by a
-     factor updated from the fraction of fresh survivors.  Same
-     cross-domain pattern as [cutoff]: main domain writes, [mutate]
-     reads. *)
+     factor updated from the fraction of fresh survivors.  Written by
+     [on_generation] on the main domain and read by [mutate], hence an
+     [Atomic.t]. *)
   let sigma_scale = Atomic.make 1. in
   let mutate rng ~generation ~total_generations genome =
     let params =
@@ -179,11 +158,10 @@ let run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?(resume = false)
       ~lambda:config.lambda ~generations:config.generations ()
   in
   (* [on_generation] is the only channel through which the EA loop
-     feeds the adaptive state above; checkpoint resumption replays the
-     restored history through it, so [cutoff] and [sigma_scale] are
-     rebuilt exactly before the first resumed generation runs. *)
+     feeds [sigma_scale]; checkpoint resumption replays the restored
+     history through it, so the scale is rebuilt exactly before the
+     first resumed generation runs. *)
   let on_generation stats =
-    if plus then Atomic.set cutoff stats.Emts_ea.worst;
     if config.adaptive_sigma && stats.Emts_ea.generation >= 1 then begin
       let success =
         float_of_int stats.Emts_ea.fresh_survivors /. float_of_int config.mu

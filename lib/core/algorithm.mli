@@ -4,7 +4,8 @@
     the space of allocation vectors (seeded by fast heuristics), and
     every candidate is mapped with the bottom-level list scheduler whose
     makespan is the individual's fitness.  Fitness runs that scheduler's
-    kernel, {!Emts_sched.Evaluator.makespan}, on one preallocated
+    kernel, {!Emts_sched.Evaluator.makespan}, over the graph's
+    covering edges (same makespan, fewer edges), on one preallocated
     evaluator per worker domain, so an evaluation allocates nothing in
     steady state.  Because candidates only ever consult the tabulated
     execution times, EMTS works with any execution-time model —
@@ -23,19 +24,21 @@ type config = {
           the paper's mutation-only strategy.  See {!Recombination}. *)
   selection : Emts_ea.selection;
       (** survivor selection; the paper's choice (and default) is the
-          elitist [Plus] strategy, which also turns on the rejection
-          strategy from the paper's conclusion: a fitness evaluation is
-          abandoned as soon as the partial schedule proves the makespan
-          exceeds the worst surviving makespan of the previous
-          generation (the evaluator also rejects on a certified
-          critical-path bound, see {!Emts_sched.Evaluator.makespan}).
-          Pure optimisation — the selected survivors are provably
-          unchanged (a rejected individual scores above every current
-          parent and ties break toward the older individual, so it
-          could never have been selected); [test_emts] checks it against
-          a run without any cutoff.  [Comma] exists for the selection
-          ablation; its parents do not survive, so it evaluates every
-          offspring in full. *)
+          elitist [Plus] strategy.  [Comma] exists for the selection
+          ablation.  Either way fitness runs the rejection strategy
+          from the paper's conclusion: an evaluation is abandoned as
+          soon as the partial schedule proves the makespan exceeds the
+          EA's selection bound, the [mu]-th best makespan already known
+          among the individuals the offspring competes with (its
+          parents under [Plus], then the offspring of its generation
+          that came back first; see {!Emts_ea.problem}).  The evaluator
+          also rejects on a certified critical-path bound, see
+          {!Emts_sched.Evaluator.makespan}.  Pure optimisation: a
+          rejected offspring is strictly worse than [mu] known
+          competitors, so it could never have been selected;
+          [test_emts] checks it against a run without any cutoff.
+          Under [Comma] the parents do not count, so rejection begins
+          once [mu] offspring of the generation are known. *)
   adaptive_sigma : bool;
       (** Rechenberg's 1/5 success rule applied to the mutation sigmas
           (the "different evolutionary methods" the paper's conclusion
@@ -62,7 +65,7 @@ type config = {
 val emts5 : config
 (** The paper's EMTS5: a (5+25)-EA over 5 generations (125 offspring
     evaluations), default mutation, default seeds, sequential, Plus
-    selection (so early rejection on). *)
+    selection. *)
 
 val emts10 : config
 (** The paper's EMTS10: a (10+100)-EA over 10 generations (1000

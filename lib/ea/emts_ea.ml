@@ -35,14 +35,19 @@ let config ?time_budget ?(domains = 1) ?(selection = Plus) ?(islands = 1)
     migration_interval; migration_count }
 
 type 'g problem = {
-  fitness : 'g -> float;
+  fitness : cutoff:float -> 'g -> float;
   mutate : Emts_prng.t -> generation:int -> total_generations:int -> 'g -> 'g;
   recombine : (Emts_prng.t -> 'g -> 'g -> 'g) option;
   crossover_rate : float;
 }
 
 let mutation_only ~fitness ~mutate =
-  { fitness; mutate; recombine = None; crossover_rate = 0. }
+  {
+    fitness = (fun ~cutoff:_ genome -> fitness genome);
+    mutate;
+    recombine = None;
+    crossover_rate = 0.;
+  }
 
 type generation_stats = {
   generation : int;
@@ -71,19 +76,88 @@ let m_checkpoint_resumes = Emts_obs.Metrics.counter "ea.checkpoint_resumes"
 let m_migrations =
   Emts_obs.Metrics.counter
     ~help:"island ring-migration exchanges performed" "ea.migrations"
-
-(* Evaluate all genomes through the persistent worker pool.  Results
-   land by index in [out] (grow-only scratch owned by the run, reused
-   across generations — entries past the batch length are stale), so
-   the outcome is independent of scheduling; the pool's workers keep
-   one stable trace lane per worker slot across generations. *)
-let evaluate_all ~pool ~out fitness genomes =
-  let n = Array.length genomes in
-  Emts_obs.Trace.span "ea.eval"
-    ~args:[ ("tasks", Emts_obs.Trace.Int n) ]
-    (fun () -> Emts_pool.run pool ~n (fun i -> out.(i) <- fitness genomes.(i)))
+let m_early_reject_hits =
+  Emts_obs.Metrics.counter
+    ~help:
+      "fitness calls that returned above the selection bound they were \
+       given: offspring rejected early"
+    "ea.early_reject.hits"
+let m_early_reject_misses =
+  Emts_obs.Metrics.counter
+    ~help:"fitness calls that returned at or below their selection bound"
+    "ea.early_reject.misses"
 
 type 'g individual = { genome : 'g; fit : float; birth : int }
+
+(* {1 Selection bound}
+
+   Early rejection (paper conclusion) is decided here, by the layer
+   that selects.  Each group of an evaluated batch (the whole batch, or
+   one island's offspring) keeps the [mu] best fitness values known
+   among the individuals it competes with: its parents under Plus,
+   nobody at first under Comma or for the seeds, and then every result
+   that comes back at or below its cutoff.  Every fitness call gets the
+   [mu]-th of them as its cutoff.  A call that returns above it scores
+   strictly worse than [mu] members of its own selection pool, so it
+   can neither survive nor be the best ever, whatever the tie rule or
+   the order in which workers finish, and its value decides nobody's
+   rank. *)
+type bound = {
+  best : float array;  (* the [mu] best known, ascending, [infinity]-padded *)
+  cutoff : float Atomic.t;
+      (* [best.(mu - 1)], boxed once per change: reading it allocates
+         nothing, and a fitness call needs it boxed *)
+}
+
+(* Pool workers admit concurrently, so they call this under their
+   batch's lock. *)
+let admit b f =
+  let last = Array.length b.best - 1 in
+  if f < b.best.(last) then begin
+    let i = ref last in
+    while !i > 0 && b.best.(!i - 1) > f do
+      b.best.(!i) <- b.best.(!i - 1);
+      decr i
+    done;
+    b.best.(!i) <- f;
+    Atomic.set b.cutoff b.best.(last)
+  end
+
+let bound_of ~mu competitors =
+  let b = { best = Array.make mu infinity; cutoff = Atomic.make infinity } in
+  Array.iter (fun i -> admit b i.fit) competitors;
+  b
+
+let competitors config population =
+  match config.selection with Plus -> population | Comma -> [||]
+
+(* Evaluate all genomes through the persistent worker pool.  Genome [i]
+   belongs to group [i / (n / groups)], one per entry of [competitors].
+   Results land by index in [out] (grow-only scratch owned by the run,
+   reused across generations — entries past the batch length are
+   stale), so the outcome is independent of scheduling; the pool's
+   workers keep one stable trace lane per worker slot across
+   generations. *)
+let evaluate_all ~pool ~out ~mu ~competitors fitness genomes =
+  let n = Array.length genomes in
+  let bounds = Array.map (bound_of ~mu) competitors in
+  let group = n / Array.length bounds in
+  let lock = Mutex.create () in
+  Emts_obs.Trace.span "ea.eval"
+    ~args:[ ("tasks", Emts_obs.Trace.Int n) ]
+    (fun () ->
+      Emts_pool.run pool ~n (fun i ->
+          let b = bounds.(i / group) in
+          let cutoff = Atomic.get b.cutoff in
+          let f = fitness ~cutoff genomes.(i) in
+          if f > cutoff then Emts_obs.Metrics.incr m_early_reject_hits
+          else begin
+            Emts_obs.Metrics.incr m_early_reject_misses;
+            Mutex.lock lock;
+            admit b f;
+            Mutex.unlock lock
+          end;
+          out.(i) <- f))
 
 (* Rank: better fitness first; on ties the older individual (smaller
    birth index) wins, which keeps surviving seeds stable. *)
@@ -414,7 +488,10 @@ let evolve ~stop ~deadline ~checkpoint ~rng ~config ~started ~eval_batch
           problem.mutate rng ~generation:!u
             ~total_generations:config.generations base)
     in
-    let offspring = eval_batch offspring_genomes in
+    let offspring =
+      eval_batch ~competitors:[| competitors config population |]
+        offspring_genomes
+    in
     Array.iter consider offspring;
     let pool =
       match config.selection with
@@ -441,15 +518,16 @@ let evolve ~stop ~deadline ~checkpoint ~rng ~config ~started ~eval_batch
     elapsed = Emts_obs.Clock.elapsed ~since:started;
   }
 
-let make_eval_batch ~pool ~evaluations ~births problem =
+let make_eval_batch ~pool ~config ~evaluations ~births problem =
   (* One fitness buffer per run, not per batch: the seed batch sizes it
      (seeds can outnumber lambda) and every generation reuses it. *)
   let scratch = ref [||] in
-  fun genomes ->
+  fun ~competitors genomes ->
     let n = Array.length genomes in
     if Array.length !scratch < n then scratch := Array.make n nan;
     let fits = !scratch in
-    evaluate_all ~pool ~out:fits problem.fitness genomes;
+    evaluate_all ~pool ~out:fits ~mu:config.mu ~competitors problem.fitness
+      genomes;
     evaluations := !evaluations + n;
     Emts_obs.Metrics.add m_evaluations n;
     if Emts_obs.Metrics.enabled () then
@@ -500,11 +578,10 @@ let with_pool_opt ~domains pool f =
    the exchange order cannot leak an individual around the ring twice
    in one step.
 
+   Each island's offspring get their own selection bound, from that
+   island's parents: an offspring competes only within its island.
    Generation stats are taken over the union of all island
-   populations.  That keeps the adaptive machinery layered on
-   [on_generation] sound: the early-reject cutoff derived from
-   [worst] is an upper bound for every island's own worst, so no
-   individual that could enter any island is ever truncated.
+   populations.
 
    Checkpoint/resume stays islands = 1 territory: a faithful island
    snapshot would need all [k] populations and RNG streams, a format
@@ -526,12 +603,12 @@ let run_islands ~on_generation ~stop ~deadline ~pool ~rng ~config ~seeds
   let started = Emts_obs.Clock.now () in
   let evaluations = ref 0 in
   let births = ref 0 in
-  let eval_batch = make_eval_batch ~pool ~evaluations ~births problem in
+  let eval_batch = make_eval_batch ~pool ~config ~evaluations ~births problem in
   let k = config.islands in
   let rngs = Array.init k (fun _ -> Emts_prng.split rng) in
   (* Seeds are evaluated once; every island starts from the same best-mu
      seed population (they diverge through their own streams). *)
-  let seed_pop = eval_batch (Array.of_list seeds) in
+  let seed_pop = eval_batch ~competitors:[| [||] |] (Array.of_list seeds) in
   Array.sort compare_individual seed_pop;
   let populations =
     Array.init k (fun _ ->
@@ -599,7 +676,11 @@ let run_islands ~on_generation ~stop ~deadline ~pool ~rng ~config ~seeds
     in
     (* One flat batch across all islands: the pool parallelises the
        k * lambda evaluations over its domain slice. *)
-    let evaluated = eval_batch (Array.concat (Array.to_list offspring_genomes)) in
+    let evaluated =
+      eval_batch
+        ~competitors:(Array.map (competitors config) populations)
+        (Array.concat (Array.to_list offspring_genomes))
+    in
     Array.iter consider evaluated;
     Array.iteri
       (fun isl population ->
@@ -676,10 +757,10 @@ let run ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
   let started = Emts_obs.Clock.now () in
   let evaluations = ref 0 in
   let births = ref 0 in
-  let eval_batch = make_eval_batch ~pool ~evaluations ~births problem in
+  let eval_batch = make_eval_batch ~pool ~config ~evaluations ~births problem in
   (* Seed population: best mu of the seeds; pad with the best seed when
      there are fewer seeds than mu. *)
-  let seed_pop = eval_batch (Array.of_list seeds) in
+  let seed_pop = eval_batch ~competitors:[| [||] |] (Array.of_list seeds) in
   Array.sort compare_individual seed_pop;
   let population =
     Array.init config.mu (fun i ->
@@ -722,7 +803,9 @@ let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
         let started = Emts_obs.Clock.now () in
         let evaluations = ref snap.s_evaluations in
         let births = ref snap.s_births in
-        let eval_batch = make_eval_batch ~pool ~evaluations ~births problem in
+        let eval_batch =
+          make_eval_batch ~pool ~config ~evaluations ~births problem
+        in
         let rng = Emts_prng.of_state snap.s_rng in
         let population = snap.s_population in
         let best_ever = ref snap.s_best in
@@ -732,7 +815,7 @@ let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
         in
         (* Replay the restored history through [on_generation] in
            chronological order: callers derive state from the stream of
-           generation stats (fitness cutoffs, 1/5-rule step sizes), and
+           generation stats (1/5-rule step sizes), and
            replaying rebuilds that state exactly as the uninterrupted
            run built it — this is what makes resumption bit-identical
            even under adaptive operators. *)

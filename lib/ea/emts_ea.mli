@@ -65,8 +65,26 @@ val config :
     [Comma] with [lambda < mu], and on bad island parameters. *)
 
 type 'g problem = {
-  fitness : 'g -> float;
-      (** must be pure and thread-safe (called from worker domains) *)
+  fitness : cutoff:float -> 'g -> float;
+      (** [fitness ~cutoff g] must be exact when the fitness of [g] is at
+          most [cutoff], and may otherwise return any value above
+          [cutoff], so it can abandon the work as soon as it knows.
+          It must be pure and thread-safe (called from worker domains).
+
+          The cutoff is the run's {e selection bound}: the [mu]-th best
+          fitness already known among the individuals [g] competes
+          with — its generation's parents under [Plus], then every
+          offspring of the same generation (and island) that came back
+          at or below its own cutoff; under [Comma] and for the seeds
+          only the latter, so the cutoff is [infinity] until [mu] of
+          them are known.  A call that returns above its cutoff scores
+          strictly worse than [mu] members of its selection pool, so it
+          can neither survive nor be the best ever: the result is the
+          same as with an exact fitness, whatever the order in which
+          pool workers finish.  Which calls return above their cutoff
+          does depend on that order when [domains > 1].  The
+          [ea.early_reject.hits] and [ea.early_reject.misses] counters
+          count the calls that did and did not. *)
   mutate : Emts_prng.t -> generation:int -> total_generations:int -> 'g -> 'g;
       (** derive one offspring; receives the current generation [u]
           (1-based) and [U] so operators can anneal their step size *)
@@ -87,7 +105,8 @@ val mutation_only :
   mutate:
     (Emts_prng.t -> generation:int -> total_generations:int -> 'g -> 'g) ->
   'g problem
-(** The paper's strategy: [recombine = None]. *)
+(** The paper's strategy: [recombine = None], with an exact [fitness]
+    that ignores the cutoff. *)
 
 type generation_stats = {
   generation : int;       (** 0 for the seed ranking *)
@@ -197,11 +216,11 @@ val run :
     With [config.islands > 1] the seed ranking is shared (every island
     starts from the same best-[mu] seeds), each generation evaluates
     all islands' offspring as one batch through the pool, survivor
-    selection is per island, and [generation_stats] cover the {e union}
-    of the island populations — so [worst] remains an upper bound for
-    every island's own worst and cutoff-based adaptive layers stay
-    sound.  Checkpointing requires [islands = 1] (raises
-    [Invalid_argument] otherwise). *)
+    selection is per island, each island's offspring get a selection
+    bound of their own (island [i] owns batch entries
+    [i * lambda .. (i + 1) * lambda - 1]), and [generation_stats] cover
+    the {e union} of the island populations.  Checkpointing requires
+    [islands = 1] (raises [Invalid_argument] otherwise). *)
 
 val resume :
   ?on_generation:(generation_stats -> unit) ->

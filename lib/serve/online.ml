@@ -222,21 +222,15 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
         | None -> baseline.(i))
       sub.global
   in
-  (* Certified early rejection, as in [Emts.Algorithm.run_ctx]: the
-     cutoff is the worst survivor of the previous generation, which an
-     offspring scoring above it could never displace under Plus
-     selection; with islands, the worst over their union bounds each
-     island's own.  Written by [on_generation] on the main domain, read
-     by fitness calls on worker domains. *)
-  let cutoff = Atomic.make infinity in
   (* Bound once per re-plan: passing [~release:sub.release] at each call
-     would build a fresh [Some] block per evaluation. *)
+     would build a fresh [Some] block per evaluation.  The cutoff is the
+     EA's selection bound, as in [Emts.Algorithm.run_ctx]. *)
   let release = Some sub.release and avail0 = Some sub.avail in
-  let fitness alloc =
+  let fitness ~cutoff alloc =
     Emts_sched.Evaluator.makespan
       (Emts_pool.Local.get evaluator_slot)
       ?release ?avail0 ~graph:sub.graph ~tables:sub.tables ~procs:t.procs
-      ~alloc ~cutoff:(Atomic.get cutoff) ()
+      ~alloc ~cutoff ()
   in
   let mutate rng ~generation ~total_generations genome =
     Emts.Mutation.mutate rng Emts.Mutation.default ~procs:t.procs ~generation
@@ -251,9 +245,8 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
   let result =
     Mutex.protect ea_lock (fun () ->
         Emts_ea.run ?pool:t.pool ~rng ~config:ea_config
-          ~on_generation:(fun stats -> Atomic.set cutoff stats.Emts_ea.worst)
           ~seeds:[ baseline; prev; Array.make k 1 ]
-          (Emts_ea.mutation_only ~fitness ~mutate))
+          { Emts_ea.fitness; mutate; recombine = None; crossover_rate = 0. })
   in
   result.Emts_ea.best
 

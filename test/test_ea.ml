@@ -236,6 +236,118 @@ let test_comma_population_can_worsen () =
         (r.EA.best_fitness <= s.EA.best +. 1e-12))
     r.EA.history
 
+(* The selection bound, pinned call by call.  At domains = 1 the calls
+   run in batch order.  A toy fitness records the cutoff each call gets
+   and, as the contract allows, returns something else above it: the
+   true value plus 1000.  A replay of the run from the recorded values
+   rebuilds each group's bound.  The group is the seed batch, or one
+   generation's offspring of one island.  Its bound holds the parents'
+   fitness under Plus, then every earlier call of the group that came
+   back at or below its cutoff.  Each cutoff must be the mu-th smallest
+   of it, or infinity while fewer than mu are known.  The run must
+   return what the exact fitness returns, and some offspring's cutoff
+   must be below the worst parent (Plus) or finite (Comma), where the
+   older worst-survivor rule would have set it. *)
+let test_selection_bound () =
+  let mu = 3 and lambda = 8 and generations = 6 in
+  let seeds = [ 100.; -50.; 30.; 12.; -4. ] in
+  let mu_th known =
+    Option.value ~default:infinity
+      (List.nth_opt (List.sort compare known) (mu - 1))
+  in
+  List.iter
+    (fun (selection, islands) ->
+      let label =
+        Printf.sprintf "%s, %d island(s)"
+          (match selection with EA.Plus -> "plus" | EA.Comma -> "comma")
+          islands
+      in
+      let config =
+        EA.config ~domains:1 ~selection ~islands ~migration_interval:2 ~mu
+          ~lambda ~generations ()
+      in
+      let calls = ref [] in
+      let fitness ~cutoff x =
+        let f = (x -. 7.) ** 2. in
+        let f = if f > cutoff then f +. 1000. else f in
+        calls := (cutoff, f) :: !calls;
+        f
+      in
+      let run problem =
+        EA.run ~rng:(Emts_prng.create ~seed:5 ()) ~config ~seeds problem
+      in
+      let r = run { (toy_problem ()) with EA.fitness } in
+      let exact = run (toy_problem ()) in
+      Alcotest.(check (float 0.)) (label ^ ": best") exact.EA.best_fitness
+        r.EA.best_fitness;
+      Alcotest.(check bool) (label ^ ": history") true
+        (exact.EA.history = r.EA.history);
+      Alcotest.(check int) (label ^ ": evaluations") exact.EA.evaluations
+        r.EA.evaluations;
+      let calls = Array.of_list (List.rev !calls) in
+      let next = ref 0 and hits = ref 0 and tighter = ref 0 in
+      (* Replays one group of [n] calls; returns its (fitness, birth)s. *)
+      let group ~parents n =
+        let known = ref (Array.to_list (Array.map fst parents)) in
+        let old_rule = mu_th !known in
+        Array.init n (fun _ ->
+            let i = !next in
+            let cutoff, f = calls.(i) in
+            incr next;
+            let want = mu_th !known in
+            if Int64.bits_of_float cutoff <> Int64.bits_of_float want then
+              Alcotest.failf "%s: call %d got cutoff %h, the bound is %h" label
+                i cutoff want;
+            if cutoff < old_rule then incr tighter;
+            if f > cutoff then incr hits else known := f :: !known;
+            (f, i))
+      in
+      let best_mu pool =
+        Array.sort compare pool;
+        Array.sub pool 0 mu
+      in
+      let seed_pop = group ~parents:[||] (List.length seeds) in
+      Array.sort compare seed_pop;
+      (* from here on, count offspring only *)
+      tighter := 0;
+      let populations =
+        Array.init islands (fun _ ->
+            Array.init mu (fun i ->
+                seed_pop.(if i < Array.length seed_pop then i else 0)))
+      in
+      for u = 1 to generations do
+        let offspring =
+          Array.map
+            (fun pop ->
+              group
+                ~parents:(if selection = EA.Plus then pop else [||])
+                lambda)
+            populations
+        in
+        Array.iteri
+          (fun isl pop ->
+            populations.(isl) <-
+              best_mu
+                (if selection = EA.Plus then Array.append pop offspring.(isl)
+                 else offspring.(isl)))
+          populations;
+        if islands > 1 && u mod 2 = 0 then begin
+          let emigrants = Array.map (fun pop -> pop.(0)) populations in
+          Array.iteri
+            (fun isl pop ->
+              pop.(mu - 1) <- emigrants.((isl + islands - 1) mod islands);
+              Array.sort compare pop)
+            populations
+        end
+      done;
+      Alcotest.(check int) (label ^ ": every call replayed")
+        (Array.length calls) !next;
+      Alcotest.(check bool) (label ^ ": some calls rejected") true (!hits > 0);
+      Alcotest.(check bool)
+        (label ^ ": tighter than the worst-survivor cutoff")
+        true (!tighter > 0))
+    [ (EA.Plus, 1); (EA.Comma, 1); (EA.Plus, 2); (EA.Comma, 2) ]
+
 (* Lossless float codec for checkpoint tests: %h hex floats
    round-trip every finite double exactly. *)
 let float_codec =
@@ -532,6 +644,7 @@ let () =
           Alcotest.test_case "comma selection" `Quick test_comma_selection;
           Alcotest.test_case "comma oscillation" `Quick
             test_comma_population_can_worsen;
+          Alcotest.test_case "selection bound" `Quick test_selection_bound;
           Alcotest.test_case "worker exception" `Quick
             test_worker_exception_propagates;
           Alcotest.test_case "default domains" `Quick test_default_domains;

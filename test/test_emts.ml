@@ -492,8 +492,9 @@ let test_resume_without_checkpoint_is_fresh () =
 
 (* Early rejection is exact: [Alg.run] returns what the reference run
    without any cutoff returns — same best allocation and fitness, same
-   history and same evaluation count, bit for bit — under Plus
-   selection (which rejects) and Comma (which must not). *)
+   history and same evaluation count, bit for bit — under Plus and
+   Comma selection, with one population and with two islands, each of
+   which has a selection bound of its own. *)
 let prop_early_reject_equivalent =
   QCheck.Test.make
     ~name:"early rejection never changes the outcome" ~count:20
@@ -504,10 +505,11 @@ let prop_early_reject_equivalent =
           ~graph
       in
       List.for_all
-        (fun selection ->
+        (fun (selection, islands) ->
           let config =
             Alg.with_domains Testutil.test_domains
-              { quick_config with Alg.generations = 4; selection }
+              (Alg.with_islands ~migration_interval:2 islands
+                 { quick_config with Alg.generations = 4; selection })
           in
           let r =
             Alg.run_ctx ~rng:(Emts_prng.create ~seed:11 ()) ~config ~ctx ()
@@ -522,7 +524,10 @@ let prop_early_reject_equivalent =
           && r.Alg.alloc = reference.Emts_ea.best
           && r.Alg.ea.Emts_ea.history = reference.Emts_ea.history
           && r.Alg.ea.Emts_ea.evaluations = reference.Emts_ea.evaluations)
-        [ Emts_ea.Plus; Emts_ea.Comma ])
+        [
+          (Emts_ea.Plus, 1); (Emts_ea.Comma, 1); (Emts_ea.Plus, 2);
+          (Emts_ea.Comma, 2);
+        ])
 
 (* Parallelism is a pure optimisation: worker domains must reproduce
    the sequential run bit for bit — same best fitness, same history,

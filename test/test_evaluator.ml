@@ -308,6 +308,48 @@ let prop_bound_at_the_makespan =
       done;
       true)
 
+(* EMTS evaluates fitness over the covering edges.  A transitive edge
+   u -> w never carries a maximum: a covering path u -> x -> ... -> w
+   has finish(x) >= finish(u) and bl(x) >= bl(w), as times are >= 0 and
+   rounding is monotone, and w's last predecessor to pop is a covering
+   one.  So the makespan, and whether a cutoff rejects, must not move by
+   a bit, on daggen DAGs (whose jumps make transitive edges) under
+   Model 2 times. *)
+let prop_cover_same_makespan =
+  QCheck.Test.make ~name:"covering edges give the same makespan" ~count:100
+    QCheck.(pair (int_range 2 60) small_int)
+    (fun (n, seed) ->
+      let rng = Emts_prng.create ~seed () in
+      let graph = Emts_check.Gen.random_daggen rng ~n in
+      let cover = Graph.transitive_reduction graph in
+      let procs = cluster_procs rng in
+      let platform =
+        Emts_platform.make ~name:"test" ~processors:procs ~speed_gflops:1.
+      in
+      let tables =
+        Emts_model.Memo.tabulate_graph Emts_model.synthetic platform graph
+      in
+      let full = Ev.create () and reduced = Ev.create () in
+      for _ = 1 to 5 do
+        let alloc = Emts_check.Gen.random_valid_alloc rng graph ~procs in
+        let eval ev graph cutoff =
+          Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff ()
+        in
+        let m = eval full graph infinity in
+        List.iter
+          (fun cutoff ->
+            let want = eval full graph cutoff in
+            let got = eval reduced cover cutoff in
+            if not (float_eq got want) then
+              Alcotest.failf
+                "%d of %d edges kept, cutoff %h: covering edges give %h, \
+                 the full graph %h"
+                (Graph.edge_count cover) (Graph.edge_count graph) cutoff got
+                want)
+          [ m; Float.pred m; Float.succ m; infinity ]
+      done;
+      true)
+
 let test_stats_and_metrics_accounting () =
   (* Diamond 0 -> {1, 2} -> 3 with the critical path 0-2-3 of length
      12.  At cutoff 5 the bound rejects at the very first pop (0 + 12 >
@@ -458,6 +500,7 @@ let () =
         [
           Alcotest.test_case "rounding chain" `Quick test_rounding_chain;
           QCheck_alcotest.to_alcotest prop_bound_at_the_makespan;
+          QCheck_alcotest.to_alcotest prop_cover_same_makespan;
         ] );
       ( "allocation",
         [

@@ -479,6 +479,40 @@ let test_counters_match_result () =
     result.Emts.Algorithm.ea.Emts_ea.evaluations (hits + misses);
   Alcotest.(check bool) "early reject fired" true (hits > 0)
 
+(* The online re-planner's EA rejects too, and the counts come from the
+   EA: one hit or one miss per fitness call. *)
+let test_online_counts_rejections () =
+  let module Online = Emts_serve.Online in
+  let rng = Emts_prng.create ~seed:23 () in
+  let g1 = Testutil.costed_daggen rng ~n:30 in
+  let g2 = Testutil.costed_daggen rng ~n:30 in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  let t =
+    Online.create
+      (Online.config
+         ~replanner:(Online.Emts { mu = 5; lambda = 25; generations = 5 })
+         ~seed:23 ~platform:Emts_platform.chti ~model:Emts_model.synthetic ())
+  in
+  List.iteri
+    (fun k graph ->
+      match Online.submit t ~graph ~at:(float_of_int k) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail ("online submit: " ^ m))
+    [ g1; g2 ];
+  (match Online.advance t with
+  | Ok r when r.Online.complete -> ()
+  | Ok _ -> Alcotest.fail "online session did not complete"
+  | Error m -> Alcotest.fail ("online advance: " ^ m));
+  let count name = Option.value ~default:0 (Obs.Metrics.find_counter name) in
+  let hits = count "ea.early_reject.hits" in
+  Alcotest.(check bool) "re-planned with the EA" true (Online.replans t > 0);
+  Alcotest.(check int) "hits + misses = evaluations"
+    (count "ea.evaluations")
+    (hits + count "ea.early_reject.misses");
+  Alcotest.(check bool) "early reject fired" true (hits > 0)
+
 let test_determinism_early_reject_metrics () =
   (* metrics collection on the early-reject path must not change results *)
   Obs.Metrics.set_enabled false;
@@ -561,6 +595,8 @@ let () =
             test_determinism_tracing;
           Alcotest.test_case "counters match EA result" `Slow
             test_counters_match_result;
+          Alcotest.test_case "online re-planner counts rejections" `Slow
+            test_online_counts_rejections;
           Alcotest.test_case "early-reject metrics preserve results" `Slow
             test_determinism_early_reject_metrics;
           Alcotest.test_case "full telemetry preserves results" `Slow

@@ -449,8 +449,10 @@ let run_alloc_gate () =
    derives from the first DAG's single-processor critical path, never
    from a solver's plan), so their realised makespans share the same
    clairvoyant lower-bound denominator.  Returns the pass flag: ratios
-   must be finite and >= 1 (the bound is certified), and EMTS
-   re-planning must not lose to the baseline on this corpus. *)
+   must be finite and >= 1 (the bound is certified), EMTS re-planning
+   must not lose to the baseline on this corpus, and each completed
+   session must hold no DAG's re-planning context.  A session prints
+   the words it keeps beyond its cluster state. *)
 let run_online () =
   let module Online = Emts_serve.Online in
   rule "Online: Perotin-Sun baseline vs EMTS re-planning (3-DAG arrivals)";
@@ -497,10 +499,18 @@ let run_online () =
         | Some m -> m
         | None -> failwith "bench online: complete session has no makespan"
       in
-      (m, Online.clairvoyant_bound t, Online.replans t)
+      let words =
+        Obj.reachable_words (Obj.repr t)
+        - Obj.reachable_words (Obj.repr (Online.state t))
+      in
+      Printf.printf
+        "%-8s %-16s complete: %d words beyond the cluster state, %d DAG \
+         contexts held\n"
+        mname (Online.replanner_name replanner) words (Online.open_dags t);
+      (m, Online.clairvoyant_bound t, Online.replans t, Online.open_dags t = 0)
     in
-    let base_m, base_bound, base_replans = run Online.Baseline in
-    let emts_m, emts_bound, emts_replans =
+    let base_m, base_bound, base_replans, base_closed = run Online.Baseline in
+    let emts_m, emts_bound, emts_replans, emts_closed =
       run (Online.Emts { mu = 5; lambda = 25; generations = 5 })
     in
     let ratio m bound = if bound > 0. then m /. bound else 1. in
@@ -514,14 +524,17 @@ let run_online () =
     && re >= 1. -. 1e-9
     && re <= rb +. 1e-9
     (* the bound is a property of the workload, not of the solver *)
-    && base_bound = emts_bound
+    && base_bound = emts_bound,
+    base_closed && emts_closed
   in
-  let all_ok =
+  let results =
     List.map run_model [ ("amdahl", Emts_model.amdahl); ("model2", model2) ]
-    |> List.for_all Fun.id
   in
-  Printf.printf "ratios finite and >= 1, emts <= baseline: %b\n" all_ok;
-  all_ok
+  let ratios_ok = List.for_all fst results
+  and closed = List.for_all snd results in
+  Printf.printf "ratios finite and >= 1, emts <= baseline: %b\n" ratios_ok;
+  Printf.printf "completed sessions hold no DAG context: %b\n" closed;
+  ratios_ok && closed
 
 let write_metrics_json metrics_json =
   match metrics_json with
@@ -537,7 +550,8 @@ let gate_online ~metrics_json =
   let ok = run_online () in
   write_metrics_json metrics_json;
   if not ok then begin
-    Printf.eprintf "[bench] online ratios violated the clairvoyant gate\n%!";
+    Printf.eprintf
+      "[bench] online sessions violated the clairvoyant or context gate\n%!";
     exit 1
   end
 

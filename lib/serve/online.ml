@@ -82,11 +82,12 @@ let config ?(replanner = Baseline) ?(seed = 0x5EED_CA11) ?(domains = 1)
     noise;
   }
 
-(* Per-DAG derived data, fixed at admission. *)
+(* What re-planning reads of one DAG, by local task id.  It lives while
+   the DAG has unstarted tasks: once the last one commits, no re-plan
+   reads it again. *)
 type dag_ctx = {
   tables : float array array;  (* local task id -> row over 1..procs *)
-  min_area : float;  (* sum_v min_p (p * t(v,p)) *)
-  min_cp : float;  (* critical path under min-time durations *)
+  cover : Graph.t;  (* the DAG's covering edges *)
 }
 
 type t = {
@@ -94,7 +95,11 @@ type t = {
   procs : int;
   state : Sim.t;
   pool : Emts_pool.t option;  (* borrowed; never shut down here *)
-  mutable dag_ctxs : dag_ctx array;
+  mutable dag_ctxs : dag_ctx option array;  (* by DAG; [None] once closed *)
+  mutable open_dags : int list;  (* the DAGs whose context is held *)
+  mutable min_area : float;  (* sum over DAGs of sum_v min_p (p * t(v,p)) *)
+  mutable min_cp : float;
+      (* max over DAGs of arrival + critical path under min-time durations *)
   mutable dirty : bool;  (* arrivals or drift since the current plan *)
   mutable replans : int;  (* effective re-plans performed *)
 }
@@ -113,6 +118,9 @@ let create ?pool cfg =
     state = Sim.create ~procs ~noise:cfg.noise ~rng ();
     pool;
     dag_ctxs = [||];
+    open_dags = [];
+    min_area = 0.;
+    min_cp = 0.;
     dirty = false;
     replans = 0;
   }
@@ -128,6 +136,7 @@ let plan t = Sim.plan t.state
 let replans t = t.replans
 let makespan t = if complete t then Some (Sim.makespan t.state) else None
 let state t = t.state
+let open_dags t = List.length t.open_dags
 
 let drifted (c : Sim.committed) =
   let eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
@@ -140,13 +149,14 @@ let pp_committed (c : Sim.committed) =
        (Array.to_list (Array.map string_of_int c.Sim.procs)))
     (if drifted c then " drift" else "")
 
-(* The dag owning a global task id: offsets are ascending. *)
-let dag_of t v =
-  let d = ref (Sim.dag_count t.state - 1) in
-  while Sim.dag_offset t.state !d > v do
-    decr d
-  done;
-  !d
+(* Drop the context of each DAG whose last task has committed.  Walks
+   the open DAGs only, once per [Sim.advance]. *)
+let close_finished t =
+  let closed, open_ =
+    List.partition (fun d -> Sim.dag_unstarted t.state d = 0) t.open_dags
+  in
+  List.iter (fun d -> t.dag_ctxs.(d) <- None) closed;
+  t.open_dags <- open_
 
 (* The induced sub-problem over the unstarted tasks. *)
 type sub = {
@@ -157,33 +167,40 @@ type sub = {
   avail : float array;
 }
 
+(* Its edges are the covering edges between unstarted tasks.  A task
+   commits only after all of its predecessors, so the unstarted tasks
+   are closed under successors: every covering edge out of one ends at
+   another, and these edges are the covering edges of the induced
+   sub-graph (DESIGN.md §17). *)
 let subproblem t =
   let st = t.state in
   let global = Array.of_list (Sim.unstarted st) in
   let k = Array.length global in
   let sub_of = Hashtbl.create (2 * k) in
   Array.iteri (fun i v -> Hashtbl.replace sub_of v i) global;
+  (* an unstarted task's DAG context and local id *)
+  let locate v =
+    let d = Sim.task_dag st v in
+    (Option.get t.dag_ctxs.(d), v - Sim.dag_offset st d)
+  in
   let b = Graph.Builder.create () in
   let tables =
     Array.map
       (fun v ->
-        let d = dag_of t v in
-        let local = v - Sim.dag_offset st d in
-        let task = Graph.task (Sim.dag_graph st d) local in
+        let c, local = locate v in
+        let task = Graph.task c.cover local in
         ignore (Graph.Builder.add_task b ~flop:task.Emts_ptg.Task.flop);
-        t.dag_ctxs.(d).tables.(local))
+        c.tables.(local))
       global
   in
   Array.iteri
     (fun i v ->
-      let d = dag_of t v in
-      let off = Sim.dag_offset st d in
+      let c, local = locate v in
       Array.iter
         (fun w ->
-          match Hashtbl.find_opt sub_of (w + off) with
-          | Some j -> Graph.Builder.add_edge b ~src:i ~dst:j
-          | None -> ())
-        (Graph.succs (Sim.dag_graph st d) (v - off)))
+          Graph.Builder.add_edge b ~src:i
+            ~dst:(Hashtbl.find sub_of (v - local + w)))
+        (Graph.succs c.cover local))
     global;
   {
     global;
@@ -295,6 +312,7 @@ let advance_to t to_ =
   let continue_ = ref true in
   while !continue_ do
     let r = Sim.advance ~to_ t.state in
+    if r.Sim.committed > 0 then close_finished t;
     committed := !committed + r.Sim.committed;
     if r.Sim.drifted then begin
       incr drifts;
@@ -363,17 +381,18 @@ let submit t ~graph ~at =
         row;
       !best
     in
-    let tables = ctx.Emts_alloc.Common.tables in
-    let dctx =
-      {
-        tables;
-        min_area = Array.fold_left (fun acc row -> acc +. min_area row) 0. tables;
-        min_cp =
-          Emts_ptg.Analysis.critical_path_length graph
-            ~time:(fun v -> min_time tables.(v));
-      }
-    in
-    t.dag_ctxs <- Array.append t.dag_ctxs [| dctx |];
+    let tables = ctx.Emts_alloc.Common.tables
+    and cover = ctx.Emts_alloc.Common.cover in
+    t.min_area <-
+      t.min_area
+      +. Array.fold_left (fun acc row -> acc +. min_area row) 0. tables;
+    t.min_cp <-
+      Float.max t.min_cp
+        (Sim.dag_arrival t.state dag
+        +. Emts_ptg.Analysis.critical_path_length graph ~time:(fun v ->
+               min_time tables.(v)));
+    t.dag_ctxs <- Array.append t.dag_ctxs [| Some { tables; cover } |];
+    t.open_dags <- dag :: t.open_dags;
     t.dirty <- true;
     ignore (replan t);
     Ok (dag, report t ~committed ~drifts)
@@ -388,15 +407,7 @@ let submit t ~graph ~at =
    luck, provided realised durations never undercut the model (true
    for [Noise.none] and [Noise.uniform_slowdown]). *)
 let clairvoyant_bound t =
-  let area =
-    Array.fold_left (fun acc d -> acc +. d.min_area) 0. t.dag_ctxs
-  in
-  let cp =
-    Array.to_list t.dag_ctxs
-    |> List.mapi (fun d dctx -> Sim.dag_arrival t.state d +. dctx.min_cp)
-    |> List.fold_left Float.max 0.
-  in
-  Float.max (area /. float_of_int t.procs) cp
+  Float.max (t.min_area /. float_of_int t.procs) t.min_cp
 
 module Registry = struct
   type session = t

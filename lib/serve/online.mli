@@ -120,6 +120,12 @@ val replans : t -> int
 val makespan : t -> float option
 val state : t -> Emts_simulator.Online.t
 
+val open_dags : t -> int
+(** DAGs whose re-planning context (time tables and covering edges) the
+    session still holds: those with an unstarted task.  A DAG's context
+    goes when its last task commits, so a {!complete} session holds
+    none; {!clairvoyant_bound} keeps its two running totals. *)
+
 val pp_committed : Emts_simulator.Online.committed -> string
 (** One stable log line: ["dag<d> t<id> <start> <finish> [p,...]"]
     with [%.9g] times and a [" drift"] suffix when realised times

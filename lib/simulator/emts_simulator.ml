@@ -184,11 +184,14 @@ let execute ?(noise = Noise.none) ?rng ~graph ~schedule () =
    replays exactly, and under noise the first drifting commit stops the
    clock for the controller to re-plan. *)
 module Online = struct
+  (* A committed task keeps only its realised [r_*] fields: its commit
+     step empties [preds], [succs] and [planned], which only uncommitted
+     tasks are read for. *)
   type task = {
     dag : int;
     arrival : float;
-    preds : int array;  (* global ids *)
-    succs : int array;
+    mutable preds : int array;  (* global ids *)
+    mutable succs : int array;
     mutable committed : bool;
     mutable waiting : int;  (* uncommitted predecessors *)
     mutable r_start : float;
@@ -214,6 +217,7 @@ module Online = struct
     mutable now : float;
     mutable tasks : task array;
     mutable dags : (Emts_ptg.Graph.t * int * float) array;
+    mutable dag_unstarted : int array;  (* uncommitted tasks per DAG *)
     free : float array;
     mutable log : committed list;  (* newest first *)
     mutable committed_count : int;
@@ -235,6 +239,7 @@ module Online = struct
       now = 0.;
       tasks = [||];
       dags = [||];
+      dag_unstarted = [||];
       free = Array.make procs 0.;
       log = [];
       committed_count = 0;
@@ -261,6 +266,9 @@ module Online = struct
   let dag_arrival t d =
     let _, _, at = t.dags.(d) in
     at
+
+  let dag_unstarted t d = t.dag_unstarted.(d)
+  let task_dag t v = t.tasks.(v).dag
 
   let push_ready t v =
     t.ready.(t.ready_len) <- v;
@@ -290,8 +298,10 @@ module Online = struct
     in
     t.tasks <- Array.append t.tasks fresh;
     t.dags <- Array.append t.dags [| (graph, offset, t.now) |];
-    (* ready tasks are uncommitted ones, so one slot per task suffices *)
-    let ready = Array.make (Array.length t.tasks) 0 in
+    t.dag_unstarted <- Array.append t.dag_unstarted [| n |];
+    (* ready tasks are uncommitted ones, so one slot per uncommitted
+       task suffices until the next admission *)
+    let ready = Array.make (Array.length t.tasks - t.committed_count) 0 in
     Array.blit t.ready 0 ready 0 t.ready_len;
     t.ready <- ready;
     Array.iteri
@@ -481,6 +491,10 @@ module Online = struct
           task.r_start <- eff;
           task.r_finish <- finish;
           task.r_procs <- e.Schedule.procs;
+          task.preds <- [||];
+          task.succs <- [||];
+          task.planned <- None;
+          t.dag_unstarted.(task.dag) <- t.dag_unstarted.(task.dag) - 1;
           Array.iter (fun p -> t.free.(p) <- finish) e.Schedule.procs;
           t.committed_count <- t.committed_count + 1;
           t.log <-

@@ -97,7 +97,11 @@ val trace_to_csv : result -> string
       times;
     - {b drift stops the clock}: the first commit whose realised times
       differ bitwise from the plan ends the {!advance} call, so the
-      controller can re-plan before anything else commits. *)
+      controller can re-plan before anything else commits.
+
+    A committed task keeps only its realised start, finish and
+    processors: its commit drops its plan entry and adjacency, which
+    only uncommitted tasks are read for. *)
 module Online : sig
   type t
 
@@ -157,6 +161,14 @@ module Online : sig
   val dag_graph : t -> int -> Emts_ptg.Graph.t
   val dag_offset : t -> int -> int
   val dag_arrival : t -> int -> float
+
+  val dag_unstarted : t -> int -> int
+  (** Tasks of DAG [d] not yet committed: its task count at admission,
+      one less at each of its commitments. *)
+
+  val task_dag : t -> int -> int
+  (** The DAG that global task [v] belongs to. *)
+
   val committed_count : t -> int
   val complete : t -> bool
 

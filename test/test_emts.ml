@@ -591,6 +591,119 @@ let prop_pool_determinism =
                   (with_telemetry (fun () ->
                        run_with ~checkpoint:(path, 1) Fun.id))))
 
+(* A DAG's re-planning context (time tables and covering edges) lives as
+   long as its unstarted work.  [online_session] submits [graphs] to a
+   fresh Grelon session, DAG k at k × gap, the gap being [spread] times
+   the first DAG's planned makespan.  After each submit it checks that
+   the session holds a context for exactly the DAGs with an unstarted
+   task. *)
+let online_session
+    ?(replanner = Online.Emts { mu = 2; lambda = 6; generations = 2 })
+    ~spread graphs =
+  let t =
+    Online.create
+      (Online.config ~replanner ~seed:23 ~platform:Emts_platform.grelon
+         ~model:Emts_model.synthetic ())
+  in
+  let gap = ref 0. in
+  List.iteri
+    (fun k graph ->
+      (match Online.submit t ~graph ~at:(float_of_int k *. !gap) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail ("online submit: " ^ m));
+      if k = 0 then
+        gap :=
+          spread
+          *. List.fold_left
+               (fun acc (e : Emts_sched.Schedule.entry) ->
+                 Float.max acc e.Emts_sched.Schedule.finish)
+               0. (Online.plan t);
+      let st = Online.state t in
+      let unfinished =
+        List.length
+          (List.filter
+             (fun d -> Sim_online.dag_unstarted st d > 0)
+             (List.init (Sim_online.dag_count st) Fun.id))
+      in
+      Alcotest.(check int) "contexts held = DAGs with unstarted work"
+        unfinished (Online.open_dags t))
+    graphs;
+  t
+
+let online_complete t =
+  match Online.advance t with
+  | Ok r when r.Online.complete -> ()
+  | Ok _ -> Alcotest.fail "online trace did not complete"
+  | Error m -> Alcotest.fail ("online advance: " ^ m)
+
+(* Words reachable from the session but not from its cluster state. *)
+let words_beyond_state t =
+  Obj.reachable_words (Obj.repr t)
+  - Obj.reachable_words (Obj.repr (Online.state t))
+
+(* Once complete, a session keeps its cluster state and commitment log
+   but no DAG's context: a few words per DAG beyond the state, where
+   the time tables alone take a row of [procs] floats per task. *)
+let test_online_complete_keeps_no_context () =
+  let rng = Emts_prng.create ~seed:29 () in
+  let graphs =
+    List.init 4 (fun k -> Testutil.costed_daggen rng ~n:(30 + (10 * k)))
+  in
+  (* the second DAG lands on the first one's work, the later two after
+     the earlier ones closed *)
+  let t = online_session ~spread:0.9 graphs in
+  Alcotest.(check bool) "work still open after the last arrival" true
+    (Online.open_dags t > 0);
+  online_complete t;
+  Alcotest.(check int) "no context held" 0 (Online.open_dags t);
+  let words = words_beyond_state t and dags = Online.dag_count t in
+  if words > 64 + (4 * dags) then
+    Alcotest.failf "%d words beyond the cluster state for %d DAGs" words dags
+
+(* A DAG submitted after the session completes re-plans from its own
+   context alone: with the deterministic baseline it commits what a
+   fresh session given the same DAG at the same time commits, shifted
+   past the earlier tasks, and no earlier commitment moves. *)
+let test_online_dag_after_completion () =
+  let rng = Emts_prng.create ~seed:31 () in
+  let first = Testutil.costed_daggen rng ~n:40
+  and late = Testutil.costed_daggen rng ~n:35 in
+  let t = online_session ~replanner:Online.Baseline ~spread:0. [ first ] in
+  online_complete t;
+  let before = Online.commitments t in
+  let at = Option.get (Online.makespan t) +. 1. in
+  (match Online.submit t ~graph:late ~at with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("late submit: " ^ m));
+  Alcotest.(check int) "only the late DAG's context" 1 (Online.open_dags t);
+  online_complete t;
+  Alcotest.(check int) "closed again" 0 (Online.open_dags t);
+  let after = Online.commitments t in
+  let earlier = List.filteri (fun i _ -> i < List.length before) after in
+  Alcotest.(check bool) "earlier commitments unchanged" true
+    (List.for_all2 online_committed_eq before earlier);
+  let fresh =
+    Online.create
+      (Online.config ~replanner:Online.Baseline ~seed:23
+         ~platform:Emts_platform.grelon ~model:Emts_model.synthetic ())
+  in
+  (match Online.submit fresh ~graph:late ~at with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("fresh submit: " ^ m));
+  online_complete fresh;
+  let offset = Emts_ptg.Graph.task_count first in
+  let shifted =
+    List.map
+      (fun (c : Sim_online.committed) ->
+        { c with Sim_online.task = c.Sim_online.task + offset; dag = 1 })
+      (Online.commitments fresh)
+  in
+  let late_part = List.filteri (fun i _ -> i >= List.length before) after in
+  Alcotest.(check int) "late commitment count" (List.length shifted)
+    (List.length late_part);
+  Alcotest.(check bool) "late DAG committed as in a fresh session" true
+    (List.for_all2 online_committed_eq shifted late_part)
+
 (* Online satellite: a forced re-plan with zero arrivals and zero
    drift must refuse to touch the installed plan — [replan] returns
    [false] and every plan entry stays bitwise identical, both straight
@@ -706,6 +819,10 @@ let () =
       ( "online",
         [
           Alcotest.test_case "determinism matrix" `Quick test_online_matrix;
+          Alcotest.test_case "complete session keeps no DAG context" `Quick
+            test_online_complete_keeps_no_context;
+          Alcotest.test_case "DAG after completion" `Quick
+            test_online_dag_after_completion;
         ] );
       ( "crash safety",
         [

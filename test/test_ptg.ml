@@ -375,6 +375,47 @@ let prop_reduction_matches_reference =
       and want = ref_transitive_reduction g in
       shape_of got = shape_of want && Graph.tasks got = Graph.tasks want)
 
+(* A task commits only after all of its predecessors, so the unstarted
+   tasks of an online session are closed under successors, and the
+   online re-planner builds its sub-problem from the covering edges
+   between them.  That is exact when, on such a set, those edges are the
+   covering edges of the induced sub-graph.  The set here is every task
+   reachable from a random subset, renumbered in ascending id order. *)
+let prop_reduction_of_successor_closed_set =
+  QCheck.Test.make
+    ~name:"reduction restricted to a successor-closed set = reduction of \
+           its induced sub-graph"
+    ~count:300 (QCheck.pair arbitrary_daggen QCheck.int) (fun (g, seed) ->
+      let n = Graph.task_count g in
+      let rng = Emts_prng.create ~seed () in
+      let share = Emts_prng.float rng 0.5 in
+      let inside = Array.make n false in
+      for v = 0 to n - 1 do
+        if Emts_prng.float rng 1.0 < share then
+          Array.iteri
+            (fun w r -> if r then inside.(w) <- true)
+            (Graph.reachable g v)
+      done;
+      let sub = Array.make n (-1) and k = ref 0 in
+      Array.iteri
+        (fun v b ->
+          if b then begin
+            sub.(v) <- !k;
+            incr k
+          end)
+        inside;
+      let induced g =
+        Graph.of_tasks_and_edges (unit_tasks !k)
+          (List.filter_map
+             (fun (s, d) ->
+               if inside.(s) && inside.(d) then Some (sub.(s), sub.(d))
+               else None)
+             (Graph.edges g))
+      in
+      Graph.equal_structure
+        (induced (Graph.transitive_reduction g))
+        (Graph.transitive_reduction (induced g)))
+
 (* 4100 tasks, past the 4032 columns of one bitset block: a chain in a
    scrambled id order (position i holds task [i * 2957 mod 4100]) with
    every 2-step skip and every 7th 41-step jump, many of which cross the
@@ -496,5 +537,6 @@ let () =
             prop_transitive_reduction_preserves_levels;
             prop_build_matches_reference;
             prop_reduction_matches_reference;
+            prop_reduction_of_successor_closed_set;
           ] );
     ]

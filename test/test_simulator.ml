@@ -242,6 +242,88 @@ let drift_case ~same_proc () =
   check_float "task 2 at its planned start" (f0 /. 2.) (start 2);
   check_float "task 1 at task 0's realised finish" f0 (start 1)
 
+(* Committed tasks give up their plan entries and adjacency, so what
+   later commits read of them must still hold.  Three daggen DAGs
+   arrive at a noisy cluster; a plan puts every unstarted task at the
+   clock, and after every [advance] the state is checked against the
+   commitment log: each unstarted task's release is the latest of its
+   DAG's arrival, the clock and its committed predecessors' realised
+   finishes, read from [dag_graph], and each DAG's unstarted count is
+   its task count minus its commitments.  The realised schedule must
+   validate against [merged_graph]. *)
+let test_online_noisy_state () =
+  let procs = 6 in
+  let st =
+    On.create ~procs
+      ~noise:(Sim.Noise.multiplicative_lognormal ~sigma:0.3)
+      ~rng:(Emts_prng.create ~seed:11 ())
+      ()
+  in
+  let rng = Emts_prng.create ~seed:12 () in
+  let replan () =
+    let now = On.now st in
+    On.set_plan st
+      (List.map
+         (fun v ->
+           entry v now (now +. 1. +. float_of_int (v mod 3)) [| v mod procs |])
+         (On.unstarted st))
+  in
+  let check () =
+    let finish = Hashtbl.create 64 in
+    List.iter
+      (fun (c : On.committed) -> Hashtbl.replace finish c.On.task c.On.finish)
+      (On.commitments st);
+    for d = 0 to On.dag_count st - 1 do
+      let g = On.dag_graph st d and off = On.dag_offset st d in
+      let n = Emts_ptg.Graph.task_count g in
+      let done_ = ref 0 in
+      for l = 0 to n - 1 do
+        let v = off + l in
+        Alcotest.(check int) "task_dag" d (On.task_dag st v);
+        if Hashtbl.mem finish v then incr done_
+        else
+          let want =
+            Array.fold_left
+              (fun acc p ->
+                match Hashtbl.find_opt finish (off + p) with
+                | Some f -> Float.max acc f
+                | None -> acc)
+              (Float.max (On.dag_arrival st d) (On.now st))
+              (Emts_ptg.Graph.preds g l)
+          in
+          Alcotest.(check (float 0.)) (Printf.sprintf "release of %d" v) want
+            (On.release_of st v)
+      done;
+      Alcotest.(check int) (Printf.sprintf "dag %d unstarted" d) (n - !done_)
+        (On.dag_unstarted st d)
+    done
+  in
+  let advances = ref 0 in
+  let run_to to_ =
+    let continue_ = ref true in
+    while !continue_ do
+      let r = On.advance ~to_ st in
+      incr advances;
+      check ();
+      if r.On.drifted then replan () else continue_ := false
+    done
+  in
+  List.iteri
+    (fun k at ->
+      run_to at;
+      ignore (On.admit st (Testutil.costed_daggen rng ~n:(20 + (5 * k))));
+      replan ();
+      check ())
+    [ 0.; 4.; 9. ];
+  run_to infinity;
+  Alcotest.(check bool) "complete" true (On.complete st);
+  Alcotest.(check bool) "many advances" true (!advances > 60);
+  match
+    Schedule.validate (On.realized_schedule st) ~graph:(On.merged_graph st)
+  with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "realised schedule violates the merged graph"
+
 (* properties over random graphs and allocations *)
 
 let arbitrary_sim_input =
@@ -319,6 +401,8 @@ let () =
             (drift_case ~same_proc:false);
           Alcotest.test_case "drift: busy processor" `Quick
             (drift_case ~same_proc:true);
+          Alcotest.test_case "noisy trace: releases and realised schedule"
+            `Quick test_online_noisy_state;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -483,39 +483,6 @@ let server_phases stats =
         Some (label, f "p50", f "p95", f "p99"))
     phase_metrics
 
-(* Work-stealing telemetry (DESIGN.md §16): total steals plus the
-   per-worker deque depths the stats verb exports as
-   [serve.deque_depth.<i>] gauges. *)
-let server_queues stats =
-  let counter name =
-    match Option.map J.to_int (Option.bind (J.member "counters" stats)
-                                 (J.member name)) with
-    | Some (Ok v) -> Some v
-    | _ -> None
-  in
-  let steals = counter "serve.steals_total" in
-  let depths =
-    match Option.map J.to_obj (J.member "gauges" stats) with
-    | Some (Ok fields) ->
-      let prefix = "serve.deque_depth." in
-      List.filter_map
-        (fun (name, v) ->
-          if String.starts_with ~prefix name then
-            match
-              ( int_of_string_opt
-                  (String.sub name (String.length prefix)
-                     (String.length name - String.length prefix)),
-                J.to_float v )
-            with
-            | Some i, Ok d -> Some (i, int_of_float d)
-            | _ -> None
-          else None)
-        fields
-      |> List.sort compare |> List.map snd
-    | _ -> []
-  in
-  (steals, depths)
-
 let run_load ?islands ~endpoints ~corpus ~platform ~model ~algorithm ~seed
     ~rate ~requests ~deadline_s ~budget_s ~retry ~json () =
   if rate <= 0. then Error "--rate must be positive"
@@ -606,33 +573,13 @@ let run_load ?islands ~endpoints ~corpus ~platform ~model ~algorithm ~seed
         Printf.printf "server %s_s p50=%.6f p95=%.6f p99=%.6f\n" label p50
           p95 p99)
       phases;
-    let steals, deque_depths =
-      Option.fold ~none:(None, []) ~some:server_queues stats
-    in
-    (match steals with
-    | Some s ->
-      Printf.printf "server steals=%d deque_depth=[%s]\n" s
-        (String.concat ";" (List.map string_of_int deque_depths))
-    | None -> ());
     (match json with
     | None -> ()
     | Some path ->
       let server_section =
-        match (phases, steals) with
-        | [], None -> []
-        | ps, st ->
-          let queue_fields =
-            match st with
-            | None -> []
-            | Some s ->
-              [
-                ("steals", J.Num (float_of_int s));
-                ( "queue_depth",
-                  J.List
-                    (List.map (fun d -> J.Num (float_of_int d)) deque_depths)
-                );
-              ]
-          in
+        match phases with
+        | [] -> []
+        | ps ->
           [
             ( "server",
               J.Obj
@@ -645,8 +592,7 @@ let run_load ?islands ~endpoints ~corpus ~platform ~model ~algorithm ~seed
                            ("p95", J.float p95);
                            ("p99", J.float p99);
                          ] ))
-                   ps
-                @ queue_fields) );
+                   ps) );
           ]
       in
       let fleet_section =

@@ -151,7 +151,7 @@ let run obs graph_file platform_spec model_spec algorithm seed domains
   let* platform = resolve_platform platform_spec in
   let* model = resolve_model model_spec in
   let ctx = Emts_alloc.Common.make_ctx ~model ~platform ~graph in
-  let* alloc, label =
+  let* alloc, schedule, label =
     match String.lowercase_ascii algorithm with
     | ("emts1" | "emts5" | "emts10") as name ->
       let config =
@@ -191,15 +191,16 @@ let run obs graph_file platform_spec model_spec algorithm seed domains
           "emts: stopped after generation %d/%d — best-so-far below; resume \
            with --resume\n%!"
           completed config.Emts.Algorithm.generations;
-      Ok (result.alloc, String.uppercase_ascii algorithm)
+      Ok (result.alloc, result.schedule, String.uppercase_ascii algorithm)
     | _ when checkpoint <> None || resume ->
       Error "--checkpoint/--resume apply to EMTS algorithms only"
     | name -> (
       match Emts_alloc.find name with
-      | Some h -> Ok (h.allocate ctx, h.name)
+      | Some h ->
+        let alloc = h.allocate ctx in
+        Ok (alloc, Emts.Algorithm.schedule_allocation ~ctx alloc, h.name)
       | None -> Error (Printf.sprintf "unknown algorithm %S" algorithm))
   in
-  let schedule = Emts.Algorithm.schedule_allocation ~ctx alloc in
   (match Emts_sched.Schedule.validate ~alloc schedule ~graph with
   | Ok () -> ()
   | Error violations ->

@@ -45,8 +45,9 @@ let queue_arg =
   Arg.(
     value & opt int Server.default.Server.queue_capacity
     & info [ "queue-capacity" ] ~docv:"N"
-        ~doc:"Admission queue bound.  A full queue answers $(b,overloaded) \
-              immediately instead of growing latency silently.")
+        ~doc:"Admission queue bound.  Workers take queued requests oldest \
+              first; a full queue answers $(b,overloaded) immediately \
+              instead of growing latency silently.")
 
 let max_frame_arg =
   Arg.(
@@ -62,14 +63,6 @@ let watchdog_grace_arg =
         ~doc:"Answer a request $(b,deadline_exceeded) once it is $(docv) \
               seconds past its deadline with no reply yet — a solve stuck \
               inside one evaluation cannot hang its client.")
-
-let no_steal_arg =
-  Arg.(
-    value & flag
-    & info [ "no-steal" ]
-        ~doc:"Disable work stealing: one shared FIFO queue instead of \
-              per-worker deques.  Benchmark baseline; responses do not \
-              depend on this flag.")
 
 let shed_budget_arg =
   Arg.(
@@ -140,8 +133,8 @@ let gc_profile_arg =
 let parse_listen = Emts_serve.Endpoint.parse_hostport ~flag:"--listen"
 
 let run socket listen metrics_listen workers pool_domains queue_capacity
-    max_frame watchdog_grace shed_budget
-    no_steal fault_plan metrics_json trace flight gc_profile =
+    max_frame watchdog_grace shed_budget fault_plan metrics_json trace flight
+    gc_profile =
   let ( let* ) = Result.bind in
   let* tcp =
     match listen with
@@ -166,7 +159,6 @@ let run socket listen metrics_listen workers pool_domains queue_capacity
       max_frame;
       watchdog_grace;
       shed_budget;
-      steal = not no_steal;
     }
   in
   let* () =
@@ -251,7 +243,7 @@ let () =
       term_result'
         (const run $ socket_arg $ listen_arg $ metrics_listen_arg
        $ workers_arg $ pool_domains_arg $ queue_arg $ max_frame_arg
-       $ watchdog_grace_arg $ shed_budget_arg $ no_steal_arg $ fault_plan_arg
+       $ watchdog_grace_arg $ shed_budget_arg $ fault_plan_arg
        $ metrics_json_arg $ trace_arg $ flight_arg $ gc_profile_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

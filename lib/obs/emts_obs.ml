@@ -348,7 +348,7 @@ module Trace = struct
 
   (* Retroactive span: the interval [start_ns, now] as one "X" event.
      Used where the start is only known in hindsight (queue wait is
-     measured at dequeue time). *)
+     measured when a worker takes it). *)
   let complete ?tid ?ctx ?(args = []) ~start_ns name =
     if should_emit () then begin
       let tid = match tid with Some t -> t | None -> self_tid () in
@@ -792,23 +792,30 @@ module Gcprof = struct
     if b then Metrics.set_enabled true;
     Atomic.set enabled_flag b
 
-  let h_alloc =
-    lazy
-      (Metrics.histogram
-         ~help:"bytes allocated per fitness evaluation (minor + major)"
-         "gc.eval.alloc_bytes")
+  (* Registered on first use, so the gc.eval.* series exist only once
+     profiling has run.  Not a [lazy]: two domains forcing one lazy at
+     once raise [CamlinternalLazy.Undefined].  Interning is idempotent
+     under the registry lock, so racing first users get the same
+     instruments. *)
+  let instruments_cell = Atomic.make None
 
-  let c_minor =
-    lazy
-      (Metrics.counter
-         ~help:"minor GC collections triggered during fitness evaluation"
-         "gc.eval.minor_collections")
-
-  let c_major =
-    lazy
-      (Metrics.counter
-         ~help:"major GC collections triggered during fitness evaluation"
-         "gc.eval.major_collections")
+  let instruments () =
+    match Atomic.get instruments_cell with
+    | Some i -> i
+    | None ->
+      let i =
+        ( Metrics.histogram
+            ~help:"bytes allocated per fitness evaluation (minor + major)"
+            "gc.eval.alloc_bytes",
+          Metrics.counter
+            ~help:"minor GC collections triggered during fitness evaluation"
+            "gc.eval.minor_collections",
+          Metrics.counter
+            ~help:"major GC collections triggered during fitness evaluation"
+            "gc.eval.major_collections" )
+      in
+      Atomic.set instruments_cell (Some i);
+      i
 
   (* Per-lane aggregate, cached in domain-local storage so the hot path
      does not re-intern: lane ids are stable per worker domain. *)
@@ -838,11 +845,10 @@ module Gcprof = struct
     let words = minor -. w0.(0) +. (major -. w0.(1)) -. (promoted -. w0.(2)) in
     let bytes = words *. float_of_int (Sys.word_size / 8) in
     let s1 = Gc.quick_stat () in
-    Metrics.observe (Lazy.force h_alloc) bytes;
-    Metrics.add (Lazy.force c_minor)
-      (s1.Gc.minor_collections - s0.Gc.minor_collections);
-    Metrics.add (Lazy.force c_major)
-      (s1.Gc.major_collections - s0.Gc.major_collections);
+    let h_alloc, c_minor, c_major = instruments () in
+    Metrics.observe h_alloc bytes;
+    Metrics.add c_minor (s1.Gc.minor_collections - s0.Gc.minor_collections);
+    Metrics.add c_major (s1.Gc.major_collections - s0.Gc.major_collections);
     Metrics.add (lane_counter lane) (int_of_float bytes)
 
   (* The GC counters are domain-local in OCaml 5, so the window

@@ -162,7 +162,8 @@ module Trace : sig
     start_ns:int64 -> string -> unit
   (** Retroactive span: emit an "X" event covering [start_ns] (from
       {!Clock.now_ns}) to now.  For intervals whose start is only known
-      in hindsight, like a job's queue wait measured at dequeue. *)
+      in hindsight, like a job's queue wait measured when a worker
+      takes it. *)
 
   val instant : ?tid:int -> ?ctx:Span.ctx -> ?args:(string * arg) list ->
     string -> unit

@@ -453,31 +453,6 @@ let prober_loop st ~finished () =
   in
   loop unknown_backoff
 
-let bind_listeners config =
-  try
-    let listeners = [] in
-    let listeners =
-      match config.socket with
-      | None -> listeners
-      | Some path ->
-        let fd = Endpoint.listen_fd (Endpoint.Unix_socket path) in
-        Printf.eprintf "routing on %s\n%!" path;
-        (fd, Some path) :: listeners
-    in
-    let listeners =
-      match config.tcp with
-      | None -> listeners
-      | Some (host, port) ->
-        let fd = Endpoint.listen_fd (Endpoint.Tcp (host, port)) in
-        Printf.eprintf "routing on %s:%d\n%!" host port;
-        (fd, None) :: listeners
-    in
-    Ok listeners
-  with
-  | Unix.Unix_error (e, fn, arg) ->
-    Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
-  | Not_found -> Error "cannot resolve listen host"
-
 module Private = struct
   let instance_key = instance_key
   let rank_backends = rank_backends
@@ -498,9 +473,23 @@ let run ?(stop = Emts_resilience.Shutdown.requested) (config : config) =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
     Metrics.set_enabled true;
-    match bind_listeners config with
+    match
+      Endpoint.bind ~socket:config.socket ~tcp:config.tcp
+        ~http:config.metrics_tcp
+    with
     | Error _ as e -> e
-    | Ok listeners ->
+    | Ok { Endpoint.frames; http } ->
+      List.iter
+        (fun (ep, _) ->
+          Printf.eprintf "routing on %s\n%!"
+            (match ep with
+            | Endpoint.Unix_socket path -> path
+            | Endpoint.Tcp _ -> Endpoint.to_string ep))
+        frames;
+      Option.iter
+        (fun (host, port) ->
+          Printf.eprintf "metrics on http://%s:%d/metrics\n%!" host port)
+        config.metrics_tcp;
       let st =
         {
           config;
@@ -512,83 +501,39 @@ let run ?(stop = Emts_resilience.Shutdown.requested) (config : config) =
       refresh_live_gauge st.backends;
       let finished = Atomic.make false in
       let metrics_thread =
-        match config.metrics_tcp with
-        | None -> Ok None
-        | Some (host, port) -> (
-          try
-            let fd = Endpoint.listen_fd ~backlog:16 (Endpoint.Tcp (host, port)) in
-            Printf.eprintf "metrics on http://%s:%d/metrics\n%!" host port;
-            Ok
-              (Some
-                 (Thread.create
-                    (fun () ->
-                      Emts_serve.Metrics_http.loop
-                        ~health_extra:(fun () ->
-                          [
-                            ( "backends_live",
-                              J.Num (float_of_int (live_count st.backends)) );
-                          ])
-                        ~finished:(fun () -> Atomic.get finished)
-                        ~draining:(fun () ->
-                          stop () || Atomic.get st.draining)
-                        fd)
-                    ()))
-          with
-          | Unix.Unix_error (e, fn, arg) ->
-            Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
-          | Not_found -> Error "cannot resolve metrics host")
+        Option.map
+          (fun fd ->
+            Thread.create
+              (fun () ->
+                Emts_serve.Metrics_http.loop
+                  ~health_extra:(fun () ->
+                    [
+                      ( "backends_live",
+                        J.Num (float_of_int (live_count st.backends)) );
+                    ])
+                  ~finished:(fun () -> Atomic.get finished)
+                  ~draining:(fun () -> stop () || Atomic.get st.draining)
+                  fd)
+              ())
+          http
       in
-      (match metrics_thread with
-      | Error m ->
-        List.iter
-          (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
-          listeners;
-        Error m
-      | Ok metrics_thread ->
-        let prober =
-          Thread.create (prober_loop st ~finished:(fun () -> Atomic.get finished)) ()
-        in
-        let lfds = List.map fst listeners in
-        let rec accept_loop () =
-          if not (stop ()) then begin
-            (match Unix.select lfds [] [] 0.2 with
-            | ready, _, _ ->
-              List.iter
-                (fun lfd ->
-                  match Unix.accept ~cloexec:true lfd with
-                  | fd, _ ->
-                    Metrics.incr m_connections;
-                    ignore (Thread.create (client_loop st) fd)
-                  | exception
-                      Unix.Unix_error
-                        ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-                          | Unix.ECONNABORTED ),
-                          _,
-                          _ ) ->
-                    ())
-                ready
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            accept_loop ()
-          end
-        in
-        accept_loop ();
-        (* Drain: stop admitting (readers answer [draining]), let the
-           in-flight forwards finish, then shut the probe and metrics
-           threads down. *)
-        Atomic.set st.draining true;
-        List.iter
-          (fun (fd, path) ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            match path with
-            | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-            | None -> ())
-          listeners;
-        while Atomic.get st.in_flight > 0 do
-          Thread.delay 0.02
-        done;
-        Atomic.set finished true;
-        Thread.join prober;
-        Option.iter Thread.join metrics_thread;
-        List.iter Backend.close st.backends;
-        Ok ())
+      let prober =
+        Thread.create (prober_loop st ~finished:(fun () -> Atomic.get finished)) ()
+      in
+      Endpoint.accept_loop ~stop (List.map snd frames) (fun fd ->
+          Metrics.incr m_connections;
+          ignore (Thread.create (client_loop st) fd));
+      (* Drain: stop admitting (readers answer [draining]), let the
+         in-flight forwards finish, then shut the probe and metrics
+         threads down. *)
+      Atomic.set st.draining true;
+      Endpoint.close_listeners frames;
+      while Atomic.get st.in_flight > 0 do
+        Thread.delay 0.02
+      done;
+      Atomic.set finished true;
+      Thread.join prober;
+      Option.iter Thread.join metrics_thread;
+      List.iter Backend.close st.backends;
+      Ok ()
   end

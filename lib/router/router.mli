@@ -83,5 +83,7 @@ val run : ?stop:(unit -> bool) -> config -> (unit, string) result
     {!Emts_resilience.Shutdown.requested}, so SIGTERM/SIGINT drain).
     The drain closes the listeners, lets in-flight forwards finish
     answering, then returns [Ok ()].  [Error] is a startup diagnostic
-    (bad config, bind failure) — backend unavailability is {e not} a
-    startup error; the fleet may come up in any order. *)
+    (bad config, bind failure; a failed bind leaves no socket file) —
+    backend unavailability is {e not} a startup error; the fleet may
+    come up in any order.  The [routing on ...] lines go to stderr once
+    every bind has succeeded. *)

@@ -1,7 +1,8 @@
-(** EMTS scheduling service: wire protocol, warm request engine, and
-    the concurrent daemon.  See DESIGN.md §11 for the protocol spec. *)
+(** EMTS scheduling service: the wire protocol, endpoint addresses and
+    listeners, the warm request engine, online sessions, the HTTP
+    metrics sidecar, and the concurrent daemon with its one FIFO
+    admission queue.  See DESIGN.md §11 for the protocol spec. *)
 
-module Deque = Deque
 module Endpoint = Endpoint
 module Metrics_http = Metrics_http
 module Protocol = Protocol

@@ -30,10 +30,12 @@ let resolve_host host =
     | { Unix.h_addr_list = [||]; _ } -> raise Not_found
     | h -> h.Unix.h_addr_list.(0))
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let with_fresh_socket domain f =
   let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
   try f fd; fd
-  with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e
+  with e -> close_quietly fd; raise e
 
 let connect_fd = function
   | Unix_socket path ->
@@ -56,3 +58,70 @@ let listen_fd ?(backlog = 64) = function
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
         Unix.bind fd (Unix.ADDR_INET (addr, port));
         Unix.listen fd backlog)
+
+type listeners = {
+  frames : (t * Unix.file_descr) list;
+  http : Unix.file_descr option;
+}
+
+let unlink_socket = function
+  | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
+let close_listeners =
+  List.iter (fun (ep, fd) -> close_quietly fd; unlink_socket ep)
+
+let bind ~socket ~tcp ~http =
+  let tcp_of (host, port) = Tcp (host, port) in
+  let frames =
+    List.filter_map Fun.id
+      [ Option.map (fun path -> Unix_socket path) socket; Option.map tcp_of tcp ]
+  in
+  let specs =
+    List.map (fun ep -> (ep, 64)) frames
+    @ Option.to_list (Option.map (fun hp -> (tcp_of hp, 16)) http)
+  in
+  let rec go bound = function
+    | [] -> Ok (List.rev bound)
+    | (ep, backlog) :: rest -> (
+      match listen_fd ~backlog ep with
+      | fd -> go ((ep, fd) :: bound) rest
+      | exception e -> (
+        (* A failed start leaves nothing behind: a socket file without a
+           listener would pass for a live daemon. *)
+        close_listeners bound;
+        unlink_socket ep;
+        match (e, ep) with
+        | Unix.Unix_error (err, fn, arg), _ ->
+          Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err))
+        | Not_found, Tcp (host, _) ->
+          Error (Printf.sprintf "cannot resolve host %S" host)
+        | _ -> raise e))
+  in
+  let n = List.length frames in
+  Result.map
+    (fun bound ->
+      { frames = List.filteri (fun i _ -> i < n) bound;
+        http = Option.map snd (List.nth_opt bound n) })
+    (go [] specs)
+
+(* [select] with a short timeout keeps the loop responsive to [stop]
+   without busy-waiting. *)
+let accept_loop ~stop lfds handle =
+  while not (stop ()) do
+    match Unix.select lfds [] [] 0.2 with
+    | ready, _, _ ->
+      List.iter
+        (fun lfd ->
+          match Unix.accept ~cloexec:true lfd with
+          | fd, _ -> handle fd
+          | exception
+              Unix.Unix_error
+                ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
+                  | Unix.ECONNABORTED ),
+                  _,
+                  _ ) ->
+            ())
+        ready
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done

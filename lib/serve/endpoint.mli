@@ -1,4 +1,5 @@
-(** Server endpoints: one address grammar for every daemon and client.
+(** Server endpoints: one address grammar for every daemon and client,
+    and the listeners both daemons bind.
 
     The serve daemon, the router and the load generator all take
     addresses on their command lines ([--socket], [--listen],
@@ -45,3 +46,35 @@ val listen_fd : ?backlog:int -> t -> Unix.file_descr
     path is unlinked first; TCP listeners set [SO_REUSEADDR].
     @raise Unix.Unix_error on bind failure.
     @raise Not_found when a TCP host does not resolve. *)
+
+(** {1 Listeners}
+
+    [emts-serve] and [emts-router] both bind and accept through these. *)
+
+type listeners = {
+  frames : (t * Unix.file_descr) list;
+      (** frame-protocol listeners: the Unix socket, then TCP *)
+  http : Unix.file_descr option;  (** the {!Metrics_http} sidecar *)
+}
+
+val bind :
+  socket:string option ->
+  tcp:(string * int) option ->
+  http:(string * int) option ->
+  (listeners, string) result
+(** Bind and listen on every configured address, as {!listen_fd} does
+    (backlog 64 for frames, 16 for the sidecar).  If any bind fails,
+    everything bound so far is closed and the Unix socket path is
+    unlinked, so a failed start leaves no socket file that would pass
+    for a live daemon.  [Error] reads ["FN(ARG): MESSAGE"] or
+    ["cannot resolve host \"HOST\""]. *)
+
+val close_listeners : (t * Unix.file_descr) list -> unit
+(** Close each listener and unlink its Unix socket path. *)
+
+val accept_loop :
+  stop:(unit -> bool) -> Unix.file_descr list -> (Unix.file_descr -> unit) -> unit
+(** Accept on every listener until [stop ()], handing each accepted
+    cloexec descriptor to the handler.  [stop] is checked before each
+    wait for a connection, which lasts at most 0.2 s; transient accept
+    errors are skipped. *)

@@ -126,9 +126,8 @@ let handle t (req : Protocol.Request.schedule) ~deadline =
   let* platform = resolve_platform req.platform in
   let* model = resolve_model req.model in
   let ctx = Emts_alloc.Common.make_ctx ~model ~platform ~graph in
-  let finish ~alloc ~label ~makespan ~deadline_hit ~generations_done
-      ~evaluations =
-    let schedule = Emts.Algorithm.schedule_allocation ~ctx alloc in
+  let finish ~alloc ~schedule ~label ~makespan ~deadline_hit
+      ~generations_done ~evaluations =
     Ok
       {
         algorithm = label;
@@ -181,6 +180,7 @@ let handle t (req : Protocol.Request.schedule) ~deadline =
          | None -> false
     in
     finish ~alloc:result.Emts.Algorithm.alloc
+      ~schedule:result.Emts.Algorithm.schedule
       ~label:(String.uppercase_ascii name)
       ~makespan:result.Emts.Algorithm.makespan ~deadline_hit ~generations_done
       ~evaluations:result.Emts.Algorithm.ea.Emts_ea.evaluations
@@ -195,6 +195,6 @@ let handle t (req : Protocol.Request.schedule) ~deadline =
             let alloc = h.Emts_alloc.allocate ctx in
             (alloc, Emts.Algorithm.schedule_allocation ~ctx alloc))
       in
-      finish ~alloc ~label:h.Emts_alloc.name
+      finish ~alloc ~schedule ~label:h.Emts_alloc.name
         ~makespan:(Emts_sched.Schedule.makespan schedule)
         ~deadline_hit:false ~generations_done:0 ~evaluations:0)

@@ -57,22 +57,5 @@ let loop ?(health_extra = fun () -> []) ~finished ~draining lfd =
     (try go 0 with Unix.Unix_error _ | Sys_error _ -> ());
     try Unix.close fd with Unix.Unix_error _ -> ()
   in
-  let rec accept_loop () =
-    if not (finished ()) then begin
-      (match Unix.select [ lfd ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true lfd with
-        | fd, _ -> respond fd
-        | exception
-            Unix.Unix_error
-              ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-                | Unix.ECONNABORTED ),
-                _,
-                _ ) ->
-          ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
-  in
-  accept_loop ()
+  Endpoint.accept_loop ~stop:finished [ lfd ] respond;
+  try Unix.close lfd with Unix.Unix_error _ -> ()

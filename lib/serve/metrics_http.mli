@@ -21,4 +21,5 @@ val loop :
     keep reporting [draining] while admitted work is still being
     answered, so the caller flips [finished] only after the drain
     completes.  [health_extra ()] appends fields to the [/healthz]
-    body (the router adds [backends_live]). *)
+    body (the router adds [backends_live]).  [lfd] is closed on
+    return. *)

@@ -211,7 +211,7 @@ module Response : sig
     procs : int;
     utilization : float;  (** percent *)
     platform : string;
-    queue_s : float;  (** admission -> dequeue by a worker *)
+    queue_s : float;  (** admission -> taken by a worker *)
     solve_s : float;  (** parse + allocate + schedule *)
     total_s : float;  (** admission -> response written *)
     deadline_hit : bool;

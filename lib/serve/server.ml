@@ -54,10 +54,6 @@ let m_watchdog =
   Metrics.counter
     ~help:"stuck requests answered deadline_exceeded by the watchdog"
     "serve.watchdog_fired_total"
-let m_steals =
-  Metrics.counter
-    ~help:"jobs stolen from another worker's deque"
-    "serve.steals_total"
 let m_submits =
   Metrics.counter ~help:"online DAG submissions admitted"
     "serve.online.submits_total"
@@ -75,7 +71,6 @@ type config = {
   max_frame : int;
   watchdog_grace : float;
   shed_budget : float option;
-  steal : bool;
 }
 
 let default =
@@ -89,7 +84,6 @@ let default =
     max_frame = Protocol.default_max_frame;
     watchdog_grace = 0.5;
     shed_budget = None;
-    steal = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -144,23 +138,11 @@ let reader_finished c =
   Mutex.unlock c.wmutex
 
 (* ------------------------------------------------------------------ *)
-(* Bounded admission queue over per-worker deques with work stealing.
+(* Bounded FIFO admission queue.
 
-   Admission round-robins jobs across one deque per worker domain.
-   An owner pops its own deque LIFO (the job it was handed last is the
-   hottest); a worker whose deque is empty steals FIFO from a
-   seeded-random victim — the oldest waiting job, exactly the one a
-   plain shared FIFO would hand out next, so no job starves while any
-   worker idles.  [steal = false] collapses the lanes to one shared
-   deque popped from the front: bit-for-bit the historical bounded
-   FIFO, kept as the benchmark baseline (--no-steal).
-
-   Every operation still happens under one queue mutex: jobs are
-   heavyweight (each is a whole EA solve), so lock traffic is noise
-   and the deques buy job *placement* — owner locality and LIFO
-   freshness — not lock freedom.  Backpressure is unchanged and
-   checked at admission over the total across lanes: cap first, then
-   the adaptive queue-wait-p95 shed. *)
+   Every worker pops the oldest job, so a backlog is answered in
+   arrival order.  Backpressure is checked at admission: cap first,
+   then the adaptive queue-wait-p95 shed. *)
 
 type job = {
   id : J.t;
@@ -189,12 +171,7 @@ type queue = {
   m : Mutex.t;
   nonempty : Condition.t;
   idle : Condition.t;
-  deques : job Deque.t array;  (* one lane per worker; one shared when not stealing *)
-  depth_gauges : Metrics.gauge array;  (* serve.deque_depth.<i>, per lane *)
-  steal : bool;
-  victim : Emts_prng.t;  (* seeded victim picker; guarded by [m] *)
-  mutable next : int;  (* round-robin admission cursor *)
-  mutable queued : int;  (* total jobs across lanes *)
+  jobs : job Queue.t;
   cap : int;
   shed_budget : float option;  (* queue-wait p95 budget; None = no shedding *)
   wait_ring : float array;  (* last [wait_window] queue-wait samples *)
@@ -205,21 +182,12 @@ type queue = {
   mutable in_flight : int;
 }
 
-let queue_make ?shed_budget ?(steal = true) ~workers cap =
-  let lanes = if steal then max 1 workers else 1 in
+let queue_make ?shed_budget cap =
   {
     m = Mutex.create ();
     nonempty = Condition.create ();
     idle = Condition.create ();
-    deques = Array.init lanes (fun _ -> Deque.create ());
-    depth_gauges =
-      Array.init lanes (fun i ->
-          Metrics.gauge ~help:"jobs waiting in this worker deque"
-            (Printf.sprintf "serve.deque_depth.%d" i));
-    steal;
-    victim = Emts_prng.create ~seed:0x57EA1 ();
-    next = 0;
-    queued = 0;
+    jobs = Queue.create ();
     cap;
     shed_budget;
     wait_ring = Array.make wait_window 0.;
@@ -231,10 +199,8 @@ let queue_make ?shed_budget ?(steal = true) ~workers cap =
   }
 
 (* Callers hold [q.m]. *)
-let set_depth_locked q lane =
-  Metrics.set_gauge q.depth_gauges.(lane)
-    (float_of_int (Deque.length q.deques.(lane)));
-  Metrics.set_gauge g_queue_depth (float_of_int q.queued)
+let set_depth_locked q =
+  Metrics.set_gauge g_queue_depth (float_of_int (Queue.length q.jobs))
 
 (* Callers hold [q.m]. *)
 let record_wait_locked q w =
@@ -272,7 +238,7 @@ let enqueue q job =
           retry_after_ms = None;
           rmessage = "server is draining; no new work accepted";
         }
-    else if q.queued >= q.cap then
+    else if Queue.length q.jobs >= q.cap then
       Error
         {
           rcode = Protocol.Error_code.overloaded;
@@ -282,7 +248,9 @@ let enqueue q job =
     else
       match q.shed_budget with
       | Some budget
-        when q.wait_count >= 8 && q.queued > 0 && wait_p95_locked q > budget
+        when q.wait_count >= 8
+             && (not (Queue.is_empty q.jobs))
+             && wait_p95_locked q > budget
         ->
         (* Adaptive shedding: recent jobs waited longer than the budget
            and the queue is non-empty, so admitting more work only
@@ -298,60 +266,27 @@ let enqueue q job =
                retry after retry_after_ms";
           }
       | _ ->
-        let lane = q.next mod Array.length q.deques in
-        q.next <- (lane + 1) mod Array.length q.deques;
-        Deque.push_back q.deques.(lane) job;
-        q.queued <- q.queued + 1;
-        set_depth_locked q lane;
+        Queue.push job q.jobs;
+        set_depth_locked q;
         Condition.signal q.nonempty;
         Ok ()
   in
   Mutex.unlock q.m;
   r
 
-(* Take one job for [worker] with [q.m] held: own lane from the back,
-   else sweep for a victim from a seeded-random start, taking from the
-   front.  The sweep visits every lane, so [q.queued > 0] guarantees a
-   job — which is also why a signalled worker can never strand work it
-   happened not to own. *)
-let take_locked q ~worker =
-  let lanes = Array.length q.deques in
-  let own = worker mod lanes in
-  match (if q.steal then Deque.pop_back q.deques.(own) else None) with
-  | Some job -> Some (own, job)
-  | None ->
-    let start = if q.steal then Emts_prng.int q.victim lanes else 0 in
-    let rec sweep k =
-      if k = lanes then None
-      else
-        let v = (start + k) mod lanes in
-        match Deque.pop_front q.deques.(v) with
-        | Some job ->
-          if q.steal && v <> own then Metrics.incr m_steals;
-          Some (v, job)
-        | None -> sweep (k + 1)
-    in
-    sweep 0
-
-let dequeue q ~worker =
+let take q =
   Mutex.lock q.m;
-  while q.queued = 0 && not q.closed do
+  while Queue.is_empty q.jobs && not q.closed do
     Condition.wait q.nonempty q.m
   done;
-  let r =
-    if q.queued = 0 then None
-    else begin
-      match take_locked q ~worker with
-      | None -> None  (* unreachable: the sweep visits every lane *)
-      | Some (lane, job) ->
-        q.queued <- q.queued - 1;
-        q.in_flight <- q.in_flight + 1;
-        record_wait_locked q (Emts_obs.Clock.now () -. job.arrival);
-        set_depth_locked q lane;
-        Metrics.set_gauge g_in_flight (float_of_int q.in_flight);
-        Some job
-    end
-  in
+  let r = Queue.take_opt q.jobs in
+  Option.iter
+    (fun job ->
+      q.in_flight <- q.in_flight + 1;
+      record_wait_locked q (Emts_obs.Clock.now () -. job.arrival);
+      set_depth_locked q;
+      Metrics.set_gauge g_in_flight (float_of_int q.in_flight))
+    r;
   Mutex.unlock q.m;
   r
 
@@ -359,7 +294,7 @@ let job_done q =
   Mutex.lock q.m;
   q.in_flight <- q.in_flight - 1;
   Metrics.set_gauge g_in_flight (float_of_int q.in_flight);
-  if q.in_flight = 0 && q.queued = 0 then Condition.broadcast q.idle;
+  if q.in_flight = 0 && Queue.is_empty q.jobs then Condition.broadcast q.idle;
   Mutex.unlock q.m
 
 (* Stop admitting, wait for every admitted job to be answered, then
@@ -367,7 +302,7 @@ let job_done q =
 let drain q =
   Mutex.lock q.m;
   q.draining <- true;
-  while not (q.queued = 0 && q.in_flight = 0) do
+  while not (Queue.is_empty q.jobs && q.in_flight = 0) do
     Condition.wait q.idle q.m
   done;
   q.closed <- true;
@@ -460,7 +395,7 @@ let reply_once job resp =
   end
   else false
 
-let worker_loop q ~worker ~pool_domains ~migrants () =
+let worker_loop q ~pool_domains ~migrants () =
   (* The engine is a lane-local resource behind a ref so a crashed lane
      can be respawned in place: after a worker exception we cannot
      prove the pool domains and evaluator scratch are in a sane state,
@@ -474,15 +409,15 @@ let worker_loop q ~worker ~pool_domains ~migrants () =
        hand-written plan raises is swallowed rather than allowed to
        kill the worker domain. *)
     (try Emts_fault.fire Emts_fault.Site.Queue_poll with _ -> ());
-    match dequeue q ~worker with
+    match take q with
     | None -> Engine.shutdown !engine
     | Some job ->
       (* The worker domain owns its ambient span slot, so the job's
          context rides along into Engine.handle -> Emts_ea.run ->
          Emts_pool workers without any signature plumbing. *)
       Span.with_ctx job.ctx (fun () ->
-          let dequeued = Emts_obs.Clock.now () in
-          Metrics.observe m_queue_wait (dequeued -. job.arrival);
+          let started = Emts_obs.Clock.now () in
+          Metrics.observe m_queue_wait (started -. job.arrival);
           Trace.complete ~start_ns:job.arrival_ns "serve.queue_wait";
           (match
              Trace.span "serve.solve" (fun () ->
@@ -490,7 +425,7 @@ let worker_loop q ~worker ~pool_domains ~migrants () =
            with
           | Ok o ->
             let solved = Emts_obs.Clock.now () in
-            Metrics.observe m_solve (solved -. dequeued);
+            Metrics.observe m_solve (solved -. started);
             let encode_start = Emts_obs.Clock.now_ns () in
             let sent =
               Trace.span "serve.encode" (fun () ->
@@ -505,8 +440,8 @@ let worker_loop q ~worker ~pool_domains ~migrants () =
                          procs = o.Engine.procs;
                          utilization = o.Engine.utilization;
                          platform = o.Engine.platform;
-                         queue_s = dequeued -. job.arrival;
-                         solve_s = solved -. dequeued;
+                         queue_s = started -. job.arrival;
+                         solve_s = solved -. started;
                          total_s = solved -. job.arrival;
                          deadline_hit = o.Engine.deadline_hit;
                          generations_done = o.Engine.generations_done;
@@ -582,7 +517,7 @@ let handle_conn q wd ~max_frame ~migrants ~online conn =
   in
   (* Online verbs run on the reader thread: sessions are stateful and
      serialised behind a per-session mutex anyway, so queueing them
-     behind the offline worker lanes would buy nothing — and [advance]
+     behind the offline schedule jobs would buy nothing — and [advance]
      must keep working through a drain. *)
   let handle_submit id ~session ~ptg ~at ~platform ~model ~algorithm ~seed
       ~islands ~migration_interval ~migration_count =
@@ -764,9 +699,9 @@ let handle_conn q wd ~max_frame ~migrants ~online conn =
         in
         (match enqueue q job with
         | Ok () ->
-          (* Registered from admission, not dequeue: a deadline that
-             expires while the job is still queued must also produce a
-             timely typed reply. *)
+          (* Registered at admission, not when a worker takes it: a
+             deadline that expires while the job is still queued must
+             also produce a timely typed reply. *)
           watchdog_watch wd job
         | Error { rcode; retry_after_ms; rmessage } ->
           Metrics.incr m_rejected;
@@ -775,95 +710,6 @@ let handle_conn q wd ~max_frame ~migrants ~online conn =
   in
   (try loop () with _ -> ());
   reader_finished conn
-
-(* ------------------------------------------------------------------ *)
-(* Listeners *)
-
-let bind_listeners config =
-  try
-    let listeners = [] in
-    let listeners =
-      match config.socket with
-      | None -> listeners
-      | Some path ->
-        let fd = Endpoint.listen_fd (Endpoint.Unix_socket path) in
-        Printf.eprintf "listening on unix:%s\n%!" path;
-        fd :: listeners
-    in
-    let listeners =
-      match config.tcp with
-      | None -> listeners
-      | Some (host, port) ->
-        let fd = Endpoint.listen_fd (Endpoint.Tcp (host, port)) in
-        Printf.eprintf "listening on tcp:%s:%d\n%!" host port;
-        fd :: listeners
-    in
-    Ok listeners
-  with
-  | Unix.Unix_error (e, fn, arg) ->
-    Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
-  | Not_found ->
-    Error
-      (match config.tcp with
-      | Some (host, _) -> Printf.sprintf "cannot resolve host %S" host
-      | None -> "cannot resolve host")
-
-(* Plain-HTTP endpoint: a one-thread HTTP/1.0 responder serving the
-   OpenMetrics exposition on every path except [/healthz], which
-   answers a JSON liveness/readiness document (HTTP 503 while
-   draining, so load balancers stop routing here the moment the drain
-   begins).  Unlike the frame listeners this thread runs until
-   [finished] — through the whole drain — so orchestrators can watch a
-   node go live -> draining -> gone.  Connections are handled inline —
-   scrapes are rare and the body is small, so a slow scraper can at
-   worst delay the next scrape, never the frame protocol. *)
-let metrics_http_loop ~finished ~draining lfd =
-  Metrics_http.loop ~finished ~draining lfd
-
-let bind_metrics config =
-  match config.metrics_tcp with
-  | None -> Ok None
-  | Some (host, port) -> (
-    try
-      let fd = Endpoint.listen_fd ~backlog:16 (Endpoint.Tcp (host, port)) in
-      Printf.eprintf "metrics on http://%s:%d/metrics\n%!" host port;
-      Ok (Some fd)
-    with
-    | Unix.Unix_error (e, fn, arg) ->
-      Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
-    | Not_found -> Error (Printf.sprintf "cannot resolve host %S" host))
-
-(* Accept connections until [stop]; [select] with a short timeout keeps
-   the loop responsive to the stop flag without busy-waiting. *)
-let accept_loop ~stop ~max_frame ~migrants ~online q wd listeners =
-  let rec loop () =
-    if not (stop ()) then begin
-      (match Unix.select listeners [] [] 0.2 with
-      | ready, _, _ ->
-        List.iter
-          (fun lfd ->
-            match Unix.accept ~cloexec:true lfd with
-            | fd, _ ->
-              Metrics.incr m_connections;
-              let conn = conn_make fd in
-              ignore
-                (Thread.create
-                   (fun () ->
-                     handle_conn q wd ~max_frame ~migrants ~online conn)
-                   ())
-            | exception
-                Unix.Unix_error
-                  ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-                    | Unix.ECONNABORTED ),
-                    _,
-                    _ ) ->
-              ())
-          ready
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -885,71 +731,74 @@ let run ?(stop = Emts_resilience.Shutdown.requested) config =
       (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
        with Invalid_argument _ -> ());
       Metrics.set_enabled true;
-      match bind_listeners config with
+      match
+        Endpoint.bind ~socket:config.socket ~tcp:config.tcp
+          ~http:config.metrics_tcp
+      with
       | Error _ as e -> e
-      | Ok listeners -> (
-        match bind_metrics config with
-        | Error _ as e ->
-          List.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            listeners;
-          (match e with Error m -> Error m | Ok _ -> assert false)
-        | Ok metrics_fd ->
-          let q =
-            queue_make ?shed_budget:config.shed_budget ~steal:config.steal
-              ~workers:config.workers config.queue_capacity
-          in
-          (* The HTTP thread outlives the accept loop on purpose:
-             [/healthz] must report [draining] while admitted work is
-             still being answered, so its shutdown condition is the
-             [finished] flag set after the drain, not [stop]. *)
-          let finished = Atomic.make false in
-          let metrics_thread =
-            Option.map
-              (fun fd ->
-                Thread.create
-                  (fun () ->
-                    metrics_http_loop
-                      ~finished:(fun () -> Atomic.get finished)
-                      ~draining:(fun () -> stop () || queue_draining q)
-                      fd)
-                  ())
-              metrics_fd
-          in
-          let wd = watchdog_make ~grace:config.watchdog_grace in
-          let watchdog_thread = Thread.create (watchdog_loop wd) () in
-          let online = Online.Registry.create () in
-          let workers =
-            List.init config.workers (fun i ->
-                Domain.spawn
-                  (worker_loop q ~worker:i ~pool_domains:config.pool_domains
-                     ~migrants))
-          in
-          accept_loop ~stop ~max_frame:config.max_frame ~migrants ~online q wd
-            listeners;
-          (* Shutdown: stop accepting, answer everything admitted
-             (readers still running reject new work with [draining]),
-             then release and join the workers.  The watchdog stays up
-             through the drain so a stuck in-flight solve still turns
-             into a typed reply. *)
-          List.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            listeners;
-          drain q;
-          List.iter Domain.join workers;
-          Atomic.set wd.wd_stop true;
-          Thread.join watchdog_thread;
-          Atomic.set finished true;
-          Option.iter Thread.join metrics_thread;
-          Option.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            metrics_fd;
-          (* The drain answered its last jobs microseconds ago; without
-             this, a SIGTERM exit could leave their spans in a stdio
-             buffer and the trace file truncated mid-line. *)
-          Trace.flush ();
-          (match config.socket with
-          | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-          | None -> ());
-          Ok ())
+      | Ok { Endpoint.frames; http } ->
+        List.iter
+          (fun (ep, _) ->
+            Printf.eprintf "listening on %s%s\n%!"
+              (match ep with Endpoint.Tcp _ -> "tcp:" | _ -> "")
+              (Endpoint.to_string ep))
+          frames;
+        Option.iter
+          (fun (host, port) ->
+            Printf.eprintf "metrics on http://%s:%d/metrics\n%!" host port)
+          config.metrics_tcp;
+        let q =
+          queue_make ?shed_budget:config.shed_budget config.queue_capacity
+        in
+        (* The HTTP thread outlives the accept loop on purpose:
+           [/healthz] must report [draining] while admitted work is
+           still being answered, so its shutdown condition is the
+           [finished] flag set after the drain, not [stop]. *)
+        let finished = Atomic.make false in
+        let metrics_thread =
+          Option.map
+            (fun fd ->
+              Thread.create
+                (fun () ->
+                  Metrics_http.loop
+                    ~finished:(fun () -> Atomic.get finished)
+                    ~draining:(fun () -> stop () || queue_draining q)
+                    fd)
+                ())
+            http
+        in
+        let wd = watchdog_make ~grace:config.watchdog_grace in
+        let watchdog_thread = Thread.create (watchdog_loop wd) () in
+        let online = Online.Registry.create () in
+        let workers =
+          List.init config.workers (fun _ ->
+              Domain.spawn
+                (worker_loop q ~pool_domains:config.pool_domains ~migrants))
+        in
+        Endpoint.accept_loop ~stop (List.map snd frames) (fun fd ->
+            Metrics.incr m_connections;
+            let conn = conn_make fd in
+            ignore
+              (Thread.create
+                 (fun () ->
+                   handle_conn q wd ~max_frame:config.max_frame ~migrants
+                     ~online conn)
+                 ()));
+        (* Shutdown: stop accepting, answer everything admitted
+           (readers still running reject new work with [draining]),
+           then release and join the workers.  The watchdog stays up
+           through the drain so a stuck in-flight solve still turns
+           into a typed reply. *)
+        Endpoint.close_listeners frames;
+        drain q;
+        List.iter Domain.join workers;
+        Atomic.set wd.wd_stop true;
+        Thread.join watchdog_thread;
+        Atomic.set finished true;
+        Option.iter Thread.join metrics_thread;
+        (* The drain answered its last jobs microseconds ago; without
+           this, a SIGTERM exit could leave their spans in a stdio
+           buffer and the trace file truncated mid-line. *)
+        Trace.flush ();
+        Ok ()
   end

@@ -1,18 +1,13 @@
 (** The scheduling daemon: listeners, admission queue, worker domains.
 
     Anatomy of a request.  Connection reader threads (one per accepted
-    client) decode frames and admit [schedule] jobs into a bounded
-    queue of per-worker deques; a fixed set of worker domains drains
-    it, each holding a persistent {!Engine} (worker pool + shared
-    migrant buffer) across requests.  Admission round-robins jobs
-    across the deques; an owner pops its own deque LIFO and a worker
-    whose deque is empty steals the oldest job (FIFO) from a
-    seeded-random victim, so no job starves while any worker idles —
-    steals are counted in [serve.steals_total] and per-deque depths
-    exported as [serve.deque_depth.<i>] (DESIGN.md §16).  [ping] and
-    [stats] are answered directly by the reader thread, so health
-    checks and metrics bypass the queue and stay responsive under
-    load.
+    client) decode frames and admit [schedule] jobs into one bounded
+    FIFO queue; a fixed set of worker domains drains it oldest first,
+    each holding a persistent {!Engine} (worker pool + shared migrant
+    buffer) across requests, so a backlog is answered in arrival order
+    (DESIGN.md §11).  [ping] and [stats] are answered directly by the
+    reader thread, so health checks and metrics bypass the queue and
+    stay responsive under load.
 
     Robustness contract:
     - a full queue answers [overloaded] immediately (backpressure is
@@ -64,19 +59,12 @@ type config = {
           schedule requests are refused with [overloaded] and a
           [retry_after_ms] hint instead of queueing into certain
           death; [None] disables shedding *)
-  steal : bool;
-      (** [true]: one deque per worker with work stealing (the
-          default).  [false]: one shared deque popped FIFO by every
-          worker — bit-for-bit the historical single bounded FIFO,
-          kept as the benchmark baseline ([--no-steal]).  Backpressure
-          and shed semantics are identical either way; only job
-          placement differs. *)
 }
 
 val default : config
 (** No listeners (callers must set at least one), 2 workers, 1 pool
     domain, queue of 64, {!Protocol.default_max_frame}, 0.5 s watchdog
-    grace, no shedding, stealing on. *)
+    grace, no shedding. *)
 
 val server_id : string
 (** ["emts-serve <version>"], echoed in [ping] responses. *)
@@ -85,7 +73,9 @@ val run : ?stop:(unit -> bool) -> config -> (unit, string) result
 (** Run the daemon until [stop] returns true (polled a few times per
     second; default {!Emts_resilience.Shutdown.requested}), then drain
     and return.  Enables metrics collection, binds the configured
-    listeners (an existing Unix socket path is replaced), and prints
-    one [listening on ...] line per listener to stderr so wrappers can
-    wait for readiness.  [Error] on configuration or bind problems
+    listeners (an existing Unix socket path is replaced) and, once every
+    bind has succeeded, prints one [listening on ...] line per listener
+    to stderr so wrappers can wait for readiness.  The socket file is
+    removed when the listeners close at the start of the drain, and
+    after a failed bind.  [Error] on configuration or bind problems
     only; per-connection failures never surface here. *)

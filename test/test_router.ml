@@ -51,6 +51,41 @@ let test_config_validation () =
       retries = -1;
     }
 
+(* A start that fails after the Unix socket is bound closes what it
+   bound and leaves no socket file behind, whether the TCP listener or
+   the HTTP sidecar is the bind that fails: here another listener holds
+   the port. *)
+let test_failed_start () =
+  let path = Printf.sprintf "/tmp/emts-router-failed-%d.sock" (Unix.getpid ()) in
+  let held = Endpoint.listen_fd (Endpoint.Tcp ("127.0.0.1", 0)) in
+  Fun.protect
+    ~finally:(fun () -> Unix.close held)
+    (fun () ->
+      let port =
+        match Unix.getsockname held with
+        | Unix.ADDR_INET (_, port) -> port
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let config =
+        {
+          Router.default with
+          Router.socket = Some path;
+          backends = [ Endpoint.Unix_socket "/tmp/none.sock" ];
+        }
+      in
+      List.iter
+        (fun (label, config) ->
+          (match Router.run ~stop:(fun () -> true) config with
+          | Ok () -> Alcotest.fail (label ^ ": started on a busy port")
+          | Error _ -> ());
+          Alcotest.(check bool) (label ^ ": no socket file") false
+            (Sys.file_exists path))
+        [
+          ("tcp", { config with Router.tcp = Some ("127.0.0.1", port) });
+          ( "metrics",
+            { config with Router.metrics_tcp = Some ("127.0.0.1", port) } );
+        ])
+
 (* --- rendezvous ranking (pure) --- *)
 
 let test_rendezvous_ranking () =
@@ -135,7 +170,7 @@ let test_aggregate_stats () =
   in
   let b2 =
     doc
-      [ ("serve.requests_total", 4.); ("serve.steals_total", 2.) ]
+      [ ("serve.requests_total", 4.); ("serve.shed_total", 2.) ]
       [ ("serve.in_flight", 2.) ]
       [ ("serve.solve_s", hist ~count:2. ~total:3. ~mn:0.05 ~mx:2. ~p99:1.8) ]
   in
@@ -158,7 +193,7 @@ let test_aggregate_stats () =
   Alcotest.(check (float 0.)) "router's own counters ride along" 14.
     (get [ "counters"; "router.requests" ]);
   Alcotest.(check (float 0.)) "counter present on one backend only" 2.
-    (get [ "counters"; "serve.steals_total" ]);
+    (get [ "counters"; "serve.shed_total" ]);
   Alcotest.(check (float 0.)) "gauges summed" 3.
     (get [ "gauges"; "serve.in_flight" ]);
   Alcotest.(check (float 0.)) "histogram count summed" 12.
@@ -516,6 +551,8 @@ let () =
       ( "pure",
         [
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "failed start leaves no socket file" `Quick
+            test_failed_start;
           Alcotest.test_case "rendezvous ranking" `Quick
             test_rendezvous_ranking;
           Alcotest.test_case "stats aggregation" `Quick test_aggregate_stats;

@@ -425,120 +425,33 @@ let test_engine_deadline_best_so_far () =
       Alcotest.(check bool) "valid makespan" true
         (Float.is_finite cut.Engine.makespan && cut.Engine.makespan > 0.))
 
+let counter name =
+  Option.value ~default:0 (Emts_obs.Metrics.find_counter name)
+
+(* Each answer's schedule is built once: a heuristic request
+   list-schedules its allocation once, an EMTS request each of its four
+   seeds and then its final allocation. *)
+let test_engine_schedule_runs () =
+  let was_enabled = Emts_obs.Metrics.enabled () in
+  Emts_obs.Metrics.set_enabled true;
+  let ptg = graph_string () in
+  Fun.protect
+    ~finally:(fun () -> Emts_obs.Metrics.set_enabled was_enabled)
+    (fun () ->
+      with_engine (fun e ->
+          List.iter
+            (fun (algorithm, runs) ->
+              let before = counter "sched.runs" in
+              ignore (handle_exn e (schedule_req ~algorithm ptg) ~deadline:None);
+              Alcotest.(check int) (algorithm ^ " sched.runs") runs
+                (counter "sched.runs" - before))
+            [ ("mcpa", 1); ("emts1", 5); ("emts5", 5) ]))
+
 (* --- end-to-end over a real socket --- *)
 
-(* Work stealing must not change what is computed, only which worker
-   computes it: the same pipelined burst answers bit-identically with
-   stealing on and off, and the stealing run exports its per-deque
-   telemetry. *)
-let test_server_steal_identity () =
-  let burst = 10 in
-  let ptgs = List.init 3 (fun i -> graph_string ~tasks:10 ~seed:(40 + i) ()) in
-  let run_server ~steal =
-    let dir = Filename.temp_file "emts_steal" ".d" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let path = Filename.concat dir "emts.sock" in
-    let stop = Atomic.make false in
-    let server =
-      Thread.create
-        (fun () ->
-          Server.run
-            ~stop:(fun () -> Atomic.get stop)
-            { Server.default with Server.socket = Some path; workers = 2;
-              queue_capacity = 2 * burst; steal })
-        ()
-    in
-    let deadline = Unix.gettimeofday () +. 10. in
-    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
-      Thread.delay 0.02
-    done;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set stop true;
-        Thread.join server;
-        if Sys.file_exists path then Sys.remove path;
-        Unix.rmdir dir)
-      (fun () ->
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            (* Pipeline the whole burst before reading a single reply so
-               the deques actually fill and the idle worker must steal. *)
-            List.iteri
-              (fun k ptg ->
-                Protocol.write_frame fd
-                  (Protocol.Request.to_string
-                     (Protocol.Request.Schedule
-                        {
-                          id = J.Str (string_of_int k);
-                          req = schedule_req ~seed:(100 + k) ptg;
-                        })))
-              (List.init burst (fun k -> List.nth ptgs (k mod 3)));
-            let results = Hashtbl.create burst in
-            for _ = 1 to burst do
-              match
-                Protocol.read_frame fd ~max_size:Protocol.default_max_frame
-              with
-              | Error e -> Alcotest.fail (Protocol.frame_error_to_string e)
-              | Ok payload -> (
-                match Protocol.Response.of_string payload with
-                | Ok (Protocol.Response.Schedule_result r) ->
-                  let k =
-                    match r.Protocol.Response.id with
-                    | J.Str s -> s
-                    | _ -> Alcotest.fail "unexpected id"
-                  in
-                  Hashtbl.replace results k
-                    (r.Protocol.Response.makespan, r.Protocol.Response.alloc)
-                | Ok _ -> Alcotest.fail "expected a schedule result"
-                | Error m -> Alcotest.fail ("bad response: " ^ m))
-            done;
-            let stats =
-              Protocol.write_frame fd
-                (Protocol.Request.to_string
-                   (Protocol.Request.Stats { id = J.Null }));
-              match
-                Protocol.read_frame fd ~max_size:Protocol.default_max_frame
-              with
-              | Ok payload -> (
-                match Protocol.Response.of_string payload with
-                | Ok (Protocol.Response.Stats { stats; _ }) -> stats
-                | _ -> Alcotest.fail "expected stats")
-              | Error e -> Alcotest.fail (Protocol.frame_error_to_string e)
-            in
-            (results, stats)))
-  in
-  let steal_results, steal_stats = run_server ~steal:true in
-  let fifo_results, _ = run_server ~steal:false in
-  for k = 0 to burst - 1 do
-    let key = string_of_int k in
-    let m1, a1 = Hashtbl.find steal_results key in
-    let m2, a2 = Hashtbl.find fifo_results key in
-    Alcotest.(check (float 0.)) ("makespan " ^ key) m2 m1;
-    Alcotest.(check (array int)) ("alloc " ^ key) a2 a1
-  done;
-  (* The stealing run exports its lane telemetry through stats. *)
-  let gauges = J.member "gauges" steal_stats in
-  List.iter
-    (fun lane ->
-      match Option.bind gauges (J.member ("serve.deque_depth." ^ lane)) with
-      | Some _ -> ()
-      | None -> Alcotest.fail ("missing serve.deque_depth." ^ lane))
-    [ "0"; "1" ];
-  (match
-     Option.bind (J.member "counters" steal_stats)
-       (J.member "serve.steals_total")
-   with
-  | Some v -> (
-    match J.to_int v with
-    | Ok n -> Alcotest.(check bool) "steals counted" true (n >= 0)
-    | Error m -> Alcotest.fail m)
-  | None -> Alcotest.fail "missing serve.steals_total")
-
-let test_server_end_to_end () =
+(* Run an in-process daemon on a private Unix socket for the duration
+   of [f path]. *)
+let with_server ?(workers = 2) f =
   let dir = Filename.temp_file "emts_serve" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -549,7 +462,7 @@ let test_server_end_to_end () =
       (fun () ->
         Server.run
           ~stop:(fun () -> Atomic.get stop)
-          { Server.default with Server.socket = Some path; workers = 2 })
+          { Server.default with Server.socket = Some path; workers })
       ()
   in
   let deadline = Unix.gettimeofday () +. 10. in
@@ -562,94 +475,160 @@ let test_server_end_to_end () =
       Thread.join server;
       if Sys.file_exists path then Sys.remove path;
       Unix.rmdir dir)
+    (fun () -> f path)
+
+(* Write every request before reading a single reply, so the daemon
+   holds a backlog; return the replies in the order they arrive. *)
+let pipeline path reqs =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let connect () =
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-      in
-      let roundtrip fd req =
-        Protocol.write_frame fd (Protocol.Request.to_string req);
-        match Protocol.read_frame fd ~max_size:Protocol.default_max_frame with
-        | Ok payload -> (
-          match Protocol.Response.of_string payload with
-          | Ok r -> r
-          | Error m -> Alcotest.fail ("bad response: " ^ m))
-        | Error e -> Alcotest.fail (Protocol.frame_error_to_string e)
-      in
-      (* A connection poisoned by a malformed frame is closed... *)
-      let bad = connect () in
-      let junk = "GARBAGEGARBAGE" in
-      let _ = Unix.write_substring bad junk 0 (String.length junk) in
-      (match Protocol.read_frame bad ~max_size:Protocol.default_max_frame with
+      List.iteri
+        (fun k req ->
+          Protocol.write_frame fd
+            (Protocol.Request.to_string
+               (Protocol.Request.Schedule { id = J.Num (float_of_int k); req })))
+        reqs;
+      List.map
+        (fun _ ->
+          match Protocol.read_frame fd ~max_size:Protocol.default_max_frame with
+          | Error e -> Alcotest.fail (Protocol.frame_error_to_string e)
+          | Ok payload -> (
+            match Protocol.Response.of_string payload with
+            | Ok (Protocol.Response.Schedule_result r) -> (
+              match r.Protocol.Response.id with
+              | J.Num k -> (int_of_float k, r)
+              | _ -> Alcotest.fail "unexpected id")
+            | Ok _ -> Alcotest.fail "expected a schedule result"
+            | Error m -> Alcotest.fail ("bad response: " ^ m)))
+        reqs)
+
+(* A reply is a function of the request alone: each reply of a
+   pipelined burst through two workers equals what [Engine.handle]
+   answers in process. *)
+let test_server_burst_matches_engine () =
+  let ptgs = List.init 3 (fun i -> graph_string ~tasks:10 ~seed:(40 + i) ()) in
+  let reqs =
+    List.init 10 (fun k ->
+        schedule_req ~seed:(100 + k) (List.nth ptgs (k mod 3)))
+  in
+  let replies = with_server ~workers:2 (fun path -> pipeline path reqs) in
+  with_engine (fun e ->
+      List.iter
+        (fun (k, r) ->
+          let o = handle_exn e (List.nth reqs k) ~deadline:None in
+          let key = string_of_int k in
+          Alcotest.(check (float 0.)) ("makespan " ^ key) o.Engine.makespan
+            r.Protocol.Response.makespan;
+          Alcotest.(check (array int)) ("alloc " ^ key) o.Engine.alloc
+            r.Protocol.Response.alloc)
+        replies);
+  Alcotest.(check (list int)) "every request answered once"
+    (List.init 10 Fun.id)
+    (List.sort compare (List.map fst replies))
+
+(* The admission queue is one FIFO: one worker answers a backlog in
+   request order. *)
+let test_server_oldest_first () =
+  let ptg = graph_string ~tasks:20 () in
+  let reqs =
+    List.init 8 (fun k -> schedule_req ~algorithm:"emts10" ~seed:(200 + k) ptg)
+  in
+  let replies = with_server ~workers:1 (fun path -> pipeline path reqs) in
+  Alcotest.(check (list int)) "replies in request order" (List.init 8 Fun.id)
+    (List.map fst replies)
+
+let test_server_end_to_end () =
+  with_server (fun path ->
+    let connect () =
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      fd
+    in
+    let roundtrip fd req =
+      Protocol.write_frame fd (Protocol.Request.to_string req);
+      match Protocol.read_frame fd ~max_size:Protocol.default_max_frame with
       | Ok payload -> (
         match Protocol.Response.of_string payload with
-        | Ok (Protocol.Response.Error { code; _ }) ->
-          Alcotest.(check string) "malformed code"
-            Protocol.Error_code.malformed_frame code
-        | _ -> Alcotest.fail "expected an error response")
-      | Error _ -> Alcotest.fail "expected an error response before close");
-      Unix.close bad;
-      (* ... while a fresh connection on the same server still works,
-         and a bad payload in a sound frame keeps its connection. *)
-      let fd = connect () in
-      (match roundtrip fd (Protocol.Request.Ping { id = J.Str "t" }) with
-      | Protocol.Response.Pong { server; _ } ->
-        Alcotest.(check string) "server id" Server.server_id server
-      | _ -> Alcotest.fail "expected pong");
-      Protocol.write_frame fd "this is not json";
-      (match Protocol.read_frame fd ~max_size:Protocol.default_max_frame with
-      | Ok payload -> (
-        match Protocol.Response.of_string payload with
-        | Ok (Protocol.Response.Error { code; _ }) ->
-          Alcotest.(check string) "bad payload code"
-            Protocol.Error_code.bad_request code
-        | _ -> Alcotest.fail "expected an error response")
-      | Error e -> Alcotest.fail (Protocol.frame_error_to_string e));
-      let ptg = graph_string () in
-      (match
-         roundtrip fd
-           (Protocol.Request.Schedule
-              { id = J.Str "s1"; req = schedule_req ptg })
-       with
-      | Protocol.Response.Schedule_result r ->
-        Alcotest.(check string) "id echoed" "s1"
-          (match r.Protocol.Response.id with J.Str s -> s | _ -> "?");
-        Alcotest.(check int) "alloc length" 12
-          (Array.length r.Protocol.Response.alloc)
-      | _ -> Alcotest.fail "expected a schedule result");
-      (match roundtrip fd (Protocol.Request.Stats { id = J.Null }) with
-      | Protocol.Response.Stats { stats; _ } -> (
-        match J.member "counters" stats with
-        | Some (J.Obj _) -> ()
-        | _ -> Alcotest.fail "stats missing counters")
-      | _ -> Alcotest.fail "expected stats");
-      (* The metrics verb answers with a complete OpenMetrics text
-         exposition on the same connection. *)
-      (match roundtrip fd (Protocol.Request.Metrics { id = J.Str "m" }) with
-      | Protocol.Response.Metrics { body; _ } ->
-        let contains ~sub s =
-          let n = String.length sub in
-          let rec go i =
-            i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-          in
-          go 0
+        | Ok r -> r
+        | Error m -> Alcotest.fail ("bad response: " ^ m))
+      | Error e -> Alcotest.fail (Protocol.frame_error_to_string e)
+    in
+    (* A connection poisoned by a malformed frame is closed... *)
+    let bad = connect () in
+    let junk = "GARBAGEGARBAGE" in
+    let _ = Unix.write_substring bad junk 0 (String.length junk) in
+    (match Protocol.read_frame bad ~max_size:Protocol.default_max_frame with
+    | Ok payload -> (
+      match Protocol.Response.of_string payload with
+      | Ok (Protocol.Response.Error { code; _ }) ->
+        Alcotest.(check string) "malformed code"
+          Protocol.Error_code.malformed_frame code
+      | _ -> Alcotest.fail "expected an error response")
+    | Error _ -> Alcotest.fail "expected an error response before close");
+    Unix.close bad;
+    (* ... while a fresh connection on the same server still works,
+       and a bad payload in a sound frame keeps its connection. *)
+    let fd = connect () in
+    (match roundtrip fd (Protocol.Request.Ping { id = J.Str "t" }) with
+    | Protocol.Response.Pong { server; _ } ->
+      Alcotest.(check string) "server id" Server.server_id server
+    | _ -> Alcotest.fail "expected pong");
+    Protocol.write_frame fd "this is not json";
+    (match Protocol.read_frame fd ~max_size:Protocol.default_max_frame with
+    | Ok payload -> (
+      match Protocol.Response.of_string payload with
+      | Ok (Protocol.Response.Error { code; _ }) ->
+        Alcotest.(check string) "bad payload code"
+          Protocol.Error_code.bad_request code
+      | _ -> Alcotest.fail "expected an error response")
+    | Error e -> Alcotest.fail (Protocol.frame_error_to_string e));
+    let ptg = graph_string () in
+    (match
+       roundtrip fd
+         (Protocol.Request.Schedule
+            { id = J.Str "s1"; req = schedule_req ptg })
+     with
+    | Protocol.Response.Schedule_result r ->
+      Alcotest.(check string) "id echoed" "s1"
+        (match r.Protocol.Response.id with J.Str s -> s | _ -> "?");
+      Alcotest.(check int) "alloc length" 12
+        (Array.length r.Protocol.Response.alloc)
+    | _ -> Alcotest.fail "expected a schedule result");
+    (match roundtrip fd (Protocol.Request.Stats { id = J.Null }) with
+    | Protocol.Response.Stats { stats; _ } -> (
+      match J.member "counters" stats with
+      | Some (J.Obj _) -> ()
+      | _ -> Alcotest.fail "stats missing counters")
+    | _ -> Alcotest.fail "expected stats");
+    (* The metrics verb answers with a complete OpenMetrics text
+       exposition on the same connection. *)
+    (match roundtrip fd (Protocol.Request.Metrics { id = J.Str "m" }) with
+    | Protocol.Response.Metrics { body; _ } ->
+      let contains ~sub s =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
         in
-        Alcotest.(check bool) "terminated" true (contains ~sub:"# EOF" body);
-        Alcotest.(check bool) "has requests counter" true
-          (contains ~sub:"emts_serve_requests_total" body)
-      | _ -> Alcotest.fail "expected metrics");
-      (* A client-supplied trace_id is echoed even with tracing off. *)
-      (match
-         roundtrip fd
-           (Protocol.Request.Schedule
-              { id = J.Str "s2"; req = schedule_req ~trace_id:"tdeadbeef" ptg })
-       with
-      | Protocol.Response.Schedule_result r ->
-        Alcotest.(check (option string)) "trace_id echoed"
-          (Some "tdeadbeef") r.Protocol.Response.trace_id
-      | _ -> Alcotest.fail "expected a schedule result");
-      Unix.close fd)
+        go 0
+      in
+      Alcotest.(check bool) "terminated" true (contains ~sub:"# EOF" body);
+      Alcotest.(check bool) "has requests counter" true
+        (contains ~sub:"emts_serve_requests_total" body)
+    | _ -> Alcotest.fail "expected metrics");
+    (* A client-supplied trace_id is echoed even with tracing off. *)
+    (match
+       roundtrip fd
+         (Protocol.Request.Schedule
+            { id = J.Str "s2"; req = schedule_req ~trace_id:"tdeadbeef" ptg })
+     with
+    | Protocol.Response.Schedule_result r ->
+      Alcotest.(check (option string)) "trace_id echoed"
+        (Some "tdeadbeef") r.Protocol.Response.trace_id
+    | _ -> Alcotest.fail "expected a schedule result");
+    Unix.close fd)
 
 (* --- self-healing under injected faults ------------------------------
 
@@ -666,9 +645,6 @@ let test_server_end_to_end () =
       is sleeping inside an injected delay — health on the existing
       connection must flip to draining, the admitted job must still get
       its result, and [Server.run] must return [Ok]. *)
-
-let counter name =
-  Option.value ~default:0 (Emts_obs.Metrics.find_counter name)
 
 let with_fault_plan events f =
   Fun.protect
@@ -1005,47 +981,6 @@ let test_server_online_drain () =
       | Ok () -> ()
       | Error m -> Alcotest.fail ("server exited with an error: " ^ m))
 
-(* --- deque --- *)
-
-module Deque = Emts_serve.Deque
-
-let test_deque_ends () =
-  let d = Deque.create () in
-  Alcotest.(check bool) "fresh empty" true (Deque.is_empty d);
-  Alcotest.(check (option int)) "pop_back empty" None (Deque.pop_back d);
-  Alcotest.(check (option int)) "pop_front empty" None (Deque.pop_front d);
-  List.iter (Deque.push_back d) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (Deque.length d);
-  (* Owner end is LIFO... *)
-  Alcotest.(check (option int)) "owner pops newest" (Some 4)
-    (Deque.pop_back d);
-  (* ...thief end is FIFO. *)
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1)
-    (Deque.pop_front d);
-  Alcotest.(check (option int)) "then next-oldest" (Some 2)
-    (Deque.pop_front d);
-  Alcotest.(check (option int)) "owner again" (Some 3) (Deque.pop_back d);
-  Alcotest.(check bool) "drained" true (Deque.is_empty d)
-
-let test_deque_growth () =
-  let d = Deque.create () in
-  (* Interleave pushes and front-pops so the ring wraps while growing:
-     the resize must preserve front-to-back order across the seam. *)
-  for i = 1 to 5 do Deque.push_back d i done;
-  Alcotest.(check (option int)) "wrap pop" (Some 1) (Deque.pop_front d);
-  Alcotest.(check (option int)) "wrap pop" (Some 2) (Deque.pop_front d);
-  for i = 6 to 40 do Deque.push_back d i done;
-  let got = ref [] in
-  let rec drain () =
-    match Deque.pop_front d with
-    | Some x -> got := x :: !got; drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "order preserved through growth"
-    (List.init 38 (fun i -> i + 3))
-    (List.rev !got)
-
 (* --- endpoint grammar --- *)
 
 module Endpoint = Emts_serve.Endpoint
@@ -1121,6 +1056,38 @@ let test_endpoint_connect_listen () =
       (* Rebinding unlinks the stale path instead of failing. *)
       let lfd2 = Endpoint.listen_fd ep in
       Unix.close lfd2)
+
+(* A start that fails after the Unix socket is bound closes what it
+   bound and leaves no socket file behind, whether the TCP listener or
+   the HTTP sidecar is the bind that fails: here another listener holds
+   the port. *)
+let test_server_failed_start () =
+  let path = Printf.sprintf "/tmp/emts-test-failed-%d.sock" (Unix.getpid ()) in
+  let held = Endpoint.listen_fd (Endpoint.Tcp ("127.0.0.1", 0)) in
+  Fun.protect
+    ~finally:(fun () -> Unix.close held)
+    (fun () ->
+      let port =
+        match Unix.getsockname held with
+        | Unix.ADDR_INET (_, port) -> port
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      List.iter
+        (fun (label, config) ->
+          (match Server.run ~stop:(fun () -> true) config with
+          | Ok () -> Alcotest.fail (label ^ ": started on a busy port")
+          | Error _ -> ());
+          Alcotest.(check bool) (label ^ ": no socket file") false
+            (Sys.file_exists path))
+        [
+          ( "tcp",
+            { Server.default with
+              Server.socket = Some path; tcp = Some ("127.0.0.1", port) } );
+          ( "metrics",
+            { Server.default with
+              Server.socket = Some path;
+              metrics_tcp = Some ("127.0.0.1", port) } );
+        ])
 
 (* --- concurrent online sessions ---
 
@@ -1300,12 +1267,6 @@ let test_registry_refuses_busy () =
 let () =
   Alcotest.run "serve"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "owner LIFO, thief FIFO" `Quick test_deque_ends;
-          Alcotest.test_case "growth preserves order" `Quick
-            test_deque_growth;
-        ] );
       ( "endpoint",
         [
           Alcotest.test_case "parse grammar" `Quick test_endpoint_parse;
@@ -1340,12 +1301,18 @@ let () =
             test_engine_heuristic_and_errors;
           Alcotest.test_case "deadline returns best-so-far" `Quick
             test_engine_deadline_best_so_far;
+          Alcotest.test_case "one schedule per answer" `Quick
+            test_engine_schedule_runs;
         ] );
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
-          Alcotest.test_case "steal/FIFO identity" `Quick
-            test_server_steal_identity;
+          Alcotest.test_case "pipelined burst matches the engine" `Quick
+            test_server_burst_matches_engine;
+          Alcotest.test_case "backlog answered oldest first" `Quick
+            test_server_oldest_first;
+          Alcotest.test_case "failed start leaves no socket file" `Quick
+            test_server_failed_start;
           Alcotest.test_case "self-healing under faults" `Quick
             test_server_self_healing;
           Alcotest.test_case "online session through a drain" `Quick

@@ -51,23 +51,54 @@ let invalid_time ctx alloc v =
     (Printf.sprintf "Common.growth_loop: time of task %d on %d procs is invalid (%g)"
        v alloc.(v) ctx.tables.(v).(alloc.(v) - 1))
 
-(* Incremental form of the loop spelled out in common.mli: a step
-   recomputes only the bottom levels a grow can move — the grown task,
-   then, walking the topological order down from it, each ancestor a
-   moved successor marked dirty.  Every value is the float of the
-   recurrence of [Analysis.bottom_levels] ([tv +. fold Float.max 0.]
-   over the successors), [T_A] is summed in task order and the critical
-   path is walked with the same tie rules, so every float, and hence
-   every allocation, is bit-identical to the from-scratch loop.  Bottom
-   levels read and dirty only covering edges ([ctx.cover]): a transitive
-   edge [u -> w] through [x] has [bl x >= bl w], so it never sets the
-   max (DESIGN.md §5).  The source scan, [T_A] and the path walk stay on
-   the full graph, where a rounding tie [bl x = bl w] can pick another
-   path.  Floats cross basic blocks only through [fs] (DESIGN.md §14),
-   so a step allocates nothing. *)
+let m_steps =
+  Emts_obs.Metrics.counter ~help:"processors added by the CPA-family growth loop"
+    "alloc.growth.steps"
+
+let m_exact_folds =
+  Emts_obs.Metrics.counter
+    ~help:
+      "growth-loop stop tests the running T_A sum could not decide, so the \
+       task-order fold decided them"
+    "alloc.growth.exact_folds"
+
+(* [off, adj] with [adj.(off.(v)) .. adj.(off.(v+1) - 1)] = [nbrs v]. *)
+let flatten n nbrs =
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Array.length (nbrs v)
+  done;
+  let adj = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    Array.blit (nbrs v) 0 adj off.(v) (Array.length (nbrs v))
+  done;
+  (off, adj)
+
+(* Incremental form of the loop spelled out in common.mli: a grow
+   rewrites only the grown task's state.
+   - Each task's current time and gain sit in the flat float arrays
+     [time] and [gains], set (and the time validated) when its
+     allocation changes.
+   - A step recomputes only the bottom levels a grow can move: the grown
+     task, then, walking the topological order down from it, each
+     ancestor a moved successor marked dirty.  Every value is the float
+     of the recurrence of [Analysis.bottom_levels] ([tv +. fold
+     Float.max 0.] over the successors).  Bottom levels read and dirty
+     only covering edges ([ctx.cover], flattened once per call): a
+     transitive edge [u -> w] through [x] has [bl x >= bl w], so it
+     never sets the max (DESIGN.md §5).
+   - [T_A]'s sum is kept running: a grow subtracts the task's old area
+     and adds its new one.  Its distance from the task-order fold the
+     reference loop takes is bounded rigorously (the slack below), and the
+     fold runs only when [bl(start)] falls within that bound of the
+     stop threshold; it then resets the running sum.
+   The source scan and the path walk stay on the full graph, where a
+   rounding tie [bl x = bl w] can pick another path, with the same tie
+   rules, so every decision, and hence every allocation, is
+   bit-identical to the from-scratch loop.  Floats cross basic blocks
+   only through [fs] (DESIGN.md §14), so a step allocates nothing. *)
 let growth_loop ?(level_budget = max_int) ~gain ctx =
-  let graph = ctx.graph and cover = ctx.cover in
-  let tables = ctx.tables and procs = ctx.procs in
+  let graph = ctx.graph and tables = ctx.tables and procs = ctx.procs in
   let n = Graph.task_count graph in
   let alloc = Array.make n 1 in
   if n > 0 then begin
@@ -78,44 +109,70 @@ let growth_loop ?(level_budget = max_int) ~gain ctx =
     let level = Graph.precedence_level graph in
     let level_total = Array.make (Graph.level_count graph) 0 in
     Array.iter (fun l -> level_total.(l) <- level_total.(l) + 1) level;
+    let succ_off, succ_adj = flatten n (Graph.succs ctx.cover)
+    and pred_off, pred_adj = flatten n (Graph.preds ctx.cover) in
+    let time = Array.make n 0. and gains = Array.make n 0. in
     let bl = Array.make n 0. in
     let dirty = Array.make n false and pending = ref 0 in
-    (* fs.(0): a bottom level before its update, then the running sum
-       of T_A; fs.(1): a candidate's gain; fs.(2): the best gain;
-       fs.(3): the largest bottom level of a task's successors. *)
-    let fs = Array.make 4 0. in
+    (* fs.(0): a bottom level before its update; fs.(1): the running
+       sum of T_A's areas; fs.(2): the best gain; fs.(3): the largest
+       bottom level of a task's successors; fs.(4): the error weight W
+       of the running sum; fs.(5): its slack against the fold. *)
+    let fs = Array.make 6 0. in
+    let set_time v =
+      time.(v) <- tables.(v).(alloc.(v) - 1);
+      if not (time.(v) >= 0.) then invalid_time ctx alloc v;
+      gains.(v) <- gain_value ctx alloc gain v
+    in
     (* Recompute [bl.(v)]; mark the predecessors dirty when it moved.
        Bottom levels are never NaN nor -0. (times are validated, the
        max starts at +0.), so a bare [>] takes the max [Float.max]
        would, and float [<>] is a bitwise change test. *)
     let refresh v =
-      let tv = tables.(v).(alloc.(v) - 1) in
-      if not (tv >= 0.) then invalid_time ctx alloc v;
       fs.(0) <- bl.(v);
-      let succs = Graph.succs cover v in
       fs.(3) <- 0.;
-      for j = 0 to Array.length succs - 1 do
-        if bl.(succs.(j)) > fs.(3) then fs.(3) <- bl.(succs.(j))
+      for j = succ_off.(v) to succ_off.(v + 1) - 1 do
+        if bl.(succ_adj.(j)) > fs.(3) then fs.(3) <- bl.(succ_adj.(j))
       done;
-      bl.(v) <- tables.(v).(alloc.(v) - 1) +. fs.(3);
-      if bl.(v) <> fs.(0) then begin
-        let preds = Graph.preds cover v in
-        for j = 0 to Array.length preds - 1 do
-          if not dirty.(preds.(j)) then begin
-            dirty.(preds.(j)) <- true;
+      bl.(v) <- time.(v) +. fs.(3);
+      if bl.(v) <> fs.(0) then
+        for j = pred_off.(v) to pred_off.(v + 1) - 1 do
+          if not dirty.(pred_adj.(j)) then begin
+            dirty.(pred_adj.(j)) <- true;
             incr pending
           end
         done
-      end
     in
+    (* The task-order fold of the reference's [T_A] sum.  It is off the
+       exact sum by at most 2nu times itself, so W restarts at 4n times
+       it: twice what that needs, to cover the rounding of W's own
+       sums. *)
+    let fold () =
+      fs.(1) <- 0.;
+      for v = 0 to n - 1 do
+        fs.(1) <- fs.(1) +. (time.(v) *. float_of_int alloc.(v))
+      done;
+      fs.(4) <- float_of_int (4 * n) *. fs.(1)
+    in
+    for v = 0 to n - 1 do
+      set_time v
+    done;
     for k = n - 1 downto 0 do
       refresh topo.(k)
     done;
     Array.fill dirty 0 n false;
     pending := 0;
+    fold ();
     let grow v =
+      (* Each rounded add or subtract of the running sum is off by at
+         most u times its result; W sums those results. *)
+      fs.(1) <- fs.(1) -. (time.(v) *. float_of_int alloc.(v));
+      fs.(4) <- fs.(4) +. Float.abs fs.(1);
       alloc.(v) <- alloc.(v) + 1;
       level_total.(level.(v)) <- level_total.(level.(v)) + 1;
+      set_time v;
+      fs.(1) <- fs.(1) +. (time.(v) *. float_of_int alloc.(v));
+      fs.(4) <- fs.(4) +. Float.abs fs.(1);
       refresh v;
       (* Dirty tasks are ancestors of [v], so they precede it in
          topological order; walking down from [v] refreshes every
@@ -131,6 +188,8 @@ let growth_loop ?(level_budget = max_int) ~gain ctx =
         decr k
       done
     in
+    let pf = float_of_int procs in
+    let steps = ref 0 and folds = ref 0 in
     let growing = ref true in
     while !growing do
       (* T_CP is the largest bottom level, reached at a source; the
@@ -139,12 +198,28 @@ let growth_loop ?(level_budget = max_int) ~gain ctx =
       for i = 1 to Array.length sources - 1 do
         if bl.(sources.(i)) > bl.(!start) then start := sources.(i)
       done;
-      fs.(0) <- 0.;
-      for v = 0 to n - 1 do
-        fs.(0) <-
-          fs.(0) +. (tables.(v).(alloc.(v) - 1) *. float_of_int alloc.(v))
-      done;
-      if bl.(!start) <= fs.(0) /. float_of_int procs then growing := false
+      (* The reference stops when bl(start) <= fold /. P.  With
+         u = 2^-53, S is within u*W of the exact area sum and the fold
+         within 2nu of it, so |fold - S| <= u*(2n*|S| + 4W); the slack
+         is 8 times that, plus a normal float, to absorb its own
+         rounding and that of S -/+ slack (DESIGN.md §5).  Rounded
+         division is monotone, so a comparison against
+         (S -/+ slack) /. P that already decides is the fold's; in
+         between, fold. *)
+      fs.(5) <-
+        ((float_of_int (2 * n) *. Float.abs fs.(1)) +. (4. *. fs.(4)))
+        *. (4. *. epsilon_float)
+        +. Float.min_float;
+      let stop =
+        if bl.(!start) <= (fs.(1) -. fs.(5)) /. pf then true
+        else if bl.(!start) > (fs.(1) +. fs.(5)) /. pf then false
+        else begin
+          incr folds;
+          fold ();
+          bl.(!start) <= fs.(1) /. pf
+        end
+      in
+      if stop then growing := false
       else begin
         (* Walk the critical path from its source, following the first
            successor of largest bottom level; keep the first task with
@@ -154,13 +229,12 @@ let growth_loop ?(level_budget = max_int) ~gain ctx =
         let best = ref (-1) and v = ref !start in
         while !v >= 0 do
           let u = !v in
-          if level_total.(level.(u)) < level_budget then begin
-            fs.(1) <- gain_value ctx alloc gain u;
-            if (!best < 0 || not (fs.(2) >= fs.(1))) && fs.(1) <> neg_infinity
-            then begin
-              best := u;
-              fs.(2) <- fs.(1)
-            end
+          if level_total.(level.(u)) < level_budget
+             && (!best < 0 || not (fs.(2) >= gains.(u)))
+             && gains.(u) <> neg_infinity
+          then begin
+            best := u;
+            fs.(2) <- gains.(u)
           end;
           let succs = Graph.succs graph u in
           v := -1;
@@ -168,8 +242,14 @@ let growth_loop ?(level_budget = max_int) ~gain ctx =
             if !v < 0 || bl.(succs.(j)) > bl.(!v) then v := succs.(j)
           done
         done;
-        if !best >= 0 && fs.(2) > 0. then grow !best else growing := false
+        if !best >= 0 && fs.(2) > 0. then begin
+          grow !best;
+          incr steps
+        end
+        else growing := false
       end
-    done
+    done;
+    Emts_obs.Metrics.add m_steps !steps;
+    Emts_obs.Metrics.add m_exact_folds !folds
   end;
   alloc

@@ -64,9 +64,12 @@ val gain_value : ctx -> Emts_sched.Allocation.t -> gain -> int -> float
     is admissible below [P] processors and, given [level_budget], while
     the total allocation of its precedence level is below the budget
     (MCPA's rule with budget [P]; default unbounded).  Each step
-    updates only the bottom levels a grow can move, yet every [T_CP],
-    [T_A], path and tie-break is the float or int a from-scratch
-    recomputation gives.  At most [V * (P - 1)] grows.  Raises
-    [Invalid_argument] on a NaN or negative time it reads. *)
+    updates only the bottom levels a grow can move and keeps [T_A] as
+    a running sum, folded in task order only when the sum's error bound
+    cannot decide [T_CP > T_A]; yet every [T_CP], stop decision, path
+    and tie-break is the one a from-scratch recomputation gives.  At
+    most [V * (P - 1)] grows.  Counts its grows in the metric
+    [alloc.growth.steps] and its folds in [alloc.growth.exact_folds].
+    Raises [Invalid_argument] on a NaN or negative time it reads. *)
 val growth_loop :
   ?level_budget:int -> gain:gain -> ctx -> Emts_sched.Allocation.t

@@ -32,41 +32,41 @@ let resolve_host host =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let with_fresh_socket domain f =
-  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+let unlink_socket = function
+  | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
+let sockaddr = function
+  | Unix_socket path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) -> Unix.ADDR_INET (resolve_host host, port)
+
+(* The socket's domain follows the address, so an IPv6 literal gets a
+   PF_INET6 socket. *)
+let with_fresh_socket addr f =
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+  in
   try f fd; fd
   with e -> close_quietly fd; raise e
 
-let connect_fd = function
-  | Unix_socket path ->
-    with_fresh_socket Unix.PF_UNIX (fun fd ->
-        Unix.connect fd (Unix.ADDR_UNIX path))
-  | Tcp (host, port) ->
-    let addr = resolve_host host in
-    with_fresh_socket Unix.PF_INET (fun fd ->
-        Unix.connect fd (Unix.ADDR_INET (addr, port)))
+let connect_fd ep =
+  let addr = sockaddr ep in
+  with_fresh_socket addr (fun fd -> Unix.connect fd addr)
 
-let listen_fd ?(backlog = 64) = function
-  | Unix_socket path ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    with_fresh_socket Unix.PF_UNIX (fun fd ->
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd backlog)
-  | Tcp (host, port) ->
-    let addr = resolve_host host in
-    with_fresh_socket Unix.PF_INET (fun fd ->
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (addr, port));
-        Unix.listen fd backlog)
+let listen_fd ?(backlog = 64) ep =
+  let addr = sockaddr ep in
+  unlink_socket ep;
+  with_fresh_socket addr (fun fd ->
+      (match ep with
+      | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | Unix_socket _ -> ());
+      Unix.bind fd addr;
+      Unix.listen fd backlog)
 
 type listeners = {
   frames : (t * Unix.file_descr) list;
   http : Unix.file_descr option;
 }
-
-let unlink_socket = function
-  | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ()
 
 let close_listeners =
   List.iter (fun (ep, fd) -> close_quietly fd; unlink_socket ep)

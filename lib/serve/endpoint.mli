@@ -37,13 +37,16 @@ val resolve_host : string -> Unix.inet_addr
 
 val connect_fd : t -> Unix.file_descr
 (** Connect a fresh cloexec stream socket to the endpoint.  The
-    descriptor is closed again if [connect] itself fails.
+    socket's domain follows the resolved address, so an IPv6 literal
+    such as [::1] gets a [PF_INET6] socket.  The descriptor is closed
+    again if [connect] itself fails.
     @raise Unix.Unix_error on connection failure.
     @raise Not_found when a TCP host does not resolve. *)
 
 val listen_fd : ?backlog:int -> t -> Unix.file_descr
-(** Bind and listen (default [backlog] 64).  An existing Unix socket
-    path is unlinked first; TCP listeners set [SO_REUSEADDR].
+(** Bind and listen (default [backlog] 64) on a socket whose domain
+    follows the address, as {!connect_fd}'s does.  An existing Unix
+    socket path is unlinked first; TCP listeners set [SO_REUSEADDR].
     @raise Unix.Unix_error on bind failure.
     @raise Not_found when a TCP host does not resolve. *)
 

@@ -445,27 +445,32 @@ let prop_growth_matches_reference_daggen =
       same_as_reference (Common.make_ctx ~model ~platform ~graph))
 
 (* Instances of the scale the loop was rewritten for: a sparse one and
-   a dense one, where about half the edges are transitive. *)
-let growth_matches_reference_at ~seed ~n ~density () =
+   a dense one, where about half the edges are transitive; and a long
+   run, where the running [T_A] sum carries thousands of updates.  A
+   grow adds one processor, so [min_grows] bounds the sum of
+   [alloc - 1] each heuristic must reach. *)
+let growth_matches_reference_at ?(model = Emts_model.synthetic) ?(width = 0.3)
+    ?(min_grows = 0) ~seed ~n ~density () =
   let rng = Emts_prng.create ~seed () in
   let graph =
     Emts_daggen.Costs.assign rng
       (Emts_daggen.Random_dag.generate rng
          {
            Emts_daggen.Random_dag.n;
-           width = 0.3;
+           width;
            regularity = 0.5;
            density;
            jump = 2;
          })
   in
-  let ctx =
-    Common.make_ctx ~model:Emts_model.synthetic ~platform:Emts_platform.grelon
-      ~graph
-  in
+  let ctx = Common.make_ctx ~model ~platform:Emts_platform.grelon ~graph in
   List.iter
     (fun (name, allocate, reference) ->
-      Alcotest.(check (array int)) name (reference ctx) (allocate ctx))
+      let got = allocate ctx in
+      Alcotest.(check (array int)) name (reference ctx) got;
+      let grows = Array.fold_left (fun acc s -> acc + s - 1) 0 got in
+      if grows < min_grows then
+        Alcotest.failf "%s: %d grows, fewer than %d" name grows min_grows)
     growth_pairs
 
 let test_growth_matches_reference_500 =
@@ -473,6 +478,12 @@ let test_growth_matches_reference_500 =
 
 let test_growth_matches_reference_800 =
   growth_matches_reference_at ~seed:800 ~n:800 ~density:0.8
+
+(* Narrow 70-task DAGs on Grelon under Amdahl take thousands of grows:
+   a seed-1 serve-open request of that shape took 2,938 MCPA grows. *)
+let test_growth_matches_reference_long_run =
+  growth_matches_reference_at ~model:Emts_model.amdahl ~width:0.2
+    ~min_grows:2000 ~seed:70 ~n:70 ~density:0.8
 
 (* The critical path is walked on the full graph, not on [ctx.cover].
    Edges s -> w, s -> x, x -> w with ids s < w < x make s -> w
@@ -505,6 +516,47 @@ let test_growth_walks_full_graph () =
         (reference ctx);
       Alcotest.(check (array int)) name [| 1; 1; 1 |] (allocate ctx))
     growth_pairs
+
+(* The running [T_A] sum cannot decide every stop test alone.  Task 0,
+   alone on its level so that MCPA's budget admits it, takes T(1) = 1
+   and T(2) = 0; its successors 1 and 2 take T(1) = d = 2^-53 and
+   T(2) = d/2.  The first fold rounds 1 + d + d to 1, so after task 0
+   grows the running sum reads (1 - 1) + 0 = 0 while the fold reads
+   0 + d + d = 2d.  The deciding step then has bl(start) * P = 2d on
+   P = 2 processors: the fold stops, where the running sum alone would
+   go on to grow tasks 1 and 2. *)
+let test_growth_exact_fold () =
+  let graph =
+    Graph.of_tasks_and_edges
+      (Array.init 3 (fun id -> Emts_ptg.Task.make ~id ~flop:1. ()))
+      [ (0, 1); (0, 2) ]
+  in
+  let ctx =
+    ctx_of
+      ~platform:(Emts_platform.make ~name:"p2" ~processors:2 ~speed_gflops:1.)
+      graph
+  in
+  let d = epsilon_float /. 2. in
+  let tables =
+    [| [| 1.; 0. |]; [| d; d /. 2. |]; [| d; d /. 2. |] |]
+  in
+  let ctx = { ctx with Common.tables } in
+  let folds () =
+    Option.value ~default:0
+      (Emts_obs.Metrics.find_counter "alloc.growth.exact_folds")
+  in
+  Emts_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Emts_obs.Metrics.set_enabled false)
+    (fun () ->
+      List.iter
+        (fun (name, allocate, reference) ->
+          Alcotest.(check (array int)) (name ^ " reference") [| 2; 1; 1 |]
+            (reference ctx);
+          let before = folds () in
+          Alcotest.(check (array int)) name [| 2; 1; 1 |] (allocate ctx);
+          Alcotest.(check int) (name ^ " exact folds") 1 (folds () - before))
+        growth_pairs)
 
 (* The rewrite must keep the input check the reference got from
    [Analysis.bottom_levels]: a NaN or negative time raises, whether it
@@ -613,8 +665,12 @@ let () =
             test_growth_matches_reference_500;
           Alcotest.test_case "800-task dense instance = reference" `Quick
             test_growth_matches_reference_800;
+          Alcotest.test_case "70-task long run = reference" `Quick
+            test_growth_matches_reference_long_run;
           Alcotest.test_case "path walked on the full graph" `Quick
             test_growth_walks_full_graph;
+          Alcotest.test_case "exact fold decides a close stop" `Quick
+            test_growth_exact_fold;
           Alcotest.test_case "invalid times rejected" `Quick
             test_growth_rejects_invalid_times;
           Alcotest.test_case "steps allocate nothing" `Quick

@@ -1057,6 +1057,43 @@ let test_endpoint_connect_listen () =
       let lfd2 = Endpoint.listen_fd ep in
       Unix.close lfd2)
 
+(* A TCP endpoint's socket takes its domain from the resolved address:
+   a listener and a client meet over the IPv6 loopback on an ephemeral
+   port.  Skipped where the host has no IPv6 loopback. *)
+let test_endpoint_ipv6 () =
+  let has_ipv6_loopback =
+    match Unix.socket ~cloexec:true Unix.PF_INET6 Unix.SOCK_STREAM 0 with
+    | exception Unix.Unix_error _ -> false
+    | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          match Unix.bind fd (Unix.ADDR_INET (Unix.inet6_addr_loopback, 0)) with
+          | () -> true
+          | exception Unix.Unix_error _ -> false)
+  in
+  if not has_ipv6_loopback then Alcotest.skip ();
+  let lfd = Endpoint.listen_fd (Endpoint.Tcp ("::1", 0)) in
+  Fun.protect
+    ~finally:(fun () -> Unix.close lfd)
+    (fun () ->
+      let port =
+        match Unix.getsockname lfd with
+        | Unix.ADDR_INET (addr, port) ->
+          Alcotest.(check string) "bound to ::1" "::1"
+            (Unix.string_of_inet_addr addr);
+          port
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let cfd = Endpoint.connect_fd (Endpoint.Tcp ("::1", port)) in
+      let afd, _ = Unix.accept lfd in
+      let _ = Unix.write_substring cfd "hi" 0 2 in
+      let buf = Bytes.create 2 in
+      let n = Unix.read afd buf 0 2 in
+      Alcotest.(check string) "bytes flow" "hi" (Bytes.sub_string buf 0 n);
+      Unix.close cfd;
+      Unix.close afd)
+
 (* A start that fails after the Unix socket is bound closes what it
    bound and leaves no socket file behind, whether the TCP listener or
    the HTTP sidecar is the bind that fails: here another listener holds
@@ -1274,6 +1311,8 @@ let () =
             test_endpoint_roundtrip_and_hostport;
           Alcotest.test_case "listen and connect" `Quick
             test_endpoint_connect_listen;
+          Alcotest.test_case "listen and connect over IPv6" `Quick
+            test_endpoint_ipv6;
         ] );
       ( "framing",
         [

@@ -450,11 +450,16 @@ let run_alloc_gate () =
    from a solver's plan), so their realised makespans share the same
    clairvoyant lower-bound denominator.  Returns the pass flag: ratios
    must be finite and >= 1 (the bound is certified), EMTS re-planning
-   must not lose to the baseline on this corpus, and each completed
-   session must hold no DAG's re-planning context.  A session prints
-   the words it keeps beyond its cluster state. *)
+   must not lose to the baseline on this corpus, each completed
+   session must hold no DAG's re-planning context, and its cluster
+   state must keep at most [max_state_words] words per task beyond its
+   DAG graphs.  A session prints the words it keeps beyond its cluster
+   state and the cluster state's words per task. *)
+let max_state_words = 24.
+
 let run_online () =
   let module Online = Emts_serve.Online in
+  let module Sim = Emts_simulator.Online in
   rule "Online: Perotin-Sun baseline vs EMTS re-planning (3-DAG arrivals)";
   let corpus_rng = Emts_prng.create ~seed:0x0417E () in
   let corpus =
@@ -507,10 +512,28 @@ let run_online () =
         "%-8s %-16s complete: %d words beyond the cluster state, %d DAG \
          contexts held\n"
         mname (Online.replanner_name replanner) words (Online.open_dags t);
-      (m, Online.clairvoyant_bound t, Online.replans t, Online.open_dags t = 0)
+      let st = Online.state t in
+      let graphs = Array.init (Sim.dag_count st) (Sim.dag_graph st) in
+      let per_task =
+        float_of_int
+          (Obj.reachable_words (Obj.repr st)
+          - (Obj.reachable_words (Obj.repr graphs) - (Array.length graphs + 1))
+          )
+        /. float_of_int (Sim.task_count st)
+      in
+      Printf.printf
+        "%-8s %-16s cluster state: %.1f words per task beyond its DAG graphs\n"
+        mname (Online.replanner_name replanner) per_task;
+      ( m,
+        Online.clairvoyant_bound t,
+        Online.replans t,
+        Online.open_dags t = 0,
+        per_task <= max_state_words )
     in
-    let base_m, base_bound, base_replans, base_closed = run Online.Baseline in
-    let emts_m, emts_bound, emts_replans, emts_closed =
+    let base_m, base_bound, base_replans, base_closed, base_small =
+      run Online.Baseline
+    in
+    let emts_m, emts_bound, emts_replans, emts_closed, emts_small =
       run (Online.Emts { mu = 5; lambda = 25; generations = 5 })
     in
     let ratio m bound = if bound > 0. then m /. bound else 1. in
@@ -525,16 +548,22 @@ let run_online () =
     && re <= rb +. 1e-9
     (* the bound is a property of the workload, not of the solver *)
     && base_bound = emts_bound,
-    base_closed && emts_closed
+    base_closed && emts_closed,
+    base_small && emts_small
   in
   let results =
     List.map run_model [ ("amdahl", Emts_model.amdahl); ("model2", model2) ]
   in
-  let ratios_ok = List.for_all fst results
-  and closed = List.for_all snd results in
+  let ratios_ok = List.for_all (fun (r, _, _) -> r) results
+  and closed = List.for_all (fun (_, c, _) -> c) results
+  and small = List.for_all (fun (_, _, s) -> s) results in
   Printf.printf "ratios finite and >= 1, emts <= baseline: %b\n" ratios_ok;
   Printf.printf "completed sessions hold no DAG context: %b\n" closed;
-  ratios_ok && closed
+  Printf.printf
+    "completed sessions keep <= %g words per task beyond their DAG graphs: \
+     %b\n"
+    max_state_words small;
+  ratios_ok && closed && small
 
 let write_metrics_json metrics_json =
   match metrics_json with
@@ -551,7 +580,8 @@ let gate_online ~metrics_json =
   write_metrics_json metrics_json;
   if not ok then begin
     Printf.eprintf
-      "[bench] online sessions violated the clairvoyant or context gate\n%!";
+      "[bench] online sessions violated the clairvoyant, context or \
+       footprint gate\n%!";
     exit 1
   end
 

@@ -99,19 +99,25 @@ module Json = struct
     else if x > 0. then Str "inf"
     else Str "-inf"
 
+  (* Runs of bytes that need no escape are copied whole. *)
   let escape buf s =
-    String.iter
-      (fun c ->
-        match c with
+    let n = String.length s in
+    let plain = ref 0 in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        Buffer.add_substring buf s !plain (i - !plain);
+        (match c with
         | '"' -> Buffer.add_string buf "\\\""
         | '\\' -> Buffer.add_string buf "\\\\"
         | '\n' -> Buffer.add_string buf "\\n"
         | '\t' -> Buffer.add_string buf "\\t"
         | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        plain := i + 1
+      end
+    done;
+    Buffer.add_substring buf s !plain (n - !plain)
 
   let to_string v =
     let buf = Buffer.create 256 in
@@ -187,41 +193,66 @@ module Json = struct
       end
       else fail (Printf.sprintf "expected %S" word)
     in
+    (* Past the bytes that are neither a quote nor a backslash. *)
+    let skip_plain () =
+      let i = ref !pos in
+      while
+        !i < n && (match text.[!i] with '"' | '\\' -> false | _ -> true)
+      do
+        incr i
+      done;
+      pos := !i
+    in
+    (* Plain runs are copied whole, and a string without escapes is one
+       [String.sub]. *)
     let parse_string () =
       expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match text.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          if !pos >= n then fail "unterminated escape";
-          (match text.[!pos] with
-          | '"' -> Buffer.add_char buf '"'; advance ()
-          | '\\' -> Buffer.add_char buf '\\'; advance ()
-          | '/' -> Buffer.add_char buf '/'; advance ()
-          | 'n' -> Buffer.add_char buf '\n'; advance ()
-          | 't' -> Buffer.add_char buf '\t'; advance ()
-          | 'r' -> Buffer.add_char buf '\r'; advance ()
-          | 'b' -> Buffer.add_char buf '\b'; advance ()
-          | 'f' -> Buffer.add_char buf '\012'; advance ()
-          | 'u' ->
+      let start = !pos in
+      skip_plain ();
+      if !pos < n && text.[!pos] = '"' then begin
+        advance ();
+        String.sub text start (!pos - 1 - start)
+      end
+      else begin
+        let buf = Buffer.create (max 16 (2 * (!pos - start))) in
+        Buffer.add_substring buf text start (!pos - start);
+        let rec go () =
+          if !pos >= n then fail "unterminated string";
+          match text.[!pos] with
+          | '"' -> advance ()
+          | '\\' ->
             advance ();
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub text !pos 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x100 ->
-              Buffer.add_char buf (Char.chr code);
-              pos := !pos + 4
-            | Some _ -> fail "non-latin \\u escape unsupported"
-            | None -> fail "bad \\u escape")
-          | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          go ()
-        | c -> Buffer.add_char buf c; advance (); go ()
-      in
-      go ();
-      Buffer.contents buf
+            if !pos >= n then fail "unterminated escape";
+            (match text.[!pos] with
+            | '"' -> Buffer.add_char buf '"'; advance ()
+            | '\\' -> Buffer.add_char buf '\\'; advance ()
+            | '/' -> Buffer.add_char buf '/'; advance ()
+            | 'n' -> Buffer.add_char buf '\n'; advance ()
+            | 't' -> Buffer.add_char buf '\t'; advance ()
+            | 'r' -> Buffer.add_char buf '\r'; advance ()
+            | 'b' -> Buffer.add_char buf '\b'; advance ()
+            | 'f' -> Buffer.add_char buf '\012'; advance ()
+            | 'u' ->
+              advance ();
+              if !pos + 4 > n then fail "truncated \\u escape";
+              let hex = String.sub text !pos 4 in
+              (match int_of_string_opt ("0x" ^ hex) with
+              | Some code when code < 0x100 ->
+                Buffer.add_char buf (Char.chr code);
+                pos := !pos + 4
+              | Some _ -> fail "non-latin \\u escape unsupported"
+              | None -> fail "bad \\u escape")
+            | c -> fail (Printf.sprintf "bad escape \\%c" c));
+            go ()
+          | _ ->
+            let run = !pos in
+            skip_plain ();
+            Buffer.add_substring buf text run (!pos - run);
+            go ()
+        in
+        go ();
+        Buffer.contents buf
+      end
     in
     let parse_number () =
       let start = !pos in

@@ -184,22 +184,12 @@ let execute ?(noise = Noise.none) ?rng ~graph ~schedule () =
    replays exactly, and under noise the first drifting commit stops the
    clock for the controller to re-plan. *)
 module Online = struct
-  (* A committed task keeps only its realised [r_*] fields: its commit
-     step empties [preds], [succs] and [planned], which only uncommitted
-     tasks are read for. *)
-  type task = {
-    dag : int;
-    arrival : float;
-    mutable preds : int array;  (* global ids *)
-    mutable succs : int array;
-    mutable committed : bool;
-    mutable waiting : int;  (* uncommitted predecessors *)
-    mutable r_start : float;
-    mutable r_finish : float;
-    mutable r_procs : int array;
-    mutable planned : Schedule.entry option;  (* global-id entry *)
-  }
-
+  (* Columns rather than a record per task, so a completed session keeps
+     a few words per task: no boxed floats, no adjacency of its own (a
+     task's predecessors and successors are its DAG graph's, shifted by
+     the DAG's offset), and each processor set as [(first id, count)]
+     runs of consecutive ids, into which the re-planner's sets fall
+     (DESIGN.md §17). *)
   type committed = {
     task : int;
     dag : int;
@@ -215,12 +205,26 @@ module Online = struct
     noise : Noise.t;
     rng : Emts_prng.t;
     mutable now : float;
-    mutable tasks : task array;
-    mutable dags : (Emts_ptg.Graph.t * int * float) array;
-    mutable dag_unstarted : int array;  (* uncommitted tasks per DAG *)
-    free : float array;
-    mutable log : committed list;  (* newest first *)
+    (* per DAG *)
+    mutable graphs : Emts_ptg.Graph.t array;
+    mutable offsets : int array;
+    mutable arrivals : float array;
+    mutable dag_unstarted : int array;  (* uncommitted tasks *)
+    (* per task, by global id *)
+    mutable task_dag : int array;
+    mutable waiting : int array;  (* uncommitted predecessors *)
+    mutable log_pos : int array;  (* commit index; -1 while unstarted *)
+    mutable planned : Schedule.entry array;  (* [no_entry] when none *)
+    (* per commitment, in commit order; sized to the admitted tasks *)
+    mutable log_task : int array;
+    mutable log_times : float array;
+        (* [4i .. 4i + 3]: start, finish, planned start, planned finish *)
+    mutable log_runs : int array;  (* first slot of commit [i] in [runs] *)
+    mutable runs : int array;  (* [(first id, count)] pairs *)
+    mutable runs_len : int;
     mutable committed_count : int;
+    mutable makespan : float;  (* latest realised finish *)
+    free : float array;
     mutable ready : int array;
         (* [ready.(0 .. ready_len - 1)]: the uncommitted tasks with
            [waiting = 0], in no particular order *)
@@ -228,6 +232,8 @@ module Online = struct
   }
 
   type report = { committed : int; drifted : bool }
+
+  let no_entry = { Schedule.task = -1; start = nan; finish = nan; procs = [||] }
 
   let create ~procs ?(noise = Noise.none) ?rng () =
     if procs < 1 then invalid_arg "Online.create: procs must be >= 1";
@@ -237,38 +243,54 @@ module Online = struct
       noise;
       rng;
       now = 0.;
-      tasks = [||];
-      dags = [||];
+      graphs = [||];
+      offsets = [||];
+      arrivals = [||];
       dag_unstarted = [||];
-      free = Array.make procs 0.;
-      log = [];
+      task_dag = [||];
+      waiting = [||];
+      log_pos = [||];
+      planned = [||];
+      log_task = [||];
+      log_times = [||];
+      log_runs = [||];
+      runs = [||];
+      runs_len = 0;
       committed_count = 0;
+      makespan = 0.;
+      free = Array.make procs 0.;
       ready = [||];
       ready_len = 0;
     }
 
   let procs t = t.procs
   let now t = t.now
-  let task_count t = Array.length t.tasks
-  let dag_count t = Array.length t.dags
+  let task_count t = Array.length t.task_dag
+  let dag_count t = Array.length t.graphs
   let committed_count t = t.committed_count
-  let complete t = t.committed_count = Array.length t.tasks
-  let commitments t = List.rev t.log
-
-  let dag_graph t d =
-    let g, _, _ = t.dags.(d) in
-    g
-
-  let dag_offset t d =
-    let _, off, _ = t.dags.(d) in
-    off
-
-  let dag_arrival t d =
-    let _, _, at = t.dags.(d) in
-    at
-
+  let complete t = t.committed_count = task_count t
+  let makespan t = t.makespan
+  let dag_graph t d = t.graphs.(d)
+  let dag_offset t d = t.offsets.(d)
+  let dag_arrival t d = t.arrivals.(d)
   let dag_unstarted t d = t.dag_unstarted.(d)
-  let task_dag t v = t.tasks.(v).dag
+  let task_dag t v = t.task_dag.(v)
+  let is_committed t v = t.log_pos.(v) >= 0
+  let finish_of t v = t.log_times.((4 * t.log_pos.(v)) + 1)
+
+  (* [v]'s predecessors or successors ([adj] is [Graph.preds] or
+     [Graph.succs]), as local ids, and the offset that makes them
+     global. *)
+  let adjacent adj t v =
+    let d = t.task_dag.(v) in
+    let off = t.offsets.(d) in
+    (adj t.graphs.(d) (v - off), off)
+
+  (* [a] copied into a fresh array of [len] cells, the rest [fill]. *)
+  let grow a len fill =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
 
   let push_ready t v =
     t.ready.(t.ready_len) <- v;
@@ -277,42 +299,38 @@ module Online = struct
   let admit t graph =
     let n = Emts_ptg.Graph.task_count graph in
     if n = 0 then invalid_arg "Online.admit: empty graph";
-    let offset = Array.length t.tasks in
-    let dag = Array.length t.dags in
-    let shift = Array.map (fun v -> v + offset) in
-    let fresh =
-      Array.init n (fun v ->
-          let preds = shift (Emts_ptg.Graph.preds graph v) in
-          {
-            dag;
-            arrival = t.now;
-            preds;
-            succs = shift (Emts_ptg.Graph.succs graph v);
-            committed = false;
-            waiting = Array.length preds;
-            r_start = 0.;
-            r_finish = 0.;
-            r_procs = [||];
-            planned = None;
-          })
-    in
-    t.tasks <- Array.append t.tasks fresh;
-    t.dags <- Array.append t.dags [| (graph, offset, t.now) |];
+    let offset = task_count t in
+    let dag = dag_count t in
+    let total = offset + n in
+    t.graphs <- Array.append t.graphs [| graph |];
+    t.offsets <- Array.append t.offsets [| offset |];
+    t.arrivals <- Array.append t.arrivals [| t.now |];
     t.dag_unstarted <- Array.append t.dag_unstarted [| n |];
+    t.task_dag <- grow t.task_dag total dag;
+    t.waiting <- grow t.waiting total 0;
+    for v = 0 to n - 1 do
+      t.waiting.(offset + v) <- Emts_ptg.Graph.in_degree graph v
+    done;
+    t.log_pos <- grow t.log_pos total (-1);
+    t.planned <- grow t.planned total no_entry;
+    (* every task commits once, so the log never outgrows the tasks *)
+    t.log_task <- grow t.log_task total 0;
+    t.log_times <- grow t.log_times (4 * total) 0.;
+    t.log_runs <- grow t.log_runs total 0;
     (* ready tasks are uncommitted ones, so one slot per uncommitted
        task suffices until the next admission *)
-    let ready = Array.make (Array.length t.tasks - t.committed_count) 0 in
+    let ready = Array.make (total - t.committed_count) 0 in
     Array.blit t.ready 0 ready 0 t.ready_len;
     t.ready <- ready;
-    Array.iteri
-      (fun v task -> if task.waiting = 0 then push_ready t (offset + v))
-      fresh;
+    for v = 0 to n - 1 do
+      if t.waiting.(offset + v) = 0 then push_ready t (offset + v)
+    done;
     dag
 
   let unstarted t =
     let acc = ref [] in
-    for v = Array.length t.tasks - 1 downto 0 do
-      if not t.tasks.(v).committed then acc := v :: !acc
+    for v = task_count t - 1 downto 0 do
+      if not (is_committed t v) then acc := v :: !acc
     done;
     !acc
 
@@ -322,19 +340,17 @@ module Online = struct
      are precedence edges of the re-planning sub-problem, not release
      bounds. *)
   let release_of t v =
-    let task = t.tasks.(v) in
-    if task.committed then invalid_arg "Online.release_of: task committed";
+    if is_committed t v then invalid_arg "Online.release_of: task committed";
+    let preds, off = adjacent Emts_ptg.Graph.preds t v in
     Array.fold_left
       (fun acc p ->
-        let pr = t.tasks.(p) in
-        if pr.committed && pr.r_finish > acc then pr.r_finish else acc)
-      (Float.max task.arrival t.now)
-      task.preds
+        if is_committed t (off + p) && finish_of t (off + p) > acc then
+          finish_of t (off + p)
+        else acc)
+      (Float.max t.arrivals.(t.task_dag.(v)) t.now)
+      preds
 
   let avail t = Array.map (fun f -> Float.max f t.now) t.free
-
-  let makespan t =
-    List.fold_left (fun acc c -> Float.max acc c.finish) 0. t.log
 
   let check_proc_set t v ps =
     let k = Array.length ps in
@@ -352,14 +368,14 @@ module Online = struct
       ps
 
   let set_plan t entries =
-    let n = Array.length t.tasks in
+    let n = task_count t in
     let seen = Array.make n false in
     List.iter
       (fun (e : Schedule.entry) ->
         let v = e.Schedule.task in
         if v < 0 || v >= n then
           invalid_arg (Printf.sprintf "Online.set_plan: unknown task %d" v);
-        if t.tasks.(v).committed then
+        if is_committed t v then
           invalid_arg
             (Printf.sprintf "Online.set_plan: task %d is already committed" v);
         if seen.(v) then
@@ -372,7 +388,7 @@ module Online = struct
         then
           invalid_arg
             (Printf.sprintf "Online.set_plan: task %d has invalid times" v);
-        if e.Schedule.start < t.tasks.(v).arrival then
+        if e.Schedule.start < t.arrivals.(t.task_dag.(v)) then
           invalid_arg
             (Printf.sprintf
                "Online.set_plan: task %d planned before its DAG arrived" v);
@@ -382,23 +398,19 @@ module Online = struct
         check_proc_set t v e.Schedule.procs)
       entries;
     for v = 0 to n - 1 do
-      if (not t.tasks.(v).committed) && not seen.(v) then
+      if (not (is_committed t v)) && not seen.(v) then
         invalid_arg
           (Printf.sprintf "Online.set_plan: unstarted task %d has no entry" v)
     done;
     List.iter
-      (fun (e : Schedule.entry) ->
-        t.tasks.(e.Schedule.task).planned <- Some e)
+      (fun (e : Schedule.entry) -> t.planned.(e.Schedule.task) <- e)
       entries
 
   let plan t =
     let acc = ref [] in
-    for v = Array.length t.tasks - 1 downto 0 do
-      let task = t.tasks.(v) in
-      if not task.committed then
-        match task.planned with
-        | Some e -> acc := e :: !acc
-        | None -> ()
+    for v = task_count t - 1 downto 0 do
+      let e = t.planned.(v) in
+      if e != no_entry then acc := e :: !acc
     done;
     !acc
 
@@ -422,13 +434,13 @@ module Online = struct
     let best_eff = ref infinity and best_pos = ref true in
     for slot = 0 to t.ready_len - 1 do
       let v = t.ready.(slot) in
-      let task = t.tasks.(v) in
-      match task.planned with
-      | Some e when e.Schedule.start <= !best_eff ->
+      let e = t.planned.(v) in
+      if e != no_entry && e.Schedule.start <= !best_eff then begin
+        let preds, off = adjacent Emts_ptg.Graph.preds t v in
         let data_ready =
           Array.fold_left
-            (fun acc p -> Float.max acc t.tasks.(p).r_finish)
-            0. task.preds
+            (fun acc p -> Float.max acc (finish_of t (off + p)))
+            0. preds
         in
         let procs_free =
           Array.fold_left
@@ -452,9 +464,48 @@ module Online = struct
           best_eff := eff;
           best_pos := pos
         end
-      | Some _ | None -> ()
+      end
     done;
     if !best < 0 then None else Some (!best, !best_eff)
+
+  (* Append [ps] (sorted, distinct) to [runs] as maximal runs of
+     consecutive ids. *)
+  let push_runs t ps =
+    let k = Array.length ps in
+    if t.runs_len + (2 * k) > Array.length t.runs then
+      t.runs <-
+        grow t.runs (max (t.runs_len + (2 * k)) (2 * Array.length t.runs)) 0;
+    let i = ref 0 in
+    while !i < k do
+      let j = ref (!i + 1) in
+      while !j < k && ps.(!j) = ps.(!j - 1) + 1 do
+        incr j
+      done;
+      t.runs.(t.runs_len) <- ps.(!i);
+      t.runs.(t.runs_len + 1) <- !j - !i;
+      t.runs_len <- t.runs_len + 2;
+      i := !j
+    done
+
+  (* Log [v]'s commitment at [start, finish] under plan entry [e]. *)
+  let log_commit t v ~start ~finish (e : Schedule.entry) =
+    let i = t.committed_count in
+    t.log_pos.(v) <- i;
+    t.log_task.(i) <- v;
+    t.log_times.(4 * i) <- start;
+    t.log_times.((4 * i) + 1) <- finish;
+    t.log_times.((4 * i) + 2) <- e.Schedule.start;
+    t.log_times.((4 * i) + 3) <- e.Schedule.finish;
+    t.log_runs.(i) <- t.runs_len;
+    push_runs t e.Schedule.procs;
+    t.committed_count <- i + 1;
+    t.makespan <- Float.max t.makespan finish;
+    if complete t then begin
+      (* nothing is ready or growing until the next admission: keep
+         only what the log holds *)
+      t.runs <- Array.sub t.runs 0 t.runs_len;
+      t.ready <- [||]
+    end
 
   let advance ?(to_ = infinity) t =
     if Float.is_nan to_ then invalid_arg "Online.advance: to_ is NaN";
@@ -474,40 +525,24 @@ module Online = struct
         if eff > to_ then stop := true
         else begin
           let v = t.ready.(slot) in
-          let task = t.tasks.(v) in
           t.ready_len <- t.ready_len - 1;
           t.ready.(slot) <- t.ready.(t.ready_len);
+          let succs, off = adjacent Emts_ptg.Graph.succs t v in
           Array.iter
             (fun w ->
-              let succ = t.tasks.(w) in
-              succ.waiting <- succ.waiting - 1;
-              if succ.waiting = 0 then push_ready t w)
-            task.succs;
-          let e = Option.get task.planned in
+              let w = off + w in
+              t.waiting.(w) <- t.waiting.(w) - 1;
+              if t.waiting.(w) = 0 then push_ready t w)
+            succs;
+          let e = t.planned.(v) in
           let planned_dur = e.Schedule.finish -. e.Schedule.start in
           let dur = Noise.apply t.noise t.rng ~planned:planned_dur in
           let finish = eff +. dur in
-          task.committed <- true;
-          task.r_start <- eff;
-          task.r_finish <- finish;
-          task.r_procs <- e.Schedule.procs;
-          task.preds <- [||];
-          task.succs <- [||];
-          task.planned <- None;
-          t.dag_unstarted.(task.dag) <- t.dag_unstarted.(task.dag) - 1;
+          t.planned.(v) <- no_entry;
+          let d = t.task_dag.(v) in
+          t.dag_unstarted.(d) <- t.dag_unstarted.(d) - 1;
           Array.iter (fun p -> t.free.(p) <- finish) e.Schedule.procs;
-          t.committed_count <- t.committed_count + 1;
-          t.log <-
-            {
-              task = v;
-              dag = task.dag;
-              start = eff;
-              finish;
-              procs = e.Schedule.procs;
-              planned_start = e.Schedule.start;
-              planned_finish = e.Schedule.finish;
-            }
-            :: t.log;
+          log_commit t v ~start:eff ~finish e;
           incr committed;
           if eff > t.now then t.now <- eff;
           if
@@ -524,13 +559,47 @@ module Online = struct
     done;
     if not !drifted then
       if to_ < infinity then t.now <- Float.max t.now to_
-      else if complete t then t.now <- Float.max t.now (makespan t);
+      else if complete t then t.now <- Float.max t.now t.makespan;
     { committed = !committed; drifted = !drifted }
+
+  (* Commitment [i]'s processor set, decoded from its runs. *)
+  let procs_of t i =
+    let lo = t.log_runs.(i)
+    and hi =
+      if i + 1 < t.committed_count then t.log_runs.(i + 1) else t.runs_len
+    in
+    let k = ref 0 in
+    for r = 0 to ((hi - lo) / 2) - 1 do
+      k := !k + t.runs.(lo + (2 * r) + 1)
+    done;
+    let ps = Array.make !k 0 in
+    let at = ref 0 in
+    for r = 0 to ((hi - lo) / 2) - 1 do
+      let first = t.runs.(lo + (2 * r)) in
+      for j = 0 to t.runs.(lo + (2 * r) + 1) - 1 do
+        ps.(!at) <- first + j;
+        incr at
+      done
+    done;
+    ps
+
+  let commitments t =
+    List.init t.committed_count (fun i ->
+        let v = t.log_task.(i) in
+        {
+          task = v;
+          dag = t.task_dag.(v);
+          start = t.log_times.(4 * i);
+          finish = t.log_times.((4 * i) + 1);
+          procs = procs_of t i;
+          planned_start = t.log_times.((4 * i) + 2);
+          planned_finish = t.log_times.((4 * i) + 3);
+        })
 
   let merged_graph t =
     let b = Emts_ptg.Graph.Builder.create () in
     Array.iter
-      (fun (g, _, _) ->
+      (fun g ->
         let tasks = Emts_ptg.Graph.tasks g in
         Array.iter
           (fun task ->
@@ -538,30 +607,30 @@ module Online = struct
               (Emts_ptg.Graph.Builder.add_task b
                  ~flop:task.Emts_ptg.Task.flop))
           tasks)
-      t.dags;
-    Array.iter
-      (fun (g, off, _) ->
+      t.graphs;
+    Array.iteri
+      (fun d g ->
+        let off = t.offsets.(d) in
         List.iter
           (fun (src, dst) ->
             Emts_ptg.Graph.Builder.add_edge b ~src:(src + off)
               ~dst:(dst + off))
           (Emts_ptg.Graph.edges g))
-      t.dags;
+      t.graphs;
     Emts_ptg.Graph.Builder.build b
 
   let realized_schedule t =
     if not (complete t) then
       invalid_arg "Online.realized_schedule: work remains";
     let entries =
-      Array.mapi
-        (fun v task ->
+      Array.init (task_count t) (fun v ->
+          let i = t.log_pos.(v) in
           {
             Schedule.task = v;
-            start = task.r_start;
-            finish = task.r_finish;
-            procs = task.r_procs;
+            start = t.log_times.(4 * i);
+            finish = t.log_times.((4 * i) + 1);
+            procs = procs_of t i;
           })
-        t.tasks
     in
     Schedule.make ~platform_procs:t.procs entries
 end

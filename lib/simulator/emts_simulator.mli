@@ -99,9 +99,12 @@ val trace_to_csv : result -> string
       differ bitwise from the plan ends the {!advance} call, so the
       controller can re-plan before anything else commits.
 
-    A committed task keeps only its realised start, finish and
-    processors: its commit drops its plan entry and adjacency, which
-    only uncommitted tasks are read for. *)
+    The state is kept in columns: four ints per task, and per
+    commitment its task id, four unboxed times and its processor set
+    as runs of consecutive ids.  Adjacency is read from each admitted
+    DAG's graph, a commit drops the task's plan entry, and
+    {!commitments} and {!realized_schedule} build their records on
+    demand. *)
 module Online : sig
   type t
 
@@ -173,7 +176,8 @@ module Online : sig
   val complete : t -> bool
 
   val commitments : t -> committed list
-  (** The full log, in commit order. *)
+  (** The full log, in commit order, built afresh at each call: O(log
+      length + processors committed). *)
 
   val unstarted : t -> int list
   (** Global ids not yet committed, ascending. *)
@@ -201,6 +205,6 @@ module Online : sig
       cross-DAG edges). *)
 
   val realized_schedule : t -> Emts_sched.Schedule.t
-  (** The committed schedule once {!complete}; raises
-      [Invalid_argument] while work remains. *)
+  (** The committed schedule once {!complete}, built afresh at each
+      call; raises [Invalid_argument] while work remains. *)
 end

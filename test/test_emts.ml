@@ -641,9 +641,21 @@ let words_beyond_state t =
   Obj.reachable_words (Obj.repr t)
   - Obj.reachable_words (Obj.repr (Online.state t))
 
+(* Words the cluster state holds per task beyond its DAG graphs. *)
+let state_words_per_task t =
+  let st = Online.state t in
+  let graphs = Array.init (Sim_online.dag_count st) (Sim_online.dag_graph st) in
+  let graph_words =
+    Obj.reachable_words (Obj.repr graphs) - (Array.length graphs + 1)
+  in
+  float_of_int (Obj.reachable_words (Obj.repr st) - graph_words)
+  /. float_of_int (Sim_online.task_count st)
+
 (* Once complete, a session keeps its cluster state and commitment log
    but no DAG's context: a few words per DAG beyond the state, where
-   the time tables alone take a row of [procs] floats per task. *)
+   the time tables alone take a row of [procs] floats per task.  The
+   state itself keeps a few ints per task, four floats per commitment
+   and each processor set as runs of consecutive ids. *)
 let test_online_complete_keeps_no_context () =
   let rng = Emts_prng.create ~seed:29 () in
   let graphs =
@@ -658,7 +670,11 @@ let test_online_complete_keeps_no_context () =
   Alcotest.(check int) "no context held" 0 (Online.open_dags t);
   let words = words_beyond_state t and dags = Online.dag_count t in
   if words > 64 + (4 * dags) then
-    Alcotest.failf "%d words beyond the cluster state for %d DAGs" words dags
+    Alcotest.failf "%d words beyond the cluster state for %d DAGs" words dags;
+  let per_task = state_words_per_task t in
+  if per_task > 24. then
+    Alcotest.failf "cluster state: %.1f words per task beyond its DAG graphs"
+      per_task
 
 (* A DAG submitted after the session completes re-plans from its own
    context alone: with the deterministic baseline it commits what a

@@ -207,6 +207,26 @@ let test_json_string_escaping_edges () =
       | Error _ -> ())
     [ "\"\\u0100\""; {|"\uzzzz"|}; {|"\u00f"|}; {|"\x41"|}; {|"\"|} ]
 
+(* Each malformed-string error, with the offset it reports: the plain
+   runs before an escape or the end of input must leave the offset
+   where a byte-by-byte scan would. *)
+let test_json_string_errors () =
+  List.iter
+    (fun (text, expect) ->
+      match Json.of_string text with
+      | Ok _ -> Alcotest.fail (text ^ " parsed")
+      | Error e -> Alcotest.(check string) text expect e)
+    [
+      ({|"abc|}, "unterminated string at offset 4");
+      ({|"a\nbc|}, "unterminated string at offset 6");
+      ({|"abc\|}, "unterminated escape at offset 5");
+      ({|"ab\u00|}, "truncated \\u escape at offset 5");
+      ({|"ab\u0100"|}, "non-latin \\u escape unsupported at offset 5");
+      ({|"ab\uzzzz"|}, "bad \\u escape at offset 5");
+      ({|"abc\q"|}, "bad escape \\q at offset 5");
+      ({|{1:2}|}, "expected '\"' at offset 1");
+    ]
+
 (* --- Json properties --- *)
 
 let json_gen =
@@ -252,6 +272,36 @@ let prop_json_round_trip =
 let prop_json_single_line =
   QCheck.Test.make ~name:"to_string never emits a newline" ~count:500 json_arb
     (fun v -> not (String.contains (Json.to_string v) '\n'))
+
+(* The string encoder as it was written first, one byte at a time: the
+   reference for the bytes [Json.to_string] emits. *)
+let escape_per_byte s =
+  let buf = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let prop_json_escape_per_byte =
+  QCheck.Test.make ~name:"string encoding equals the per-byte encoder"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 64)))
+    (fun s ->
+      let quoted = "\"" ^ escape_per_byte s ^ "\"" in
+      Json.to_string (Json.Str s) = quoted
+      && Json.to_string (Json.Obj [ (s, Json.Null) ]) = "{" ^ quoted ^ ":null}"
+      && Json.of_string quoted = Ok (Json.Str s))
 
 (* --- Jsonl --- *)
 
@@ -412,8 +462,11 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
           Alcotest.test_case "string escaping edges" `Quick
             test_json_string_escaping_edges;
+          Alcotest.test_case "malformed string errors" `Quick
+            test_json_string_errors;
           QCheck_alcotest.to_alcotest prop_json_round_trip;
           QCheck_alcotest.to_alcotest prop_json_single_line;
+          QCheck_alcotest.to_alcotest prop_json_escape_per_byte;
         ] );
       ( "jsonl",
         [

@@ -242,8 +242,8 @@ let drift_case ~same_proc () =
   check_float "task 2 at its planned start" (f0 /. 2.) (start 2);
   check_float "task 1 at task 0's realised finish" f0 (start 1)
 
-(* Committed tasks give up their plan entries and adjacency, so what
-   later commits read of them must still hold.  Three daggen DAGs
+(* Committed tasks give up their plan entries and keep only their log
+   columns, so what later commits read of them must still hold.  Three daggen DAGs
    arrive at a noisy cluster; a plan puts every unstarted task at the
    clock, and after every [advance] the state is checked against the
    commitment log: each unstarted task's release is the latest of its
@@ -323,6 +323,83 @@ let test_online_noisy_state () =
   with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "realised schedule violates the merged graph"
+
+(* A commitment stores its processor set as runs of consecutive ids.
+   Independent tasks, one after another, each take a set drawn at an
+   edge of that encoding: every processor (one run), every other one
+   (the most runs [procs] allow), a single id at either end, or a
+   random subset; [procs] straddles the word sizes a bitset would use.
+   Under [Noise.none] the log and the realised schedule must hand back
+   exactly the planned arrays. *)
+let arbitrary_run_plan =
+  let open QCheck.Gen in
+  let plan =
+    oneofl [ 1; 2; 61; 62; 63; 64; 120; 125 ] >>= fun procs ->
+    (* each id kept with a drawn probability; never empty *)
+    let subset =
+      float_bound_inclusive 1. >>= fun density ->
+      map
+        (fun draws ->
+          let ps =
+            List.init procs Fun.id
+            |> List.filter (fun p -> draws.(p) < density)
+            |> Array.of_list
+          in
+          if Array.length ps = 0 then [| procs - 1 |] else ps)
+        (array_repeat procs (float_bound_exclusive 1.))
+    in
+    let set =
+      frequency
+        [
+          (1, return (Array.init procs Fun.id));
+          (1, return (Array.init ((procs + 1) / 2) (fun i -> 2 * i)));
+          (1, return [| 0 |]);
+          (1, return [| procs - 1 |]);
+          (4, subset);
+        ]
+    in
+    map (fun sets -> (procs, Array.of_list sets)) (list_size (int_range 1 12) set)
+  in
+  QCheck.make
+    ~print:(fun (procs, sets) ->
+      Printf.sprintf "P=%d %s" procs
+        (String.concat " "
+           (Array.to_list
+              (Array.map
+                 (fun ps ->
+                   "["
+                   ^ String.concat ","
+                       (Array.to_list (Array.map string_of_int ps))
+                   ^ "]")
+                 sets))))
+    plan
+
+let prop_online_run_encoding =
+  QCheck.Test.make
+    ~name:"online log and realised schedule return the planned processor sets"
+    ~count:300 arbitrary_run_plan
+    (fun (procs, sets) ->
+      let n = Array.length sets in
+      let st = On.create ~procs () in
+      ignore (On.admit st (Emts_daggen.Shapes.independent n));
+      let plan =
+        Array.mapi
+          (fun v ps -> entry v (float_of_int v) (float_of_int (v + 1)) ps)
+          sets
+      in
+      On.set_plan st (Array.to_list plan);
+      ignore (On.advance st);
+      let log = On.commitments st in
+      On.complete st
+      && List.length log = n
+      && List.for_all
+           (fun (c : On.committed) ->
+             let e = plan.(c.On.task) in
+             c.On.procs = e.Schedule.procs
+             && c.On.start = e.Schedule.start
+             && c.On.finish = e.Schedule.finish)
+           log
+      && Schedule.entries (On.realized_schedule st) = plan)
 
 (* properties over random graphs and allocations *)
 
@@ -406,5 +483,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_exact_replay; prop_noisy_execution_valid; prop_slowdown_bounded ] );
+          [
+            prop_exact_replay;
+            prop_noisy_execution_valid;
+            prop_slowdown_bounded;
+            prop_online_run_encoding;
+          ] );
     ]

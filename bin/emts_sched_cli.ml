@@ -42,10 +42,10 @@ let domains_arg =
            results are identical for any value).  The workers form one \
            persistent pool per run.  The work counts that --metrics \
            reports (ea.early_reject.hits, ea.early_reject.misses, \
-           sched.delta.scheduled_steps) are exact, the same on every \
-           run, only at 1: with parallel workers, which offspring are \
-           rejected early depends on which evaluations finish first; \
-           the answer does not.")
+           sched.delta.scheduled_steps, sched.delta.claim_runs) are \
+           exact, the same on every run, only at 1: with parallel \
+           workers, which offspring are rejected early depends on \
+           which evaluations finish first; the answer does not.")
 
 let islands_arg =
   Arg.(

@@ -11,14 +11,23 @@ module Graph = Emts_ptg.Graph
    processor ids.  [List_scheduler]'s calls allocate their own scratch,
    so they are safe from any thread.
 
-   {b Processors as values.}  A makespan depends only on the multiset
-   of processor availabilities, never on which ids a task gets, so
-   [avail] holds just the values, ascending: a task on [s] processors
-   starts at [max dr avail.(s-1)], the s-th smallest value, whichever
-   equal-valued processor supplies it.  Data-ready times are [>= 0], so
-   a zero [avail.(s-1)] of either sign yields the start [dr].  The
-   makespan is therefore bit-identical to that of the id-tracking
-   schedule the record mode builds (DESIGN.md §14).
+   {b Processors as runs of values.}  A makespan depends only on the
+   multiset of processor availabilities, never on which ids a task
+   gets, so the kernel keeps just that multiset, as runs: distinct
+   values ascending in [rv], each with the number of processors free
+   from it in [rc], the counts summing to [procs].  A task on [s]
+   processors starts at [max dr a], [a] the s-th smallest value,
+   whichever equal-valued processor supplies it; a walk over the runs
+   from the front finds it.  Its claim drops those [s] processors (the
+   runs before [a]'s whole, [a]'s whole or in part) and inserts its
+   finish with count [s]: added to a run of the same value, or as a new
+   run, shifting whichever side of it holds fewer runs.  The runs sit in a
+   ring of at least [procs] slots, so both sides always have room.
+   Float [=] merges only bitwise-equal non-zero values, or zeros of
+   either sign; data-ready times are [>= 0], so a zero [a] of either
+   sign yields the start [dr].  The makespan is therefore bit-identical
+   to that of the id-tracking schedule the record mode builds
+   (DESIGN.md §14).
 
    {b The pop order.}  A task becomes ready when its last predecessor
    pops, whatever the processors hold, so the order depends on the
@@ -73,6 +82,7 @@ let no_floats : float array = Array.make 1 Float.nan
 let m_full = Emts_obs.Metrics.counter "sched.delta.full_runs"
 let m_scheduled = Emts_obs.Metrics.counter "sched.delta.scheduled_steps"
 let m_rejections = Emts_obs.Metrics.counter "sched.delta.cutoff_rejections"
+let m_claim_runs = Emts_obs.Metrics.counter "sched.delta.claim_runs"
 
 (* [List_scheduler]'s calls, offline and online.  Each call flushes once,
    and only when collection is enabled. *)
@@ -92,6 +102,9 @@ type iacc = {
   mutable finished : int;  (* pop steps completed so far *)
   mutable limited : int;  (* pops whose start a processor set, not data *)
   mutable rejected : bool;  (* current evaluation hit the cutoff *)
+  mutable rh : int;  (* ring slot of the first (smallest) run *)
+  mutable rn : int;  (* runs in the ring *)
+  mutable claim_runs : int;  (* runs walked, passed or moved this call *)
 }
 
 type facc = { mutable mk : float  (* running makespan *) }
@@ -102,11 +115,13 @@ type t = {
   mutable tables : float array array;
   mutable procs : int;
   (* online re-planning constraints, part of the instance binding:
-     [release] seeds [data_ready] and [avail0] seeds [avail_init]
+     [release] seeds [data_ready] and [avail0] the initial runs
      ([no_floats] means all-zero — the offline case) *)
   mutable release : float array;
   mutable avail0 : float array;
-  mutable avail_init : float array;  (* [avail0] sorted ascending *)
+  mutable init_v : float array;  (* [avail0]'s runs: values ascending *)
+  mutable init_c : int array;  (* and their counts *)
+  mutable init_runs : int;
   mutable n : int;
   mutable topo : int array;
   mutable base_indeg : int array;
@@ -115,7 +130,9 @@ type t = {
   mutable bl : float array;
   mutable indeg : int array;
   mutable data_ready : float array;
-  mutable avail : float array;  (* processor availabilities, ascending *)
+  (* the availability runs, a ring indexed [land (length - 1)] *)
+  mutable rv : float array;  (* distinct values, ascending from [ia.rh] *)
+  mutable rc : int array;  (* processors free from each value, > 0 *)
   mutable hprio : float array;
   mutable hids : int array;
   mutable order : int array;  (* pop order, for the record mode *)
@@ -144,7 +161,9 @@ let create () =
     procs = 0;
     release = no_floats;
     avail0 = no_floats;
-    avail_init = [||];
+    init_v = [||];
+    init_c = [||];
+    init_runs = 0;
     n = 0;
     topo = [||];
     base_indeg = [||];
@@ -152,12 +171,22 @@ let create () =
     bl = [||];
     indeg = [||];
     data_ready = [||];
-    avail = [||];
+    rv = [||];
+    rc = [||];
     hprio = [||];
     hids = [||];
     order = [||];
     fs = Array.make 2 0.;
-    ia = { hsize = 0; finished = 0; limited = 0; rejected = false };
+    ia =
+      {
+        hsize = 0;
+        finished = 0;
+        limited = 0;
+        rejected = false;
+        rh = 0;
+        rn = 0;
+        claim_runs = 0;
+      };
     fa = { mk = 0. };
     last_rejected = false;
     full_runs = 0;
@@ -206,13 +235,31 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
   t.procs <- procs;
   t.release <- release;
   t.avail0 <- avail0;
-  (* exactly [procs] long, so sorting it wholesale sorts [avail0] *)
-  if Array.length t.avail_init <> procs then
-    t.avail_init <- Array.make procs 0.;
-  if avail0 == no_floats then Array.fill t.avail_init 0 procs 0.
+  (* the initial runs: [avail0] sorted, equal values merged *)
+  if Array.length t.init_v < procs then begin
+    t.init_v <- Array.make procs 0.;
+    t.init_c <- Array.make procs 0
+  end;
+  if avail0 == no_floats then begin
+    t.init_v.(0) <- 0.;
+    t.init_c.(0) <- procs;
+    t.init_runs <- 1
+  end
   else begin
-    Array.blit avail0 0 t.avail_init 0 procs;
-    Array.sort Float.compare t.avail_init
+    let sorted = Array.copy avail0 in
+    Array.sort Float.compare sorted;
+    let r = ref 0 in
+    t.init_v.(0) <- sorted.(0);
+    t.init_c.(0) <- 1;
+    for p = 1 to procs - 1 do
+      if sorted.(p) = t.init_v.(!r) then t.init_c.(!r) <- t.init_c.(!r) + 1
+      else begin
+        incr r;
+        t.init_v.(!r) <- sorted.(p);
+        t.init_c.(!r) <- 1
+      end
+    done;
+    t.init_runs <- !r + 1
   end;
   t.n <- n;
   t.topo <- Graph.topological_order graph;
@@ -232,7 +279,16 @@ let rebind t ~graph ~tables ~procs ~release ~avail0 =
   for v = 0 to n - 1 do
     t.base_indeg.(v) <- Array.length (Graph.preds graph v)
   done;
-  if Array.length t.avail < procs then t.avail <- Array.make procs 0.
+  (* a ring of at least [procs] slots: at most [procs] runs exist, and
+     a claim inserts only after dropping at least one processor *)
+  let ring = ref 1 in
+  while !ring < procs do
+    ring := 2 * !ring
+  done;
+  if Array.length t.rv < !ring then begin
+    t.rv <- Array.make !ring 0.;
+    t.rc <- Array.make !ring 0
+  end
 
 (* Ready heap over parallel (priority, id) arrays: larger priority
    first, smaller id on ties.  The pop sequence depends only on the
@@ -284,21 +340,55 @@ let heap_push hp hi ia prios v =
   heap_up hp hi ia.hsize;
   ia.hsize <- ia.hsize + 1
 
-(* A task claims the [s] earliest-available of the [procs] processors
-   until [fs.(0)].  [avail] holds their availabilities ascending: drop
-   the first [s], slide the values up to the finish (found by binary
-   search) down over them and write [s] copies of the finish behind
-   them.  The finish is >= [avail.(s-1)], so the array stays sorted. *)
-let claim (avail : float array) procs s (fs : float array) =
-  let lo = ref s and hi = ref procs in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if avail.(mid) > fs.(0) then hi := mid else lo := mid + 1
+(* A task claims the [s] earliest-available processors until [fs.(0)].
+   Run [k] holds the s-th smallest value and [c] counts the processors
+   up to and including it: drop the runs before [k], and [k] unless it
+   keeps [c - s] processors.  Then scan from the back past the runs
+   above the finish: one of the same value takes the [s] processors,
+   otherwise a new run goes in, after shifting the side with fewer runs
+   by one slot.  The finish is >= the s-th smallest value, so the runs
+   stay ascending. *)
+let claim (rv : float array) (rc : int array) mask ia s k c (fs : float array)
+    =
+  let dropped = (k - ia.rh) land mask in
+  if c = s then begin
+    ia.rh <- (k + 1) land mask;
+    ia.rn <- ia.rn - dropped - 1
+  end
+  else begin
+    rc.(k) <- c - s;
+    ia.rh <- k;
+    ia.rn <- ia.rn - dropped
+  end;
+  let above = ref 0 and j = ref ((ia.rh + ia.rn - 1) land mask) in
+  while !above < ia.rn && rv.(!j) > fs.(0) do
+    incr above;
+    j := (!j - 1) land mask
   done;
-  Array.blit avail s avail 0 (!lo - s);
-  for q = !lo - s to !lo - 1 do
-    avail.(q) <- fs.(0)
-  done
+  if !above < ia.rn && rv.(!j) = fs.(0) then begin
+    rc.(!j) <- rc.(!j) + s;
+    ia.claim_runs <- ia.claim_runs + !above
+  end
+  else begin
+    let below = ia.rn - !above in
+    let back = !above <= below in
+    let step = if back then 1 else -1 in
+    let moved = if back then !above else below in
+    let dst =
+      ref (if back then (ia.rh + ia.rn) land mask else (ia.rh - 1) land mask)
+    in
+    if not back then ia.rh <- !dst;
+    for _ = 1 to moved do
+      let src = (!dst - step) land mask in
+      rv.(!dst) <- rv.(src);
+      rc.(!dst) <- rc.(src);
+      dst := src
+    done;
+    rv.(!dst) <- fs.(0);
+    rc.(!dst) <- s;
+    ia.rn <- ia.rn + 1;
+    ia.claim_runs <- ia.claim_runs + !above + moved
+  end
 
 (* Out of line so the hot loop never mentions a float in a non-float
    context (a [Printf.sprintf "%g" tv] in a cold branch is enough to box
@@ -330,7 +420,7 @@ let bottom_levels t graph =
    [prio].  Leaves the makespan in [t.fa.mk], the pop order in
    [t.order], each task's data-ready time in [t.data_ready] and the
    counts in [t.ia]. *)
-let kernel t ~graph ~procs ~alloc ~(prio : float array) ~cutoff =
+let kernel t ~graph ~alloc ~(prio : float array) ~cutoff =
   let n = t.n in
   let ia = t.ia and fa = t.fa in
   let times = t.times
@@ -338,7 +428,8 @@ let kernel t ~graph ~procs ~alloc ~(prio : float array) ~cutoff =
   and indeg = t.indeg
   and base_indeg = t.base_indeg
   and data_ready = t.data_ready
-  and avail = t.avail
+  and rv = t.rv
+  and rc = t.rc
   and hprio = t.hprio
   and hids = t.hids
   and order = t.order
@@ -351,7 +442,12 @@ let kernel t ~graph ~procs ~alloc ~(prio : float array) ~cutoff =
     data_ready.(v) <- (if has_release then release.(v) else 0.);
     if indeg.(v) = 0 then heap_push hprio hids ia prio v
   done;
-  Array.blit t.avail_init 0 avail 0 procs;
+  let mask = Array.length rv - 1 in
+  Array.blit t.init_v 0 rv 0 t.init_runs;
+  Array.blit t.init_c 0 rc 0 t.init_runs;
+  ia.rh <- 0;
+  ia.rn <- t.init_runs;
+  ia.claim_runs <- 0;
   (* The bound's cutoff, padded for the rounding of both sums (module
      header; DESIGN.md §14).  [infinity] stays [infinity]. *)
   fs.(1) <- cutoff *. (1. +. (float_of_int (4 * (n + 2)) *. epsilon_float));
@@ -370,7 +466,14 @@ let kernel t ~graph ~procs ~alloc ~(prio : float array) ~cutoff =
     end;
     order.(ia.finished) <- v;
     let s = alloc.(v) in
-    let a = avail.(s - 1) in
+    (* the s-th smallest availability: walk the runs from the front *)
+    let k = ref ia.rh and c = ref rc.(ia.rh) in
+    while !c < s do
+      k := (!k + 1) land mask;
+      c := !c + rc.(!k)
+    done;
+    ia.claim_runs <- ia.claim_runs + ((!k - ia.rh) land mask) + 1;
+    let a = rv.(!k) in
     let dr = data_ready.(v) in
     (* start = [Float.max dr a] (no NaN here, and [dr >= 0] so the sign
        of a zero [a] is irrelevant — see the module header).  The start,
@@ -387,7 +490,7 @@ let kernel t ~graph ~procs ~alloc ~(prio : float array) ~cutoff =
       fs.(0) <- fs.(0) +. times.(v);
       if fs.(0) > cutoff then ia.rejected <- true
       else begin
-        claim avail procs s fs;
+        claim rv rc mask ia s !k !c fs;
         if fs.(0) > fa.mk then fa.mk <- fs.(0);
         ia.finished <- ia.finished + 1;
         (* release successors (at pop, not finish) *)
@@ -403,10 +506,11 @@ let kernel t ~graph ~procs ~alloc ~(prio : float array) ~cutoff =
     end
   done
 
-let flush_metrics ~scheduled ~rejected =
+let flush_metrics ~scheduled ~claim_runs ~rejected =
   if Emts_obs.Metrics.enabled () then begin
     Emts_obs.Metrics.incr m_full;
     if scheduled > 0 then Emts_obs.Metrics.add m_scheduled scheduled;
+    if claim_runs > 0 then Emts_obs.Metrics.add m_claim_runs claim_runs;
     if rejected then Emts_obs.Metrics.incr m_rejections
   end
 
@@ -446,10 +550,11 @@ let makespan t ?(release = no_floats) ?(avail0 = no_floats) ~graph ~tables
   done;
   bottom_levels t graph;
   t.full_runs <- t.full_runs + 1;
-  kernel t ~graph ~procs ~alloc ~prio:t.bl ~cutoff;
+  kernel t ~graph ~alloc ~prio:t.bl ~cutoff;
   let ia = t.ia in
   t.scheduled_steps <- t.scheduled_steps + ia.finished;
-  flush_metrics ~scheduled:ia.finished ~rejected:ia.rejected;
+  flush_metrics ~scheduled:ia.finished ~claim_runs:ia.claim_runs
+    ~rejected:ia.rejected;
   t.last_rejected <- ia.rejected;
   if ia.rejected then infinity
   else if ia.finished <> n then
@@ -481,7 +586,7 @@ let list_run ?(release = no_floats) ?(avail0 = no_floats) ?prio ~graph ~times
       t.times.(v) <- times.(v))
     alloc;
   bottom_levels t graph;
-  kernel t ~graph ~procs ~alloc ~prio:(Option.value prio ~default:t.bl)
+  kernel t ~graph ~alloc ~prio:(Option.value prio ~default:t.bl)
     ~cutoff:infinity;
   if t.ia.finished <> n then
     (* Unreachable for a validated DAG; defensive. *)

@@ -7,8 +7,9 @@
     - the {e value mode} returns the makespan.  {!makespan} is the EA's
       fitness: a per-domain scratch evaluator bound to an instance
       ([Allocation.times_of_tables] fused in), which
-      - tracks processor availabilities as one sorted array of values,
-        not processor ids: a makespan depends only on their multiset;
+      - tracks processor availabilities as runs of equal values, not
+        processor ids: a makespan depends only on their multiset, and
+        a claim touches a few runs instead of one value per processor;
       - under a finite cutoff, stops as soon as a popped task's start
         plus its bottom level certifies that the makespan exceeds the
         cutoff, not only once a task finishes past it;
@@ -89,7 +90,8 @@ type stats = {
 val stats : t -> stats
 (** Lifetime counters ([full_runs] and [scheduled_steps] are also
     exported as [sched.delta.*] metrics, next to
-    [sched.delta.cutoff_rejections]). *)
+    [sched.delta.cutoff_rejections] and [sched.delta.claim_runs], the
+    availability runs that pops walk and claims pass or move). *)
 
 val makespan_of_times :
   ?release:float array ->

@@ -27,9 +27,14 @@ let make_tables rng g ~procs =
   Array.init (Graph.task_count g) (fun _ ->
       Array.init procs (fun _ -> float_of_int (Emts_prng.int rng 8) /. 2.))
 
-let check_against_reference ~what ev ~graph ~tables ~procs ~alloc ~cutoff =
-  let expected = reference ~graph ~tables ~procs () ~alloc ~cutoff in
-  let got = Ev.makespan ev ~graph ~tables ~procs ~alloc ~cutoff () in
+let check_against_reference ~what ?release ?avail0 ev ~graph ~tables ~procs
+    ~alloc ~cutoff =
+  let expected =
+    reference ?release ?avail0 ~graph ~tables ~procs () ~alloc ~cutoff
+  in
+  let got =
+    Ev.makespan ev ?release ?avail0 ~graph ~tables ~procs ~alloc ~cutoff ()
+  in
   if not (float_eq expected got) then
     Alcotest.failf "%s: evaluator %h <> reference %h" what got expected;
   if Ev.last_rejected ev <> (expected = infinity && cutoff < infinity) then
@@ -138,6 +143,86 @@ let prop_delta_equals_online =
         ~steps:40
         ~reference:(reference ~release ~avail0 ~graph ~tables ~procs ());
       true)
+
+(* The kernel keeps availabilities as runs of equal values.  [check_runs]
+   holds one allocation to the reference at cutoffs [infinity], at the
+   makespan [m] and one ulp below it. *)
+let check_runs ~what ?release ?avail0 ev ~graph ~tables ~procs ~alloc =
+  let m =
+    reference ?release ?avail0 ~graph ~tables ~procs () ~alloc
+      ~cutoff:infinity
+  in
+  List.iter
+    (fun cutoff ->
+      check_against_reference
+        ~what:(Printf.sprintf "%s (procs %d, cutoff %h)" what procs cutoff)
+        ?release ?avail0 ev ~graph ~tables ~procs ~alloc ~cutoff)
+    [ infinity; m; Float.pred m ]
+
+(* The runs at their edges, each under a random allocation, every task
+   on one processor (each claim splits a run) and every task on all of
+   them (each claim consumes every run): initial availabilities that
+   are one run mixing [0.] and [-0.]; 128 distinct ones, so 128 runs;
+   and zero execution times, so finishes land on existing runs. *)
+let prop_runs_at_edges =
+  QCheck.Test.make ~name:"availability runs at their edges" ~count:100
+    QCheck.(pair (Testutil.arbitrary_dag ~max_n:40 ()) small_int)
+    (fun (graph, seed) ->
+      let rng = Emts_prng.create ~seed () in
+      let n = Graph.task_count graph in
+      let ev = Ev.create () in
+      let cases ~what ?release ~avail0 ~tables procs =
+        List.iter
+          (fun alloc ->
+            check_runs ~what ?release ~avail0 ev ~graph ~tables ~procs ~alloc)
+          [
+            Emts_check.Gen.random_valid_alloc rng graph ~procs;
+            Array.make n 1;
+            Array.make n procs;
+          ]
+      in
+      let procs = cluster_procs rng in
+      cases ~what:"one run of signed zeros"
+        ~release:(online_floats rng n)
+        ~avail0:
+          (Array.init procs (fun _ -> if Emts_prng.bool rng then 0. else -0.))
+        ~tables:(cluster_tables rng graph ~procs)
+        procs;
+      let procs = 128 in
+      let tables = cluster_tables rng graph ~procs in
+      let unit = Float.max tables.(0).(0) 1. /. 64. in
+      let distinct = Array.init procs (fun p -> float_of_int p *. unit) in
+      Emts_prng.shuffle rng distinct;
+      cases ~what:"128 runs" ~avail0:distinct ~tables procs;
+      let procs = 1 + Emts_prng.int rng 8 in
+      let small () = float_of_int (Emts_prng.int rng 3) in
+      cases ~what:"zero times"
+        ~release:(Array.init n (fun _ -> small ()))
+        ~avail0:(Array.init procs (fun _ -> small ()))
+        ~tables:
+          (Array.init n (fun _ ->
+               Array.init procs (fun _ ->
+                   if Emts_prng.bool rng then 0. else small ())))
+        procs;
+      true)
+
+(* A chain of 400 tasks: each task starts at its predecessor's finish,
+   so each claim drains runs at the front and adds one at the back, and
+   the runs travel round their ring many times. *)
+let test_runs_wrap () =
+  let rng = Emts_prng.create ~seed:31 () in
+  let graph = Emts_daggen.Shapes.chain 400 in
+  List.iter
+    (fun procs ->
+      let tables = make_tables rng graph ~procs in
+      let avail0 = Array.init procs float_of_int in
+      let ev = Ev.create () in
+      for _ = 1 to 5 do
+        let alloc = Emts_check.Gen.random_valid_alloc rng graph ~procs in
+        check_runs ~what:"chain" ~avail0 ev ~graph ~tables ~procs ~alloc;
+        check_runs ~what:"chain, offline" ev ~graph ~tables ~procs ~alloc
+      done)
+    [ 1; 3; 5; 8; 20 ]
 
 let test_first_and_last_allele () =
   (* Deterministic check of the two boundary mutation sites on a chain
@@ -495,6 +580,12 @@ let () =
           Alcotest.test_case "input validation" `Quick test_input_validation;
           Alcotest.test_case "stats accounting" `Quick
             test_stats_and_metrics_accounting;
+        ] );
+      ( "runs",
+        [
+          QCheck_alcotest.to_alcotest prop_runs_at_edges;
+          Alcotest.test_case "a long chain wraps the ring" `Quick
+            test_runs_wrap;
         ] );
       ( "bound",
         [

@@ -1,12 +1,15 @@
-(* Golden-file tests for the textual renderers.
+(* Golden-file tests for the textual renderers and for answers.
 
    Gantt charts, SVG charts and CSV exports are consumed outside the
    process (reports, dashboards, the paper's Figure 6) — their output
    must be a pure, byte-stable function of the schedule, across runs
    and across refactors.  Each test renders a deterministic schedule
    and compares against a checked-in .expected file byte for byte.
+   The answers files pin makespans, allocations and commitment logs on
+   the paper's clusters, with every float in [%h]: a change there
+   changes what EMTS answers.
 
-   To regenerate after an intentional renderer change:
+   To regenerate after an intentional change:
 
      EMTS_GOLDEN_UPDATE=1 dune runtest test --force
 
@@ -185,6 +188,143 @@ let test_online_commitments () =
        (online_commitment_log
           ~replanner:(Online.Emts { mu = 3; lambda = 8; generations = 3 })))
 
+(* Answers at cluster scale.  The files above pin hand-built toys; these
+   pin what the list-scheduling kernel, the seeding heuristics and the
+   EA answer on Chti and Grelon, where availabilities take many distinct
+   values.  Every float is printed with [%h], so a one-ulp drift fails.
+   The DAGs come from a fixed formula, not from daggen, so the files
+   move only when an answer does. *)
+
+(* [n] tasks in layers of [width]: each task after the first layer
+   depends on one or two tasks of the layer before, now and then on one
+   two layers back, and its work and Amdahl fraction cycle through
+   co-prime periods, so times and bottom levels rarely tie. *)
+let formula_dag ~n ~width ~salt =
+  let b = Graph.Builder.create () in
+  for i = 0 to n - 1 do
+    let flop = float_of_int (1 + (((i * 37) + (salt * 11)) mod 23)) *. gf in
+    let alpha = float_of_int (((i * 13) + salt) mod 9) /. 40. in
+    ignore (Graph.Builder.add_task ~flop ~alpha b)
+  done;
+  for dst = width to n - 1 do
+    let prev = ((dst / width) - 1) * width in
+    let k = ((dst * 7) + salt) mod width in
+    Graph.Builder.add_edge b ~src:(prev + k) ~dst;
+    if (dst + salt) mod 3 = 0 then
+      Graph.Builder.add_edge b ~src:(prev + ((k + 3) mod width)) ~dst;
+    if prev >= width && ((dst * 5) + salt) mod 7 = 0 then
+      Graph.Builder.add_edge b ~src:(prev - width + (dst mod width)) ~dst
+  done;
+  Graph.Builder.build b
+
+let alloc_digest a =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (Array.to_list (Array.map string_of_int a))))
+
+(* A processor set as runs of consecutive ids: [0-63,100-119]. *)
+let procs_runs procs =
+  let n = Array.length procs in
+  let buf = Buffer.create 16 in
+  let i = ref 0 in
+  while !i < n do
+    let j = ref !i in
+    while !j + 1 < n && procs.(!j + 1) = procs.(!j) + 1 do
+      incr j
+    done;
+    if !i > 0 then Buffer.add_char buf ',';
+    if !j = !i then Buffer.add_string buf (string_of_int procs.(!i))
+    else Buffer.add_string buf (Printf.sprintf "%d-%d" procs.(!i) procs.(!j));
+    i := !j + 1
+  done;
+  Buffer.contents buf
+
+(* EMTS5 on four formula DAGs of 60-96 tasks, both clusters, both
+   models: per instance the makespan, the evaluation count and the
+   allocation, then each seed's makespan and allocation. *)
+let offline_answers () =
+  let module Alg = Emts.Algorithm in
+  let instances =
+    Emts_platform.
+      [
+        ("chti-model1", chti, Emts_model.amdahl, 60, 6, 1);
+        ("chti-model2", chti, Emts_model.synthetic, 72, 8, 2);
+        ("grelon-model1", grelon, Emts_model.amdahl, 80, 5, 3);
+        ("grelon-model2", grelon, Emts_model.synthetic, 96, 12, 4);
+      ]
+  in
+  String.concat ""
+    (List.map
+       (fun (label, platform, model, n, width, salt) ->
+         let graph = formula_dag ~n ~width ~salt in
+         let r =
+           Alg.run
+             ~rng:(Emts_prng.create ~seed:(2026 + salt) ())
+             ~config:(Alg.with_domains Testutil.test_domains Alg.emts5)
+             ~model ~platform ~graph ()
+         in
+         Printf.sprintf "%s makespan %h evaluations %d alloc %s\n%s" label
+           r.makespan r.ea.Emts_ea.evaluations (alloc_digest r.alloc)
+           (String.concat ""
+              (List.map
+                 (fun (s : Emts.Seeding.seed) ->
+                   Printf.sprintf "  seed %s makespan %h alloc %s\n" s.heuristic
+                     s.makespan (alloc_digest s.alloc))
+                 r.seeds)))
+       instances)
+
+(* Three formula DAGs of 40-72 tasks arrive on Grelon under Model 2,
+   each while the work before it runs, with the EMTS5 re-planner: once
+   exactly as planned, once under lognormal noise (sigma 0.3), where
+   every commitment drifts and re-plans.  Each commitment's realised
+   start and finish and processor runs, then the makespan and the
+   re-plan count. *)
+let grelon_commitment_log ~noise () =
+  let module Online = Emts_serve.Online in
+  let cfg =
+    Online.config
+      ~replanner:(Online.Emts { mu = 5; lambda = 25; generations = 5 })
+      ~seed:2026 ~domains:Testutil.test_domains ~noise
+      ~platform:Emts_platform.grelon ~model:Emts_model.synthetic ()
+  in
+  let t = Online.create cfg in
+  let horizon () =
+    List.fold_left
+      (fun m (e : Schedule.entry) -> Float.max m e.finish)
+      0. (Online.plan t)
+  in
+  let submit graph at =
+    match Online.submit t ~graph ~at with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail ("online submit: " ^ m)
+  in
+  submit (formula_dag ~n:40 ~width:5 ~salt:5) 0.;
+  submit (formula_dag ~n:56 ~width:7 ~salt:6) (0.4 *. horizon ());
+  submit (formula_dag ~n:72 ~width:9 ~salt:7) (0.5 *. horizon ());
+  (match Online.advance t with
+  | Ok r when r.Online.complete -> ()
+  | Ok _ -> Alcotest.fail "online trace did not complete"
+  | Error m -> Alcotest.fail ("online advance: " ^ m));
+  String.concat ""
+    (List.map
+       (fun (c : Emts_simulator.Online.committed) ->
+         Printf.sprintf "dag%d t%d %h %h [%s]\n" c.dag c.task c.start c.finish
+           (procs_runs c.procs))
+       (Online.commitments t))
+  ^ Printf.sprintf "makespan %h replans %d\n"
+      (Option.get (Online.makespan t))
+      (Online.replans t)
+
+let test_cluster_answers () =
+  check_golden "offline_answers" (offline_answers ());
+  check_golden "online_commitments.grelon"
+    ("# no noise\n"
+    ^ grelon_commitment_log ~noise:Emts_simulator.Noise.none ()
+    ^ "# lognormal noise, sigma 0.3\n"
+    ^ grelon_commitment_log
+        ~noise:(Emts_simulator.Noise.multiplicative_lognormal ~sigma:0.3)
+        ())
+
 let () =
   Alcotest.run "golden"
     [
@@ -198,5 +338,10 @@ let () =
         [
           Alcotest.test_case "arrival-trace commitments" `Quick
             test_online_commitments;
+        ] );
+      ( "cluster",
+        [
+          Alcotest.test_case "offline answers and Grelon commitments" `Quick
+            test_cluster_answers;
         ] );
     ]

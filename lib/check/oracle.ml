@@ -1545,8 +1545,8 @@ let all =
          never move, the merged realised schedule validates at or \
          above the clairvoyant lower bound, zero-noise plans replay \
          exactly, changeless re-plans are no-ops, and commitment logs \
-         are bit-identical across domains x islands and under seeded \
-         slowdown noise";
+         are bit-identical across domains at each island count and \
+         under seeded slowdown noise";
       check = check_online;
     };
   ]

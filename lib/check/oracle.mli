@@ -42,8 +42,8 @@
       makespan never beats the certified clairvoyant lower bound,
       zero-noise plans commit exactly as planned, re-planning a
       changeless state is a no-op, and commitment logs are
-      bit-identical across worker domains, islands and repeated noisy
-      runs. *)
+      bit-identical across worker domains for a given island count and
+      across repeated noisy runs. *)
 
 type t = {
   name : string;

@@ -165,14 +165,15 @@ let compare_individual a b =
   let c = Float.compare a.fit b.fit in
   if c <> 0 then c else Int.compare a.birth b.birth
 
-let stats_of ~generation ~evaluations ~born_after population =
+(* Over the union of the island populations, in island order. *)
+let stats_of ~generation ~evaluations ~born_after populations =
   let acc = Emts_stats.Acc.create () in
   let fresh = ref 0 in
   Array.iter
-    (fun i ->
-      Emts_stats.Acc.add acc i.fit;
-      if i.birth >= born_after then incr fresh)
-    population;
+    (Array.iter (fun i ->
+         Emts_stats.Acc.add acc i.fit;
+         if i.birth >= born_after then incr fresh))
+    populations;
   {
     generation;
     best = Emts_stats.Acc.min acc;
@@ -425,16 +426,43 @@ let load_checkpoint ck ~config =
     | Ok snap -> Ok snap
     | Error msg -> fail msg)
 
-(* {1 The engine} *)
+(* {1 The engine}
 
-(* The generation loop shared by [run] and [resume].  The caller has
-   already built (or restored) the population, best-ever, counters and
-   history through generation [first_generation - 1]; when a checkpoint
-   is configured, the state through that generation is on disk iff
+   One generation loop, [evolve], serves [run] at any island count and
+   [resume].  It evolves [k = config.islands] populations of [mu], each
+   drawing from its own stream: the caller's [rng] itself when [k = 1]
+   (never split, so one island is exactly the plain (mu+lambda)
+   strategy), else one {!Emts_prng.split} of it per island, in island
+   order, before anything else consumes it.  Each generation draws
+   every island's [lambda] offspring, island by island, before anything
+   is evaluated, so the streams are the same whether evaluation is
+   parallel or not; results depend on (seed, islands, interval, count),
+   never on [domains].  The offspring go through the pool as one batch,
+   in which island [i] owns entries [i * lambda .. (i + 1) * lambda - 1]
+   and has a selection bound of its own from its own parents: an
+   offspring competes only within its island.  Selection is per island,
+   and stats cover the union of the populations.
+
+   With [k > 1], migration is a ring: every [migration_interval]
+   generations island [i] sends copies of its [migration_count] best to
+   island [(i + 1) mod k], where they replace the worst.  Emigrants are
+   snapshotted from every island before any replacement happens, so the
+   exchange order cannot leak an individual around the ring twice in
+   one step.
+
+   Checkpoint/resume stays islands = 1 territory: a faithful island
+   snapshot would need all [k] populations and streams, a format change
+   this mode does not justify yet. *)
+
+(* The caller has already built (or restored) the populations,
+   best-ever, counters and history through generation
+   [first_generation - 1]; when a checkpoint is configured, the state
+   through that generation is on disk iff
    [saved_through = first_generation - 1]. *)
-let evolve ~stop ~deadline ~checkpoint ~rng ~config ~started ~eval_batch
-    ~record ~evaluations ~births ~history ~population ~best_ever
+let evolve ~stop ~deadline ~checkpoint ~rngs ~config ~started ~eval_batch
+    ~record ~evaluations ~births ~history ~populations ~best_ever
     ~first_generation ~saved_through problem =
+  let k = Array.length populations and lambda = config.lambda in
   let consider candidate =
     if compare_individual candidate !best_ever < 0 then best_ever := candidate
   in
@@ -444,8 +472,8 @@ let evolve ~stop ~deadline ~checkpoint ~rng ~config ~started ~eval_batch
     | None -> ()
     | Some ck ->
       save_checkpoint ck ~config ~generation:u ~evaluations:!evaluations
-        ~births:!births ~rng ~best_ever:!best_ever ~population
-        ~history:(List.rev !history);
+        ~births:!births ~rng:rngs.(0) ~best_ever:!best_ever
+        ~population:populations.(0) ~history:(List.rev !history);
       last_saved := u
   in
   if Option.is_some checkpoint && !last_saved < first_generation - 1 then
@@ -466,10 +494,10 @@ let evolve ~stop ~deadline ~checkpoint ~rng ~config ~started ~eval_batch
     @@ fun () ->
     Emts_obs.Metrics.incr m_generations;
     let born_after = !births in
-    (* Draw all offspring mutations before evaluating anything: the RNG
-       stream is identical whether evaluation is parallel or not. *)
     let offspring_genomes =
-      Array.init config.lambda (fun _ ->
+      Array.init (k * lambda) (fun j ->
+          let isl = j / lambda in
+          let rng = rngs.(isl) and population = populations.(isl) in
           let slot = Emts_prng.int rng config.mu in
           let parent = population.(slot) in
           let base =
@@ -489,17 +517,39 @@ let evolve ~stop ~deadline ~checkpoint ~rng ~config ~started ~eval_batch
             ~total_generations:config.generations base)
     in
     let offspring =
-      eval_batch ~competitors:[| competitors config population |]
+      eval_batch
+        ~competitors:(Array.map (competitors config) populations)
         offspring_genomes
     in
     Array.iter consider offspring;
-    let pool =
-      match config.selection with
-      | Plus -> Array.append population offspring
-      | Comma -> offspring
-    in
-    Array.sort compare_individual pool;
-    Array.blit pool 0 population 0 config.mu;
+    Array.iteri
+      (fun isl population ->
+        let own = Array.sub offspring (isl * lambda) lambda in
+        let pool =
+          match config.selection with
+          | Plus -> Array.append population own
+          | Comma -> own
+        in
+        Array.sort compare_individual pool;
+        Array.blit pool 0 population 0 config.mu)
+      populations;
+    (* Ring migration: populations are sorted, so emigrants are the
+       leading [migration_count] entries and immigrants replace the
+       trailing ones. *)
+    if
+      k > 1 && config.migration_count > 0
+      && !u mod config.migration_interval = 0
+    then begin
+      Emts_obs.Metrics.incr m_migrations;
+      let count = config.migration_count in
+      let emigrants = Array.map (fun p -> Array.sub p 0 count) populations in
+      Array.iteri
+        (fun isl population ->
+          Array.blit emigrants.((isl + k - 1) mod k) 0 population
+            (config.mu - count) count;
+          Array.sort compare_individual population)
+        populations
+    end;
     record ~born_after !u;
     (match checkpoint with
     | Some ck when !u mod ck.every = 0 -> save !u
@@ -541,10 +591,10 @@ let make_eval_batch ~pool ~config ~evaluations ~births problem =
         { genome; fit = fits.(i); birth })
       genomes
 
-let make_record ~on_generation ~config ~evaluations ~history ~population
+let make_record ~on_generation ~config ~evaluations ~history ~populations
     ~born_after generation =
   let s =
-    stats_of ~generation ~evaluations:!evaluations ~born_after population
+    stats_of ~generation ~evaluations:!evaluations ~born_after populations
   in
   history := s :: !history;
   Emts_obs.Progress.report (fun () ->
@@ -560,180 +610,11 @@ let with_pool_opt ~domains pool f =
   | Some p -> f p
   | None -> Emts_pool.with_pool ~domains f
 
-(* {1 Island mode}
-
-   [islands = k > 1] evolves [k] independent sub-populations, each
-   from its own PRNG stream obtained by {!Emts_prng.split} of the
-   caller's stream — one split per island, in island order, before
-   anything else consumes the parent stream.  Determinism therefore
-   depends only on (seed, islands, interval, count), never on domains:
-   every generation draws each island's offspring sequentially from
-   that island's stream, then evaluates the concatenation of all
-   islands' offspring as one batch across the pool's domains.
-
-   Migration is a ring: every [migration_interval] generations island
-   [i] sends copies of its [migration_count] best to island
-   [(i + 1) mod k], where they replace the worst.  Emigrants are
-   snapshotted from every island before any replacement happens, so
-   the exchange order cannot leak an individual around the ring twice
-   in one step.
-
-   Each island's offspring get their own selection bound, from that
-   island's parents: an offspring competes only within its island.
-   Generation stats are taken over the union of all island
-   populations.
-
-   Checkpoint/resume stays islands = 1 territory: a faithful island
-   snapshot would need all [k] populations and RNG streams, a format
-   change this mode does not justify yet. *)
-let run_islands ~on_generation ~stop ~deadline ~pool ~rng ~config ~seeds
-    problem =
-  Emts_obs.Trace.span "ea.run"
-    ~args:
-      [
-        ("mu", Emts_obs.Trace.Int config.mu);
-        ("lambda", Emts_obs.Trace.Int config.lambda);
-        ("generations", Emts_obs.Trace.Int config.generations);
-        ("domains", Emts_obs.Trace.Int config.domains);
-        ("islands", Emts_obs.Trace.Int config.islands);
-      ]
-  @@ fun () ->
-  with_pool_opt ~domains:config.domains pool
-  @@ fun pool ->
-  let started = Emts_obs.Clock.now () in
-  let evaluations = ref 0 in
-  let births = ref 0 in
-  let eval_batch = make_eval_batch ~pool ~config ~evaluations ~births problem in
-  let k = config.islands in
-  let rngs = Array.init k (fun _ -> Emts_prng.split rng) in
-  (* Seeds are evaluated once; every island starts from the same best-mu
-     seed population (they diverge through their own streams). *)
-  let seed_pop = eval_batch ~competitors:[| [||] |] (Array.of_list seeds) in
-  Array.sort compare_individual seed_pop;
-  let populations =
-    Array.init k (fun _ ->
-        Array.init config.mu (fun i ->
-            if i < Array.length seed_pop then seed_pop.(i) else seed_pop.(0)))
-  in
-  let best_ever = ref populations.(0).(0) in
-  let consider candidate =
-    if compare_individual candidate !best_ever < 0 then best_ever := candidate
-  in
-  let history = ref [] in
-  let record ~born_after u =
-    let union = Array.concat (Array.to_list populations) in
-    let s =
-      stats_of ~generation:u ~evaluations:!evaluations ~born_after union
-    in
-    history := s :: !history;
-    Emts_obs.Progress.report (fun () ->
-        Printf.sprintf "ea generation %d/%d best %.6g evaluations %d"
-          s.generation config.generations s.best s.evaluations);
-    on_generation s
-  in
-  record ~born_after:0 0;
-  let out_of_time () =
-    (match config.time_budget with
-    | None -> false
-    | Some budget -> Emts_obs.Clock.elapsed ~since:started > budget)
-    ||
-    match deadline with
-    | None -> false
-    | Some d -> Emts_obs.Clock.now () > d
-  in
-  let u = ref 1 in
-  while !u <= config.generations && not (out_of_time ()) && not (stop ()) do
-    Emts_obs.Trace.span "ea.generation"
-      ~args:[ ("generation", Emts_obs.Trace.Int !u) ]
-    @@ fun () ->
-    Emts_obs.Metrics.incr m_generations;
-    let born_after = !births in
-    (* Every island's offspring are drawn before anything is evaluated,
-       each from its own stream — the RNG streams are identical whether
-       evaluation is parallel or not. *)
-    let offspring_genomes =
-      Array.init k (fun isl ->
-          let rng = rngs.(isl) in
-          let population = populations.(isl) in
-          Array.init config.lambda (fun _ ->
-              let slot = Emts_prng.int rng config.mu in
-              let parent = population.(slot) in
-              let base =
-                match problem.recombine with
-                | Some recombine
-                  when config.mu > 1
-                       && Emts_prng.bernoulli rng ~p:problem.crossover_rate
-                  ->
-                  let other_slot =
-                    let j = Emts_prng.int rng (config.mu - 1) in
-                    if j >= slot then j + 1 else j
-                  in
-                  recombine rng parent.genome population.(other_slot).genome
-                | Some _ | None -> parent.genome
-              in
-              problem.mutate rng ~generation:!u
-                ~total_generations:config.generations base))
-    in
-    (* One flat batch across all islands: the pool parallelises the
-       k * lambda evaluations over its domain slice. *)
-    let evaluated =
-      eval_batch
-        ~competitors:(Array.map (competitors config) populations)
-        (Array.concat (Array.to_list offspring_genomes))
-    in
-    Array.iter consider evaluated;
-    Array.iteri
-      (fun isl population ->
-        let offspring = Array.sub evaluated (isl * config.lambda) config.lambda in
-        let pool =
-          match config.selection with
-          | Plus -> Array.append population offspring
-          | Comma -> offspring
-        in
-        Array.sort compare_individual pool;
-        Array.blit pool 0 population 0 config.mu)
-      populations;
-    (* Ring migration: populations are sorted, so emigrants are the
-       leading [migration_count] entries and immigrants replace the
-       trailing ones. *)
-    if
-      config.migration_count > 0
-      && !u mod config.migration_interval = 0
-    then begin
-      Emts_obs.Metrics.incr m_migrations;
-      let count = config.migration_count in
-      let emigrants =
-        Array.map (fun p -> Array.sub p 0 count) populations
-      in
-      Array.iteri
-        (fun isl population ->
-          let source = (isl + k - 1) mod k in
-          Array.iteri
-            (fun j m -> population.(config.mu - count + j) <- m)
-            emigrants.(source);
-          Array.sort compare_individual population)
-        populations
-    end;
-    record ~born_after !u;
-    incr u
-  done;
-  {
-    best = !best_ever.genome;
-    best_fitness = !best_ever.fit;
-    history = List.rev !history;
-    evaluations = !evaluations;
-    elapsed = Emts_obs.Clock.elapsed ~since:started;
-  }
-
 let run ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
     ?pool ?checkpoint ~rng ~config ~seeds problem =
   if seeds = [] then invalid_arg "Emts_ea.run: seeds must be non-empty";
   if config.islands > 1 && Option.is_some checkpoint then
     invalid_arg "Emts_ea.run: checkpointing requires islands = 1";
-  if config.islands > 1 then
-    run_islands ~on_generation ~stop ~deadline ~pool ~rng ~config ~seeds
-      problem
-  else begin
   (* Span context is ambient (Domain.DLS): when the serving layer runs
      this under a request's [serve.solve] span, ea.run and everything
      below it inherit that request's trace_id with no plumbing here.
@@ -746,6 +627,7 @@ let run ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
         ("lambda", Emts_obs.Trace.Int config.lambda);
         ("generations", Emts_obs.Trace.Int config.generations);
         ("domains", Emts_obs.Trace.Int config.domains);
+        ("islands", Emts_obs.Trace.Int config.islands);
       ]
   @@ fun () ->
   (* One pool for the whole run: worker domains are spawned here once
@@ -758,26 +640,30 @@ let run ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
   let evaluations = ref 0 in
   let births = ref 0 in
   let eval_batch = make_eval_batch ~pool ~config ~evaluations ~births problem in
-  (* Seed population: best mu of the seeds; pad with the best seed when
-     there are fewer seeds than mu. *)
+  let rngs =
+    if config.islands = 1 then [| rng |]
+    else Array.init config.islands (fun _ -> Emts_prng.split rng)
+  in
+  (* Seeds are evaluated once.  Every island starts from their best mu,
+     padded with the best seed when there are fewer seeds than mu. *)
   let seed_pop = eval_batch ~competitors:[| [||] |] (Array.of_list seeds) in
   Array.sort compare_individual seed_pop;
-  let population =
-    Array.init config.mu (fun i ->
-        if i < Array.length seed_pop then seed_pop.(i) else seed_pop.(0))
+  let populations =
+    Array.init config.islands (fun _ ->
+        Array.init config.mu (fun i ->
+            if i < Array.length seed_pop then seed_pop.(i) else seed_pop.(0)))
   in
   (* best-ever tracking, needed under Comma selection where the
      population may lose the incumbent *)
-  let best_ever = ref population.(0) in
+  let best_ever = ref populations.(0).(0) in
   let history = ref [] in
   let record =
-    make_record ~on_generation ~config ~evaluations ~history ~population
+    make_record ~on_generation ~config ~evaluations ~history ~populations
   in
   record ~born_after:0 0;
-  evolve ~stop ~deadline ~checkpoint ~rng ~config ~started ~eval_batch ~record
-    ~evaluations ~births ~history ~population ~best_ever ~first_generation:1
+  evolve ~stop ~deadline ~checkpoint ~rngs ~config ~started ~eval_batch ~record
+    ~evaluations ~births ~history ~populations ~best_ever ~first_generation:1
     ~saved_through:(-1) problem
-  end
 
 let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
     ?pool ~from ~config problem =
@@ -806,12 +692,11 @@ let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
         let eval_batch =
           make_eval_batch ~pool ~config ~evaluations ~births problem
         in
-        let rng = Emts_prng.of_state snap.s_rng in
-        let population = snap.s_population in
+        let populations = [| snap.s_population |] in
         let best_ever = ref snap.s_best in
         let history = ref [] in
         let record =
-          make_record ~on_generation ~config ~evaluations ~history ~population
+          make_record ~on_generation ~config ~evaluations ~history ~populations
         in
         (* Replay the restored history through [on_generation] in
            chronological order: callers derive state from the stream of
@@ -824,8 +709,9 @@ let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
             history := s :: !history;
             on_generation s)
           snap.s_history;
-        evolve ~stop ~deadline ~checkpoint:(Some from) ~rng ~config ~started
-          ~eval_batch ~record ~evaluations ~births ~history ~population
+        evolve ~stop ~deadline ~checkpoint:(Some from)
+          ~rngs:[| Emts_prng.of_state snap.s_rng |] ~config ~started
+          ~eval_batch ~record ~evaluations ~births ~history ~populations
           ~best_ever
           ~first_generation:(snap.s_generation + 1)
           ~saved_through:snap.s_generation problem )

@@ -213,13 +213,16 @@ val run :
     eliminating the per-request domain-spawn cost.  The result is
     bit-identical either way (pool evaluation is outcome-preserving).
 
-    With [config.islands > 1] the seed ranking is shared (every island
-    starts from the same best-[mu] seeds), each generation evaluates
-    all islands' offspring as one batch through the pool, survivor
-    selection is per island, each island's offspring get a selection
-    bound of their own (island [i] owns batch entries
-    [i * lambda .. (i + 1) * lambda - 1]), and [generation_stats] cover
-    the {e union} of the island populations.  Checkpointing requires
+    Every island count runs the same generation loop, over
+    [config.islands] populations.  Each island starts from the shared
+    seed ranking (the same best-[mu] seeds) and draws its offspring
+    from its own stream: [rng] itself for one island, else one split of
+    it per island.  Each generation evaluates all islands' offspring as
+    one batch through the pool, island [i] owning batch entries
+    [i * lambda .. (i + 1) * lambda - 1] with a selection bound of
+    their own; survivor selection is per island, migration runs only
+    between two or more islands, and [generation_stats] cover the
+    {e union} of the island populations.  Checkpointing requires
     [islands = 1] (raises [Invalid_argument] otherwise). *)
 
 val resume :

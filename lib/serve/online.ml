@@ -15,8 +15,8 @@ module Schedule = Emts_sched.Schedule
    previous plan — elitism therefore guarantees each EMTS re-plan is no
    worse than the baseline plan for the same state.  All randomness
    derives from the session seed via labelled streams, so the same seed
-   and arrival trace commit bit-identically regardless of worker
-   domains or islands. *)
+   and arrival trace commit bit-identically for a given island count,
+   whatever the number of worker domains. *)
 
 (* Per-worker-domain evaluator scratch; toplevel because a DLS
    slot is never reclaimed (same rule as [Emts.Algorithm]). *)

@@ -12,7 +12,7 @@
     labelled streams ([online/<seed>/noise] for duration noise,
     [online/<seed>/replan/<k>] for the k-th effective re-plan), so the
     same seed and arrival trace produce a bit-identical commitment log
-    regardless of worker domains or island count.
+    for a given island count, whatever the number of worker domains.
 
     {b Commitment invariant}: once committed, a task's
     (start, finish, processors) never change; re-planning only ever

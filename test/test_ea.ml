@@ -247,7 +247,8 @@ let test_comma_population_can_worsen () =
    of it, or infinity while fewer than mu are known.  The run must
    return what the exact fitness returns, and some offspring's cutoff
    must be below the worst parent (Plus) or finite (Comma), where the
-   older worst-survivor rule would have set it. *)
+   older worst-survivor rule would have set it.  The replay migrates as
+   the run does; at 3 islands that pins the ring's direction too. *)
 let test_selection_bound () =
   let mu = 3 and lambda = 8 and generations = 6 in
   let seeds = [ 100.; -50.; 30.; 12.; -4. ] in
@@ -346,7 +347,10 @@ let test_selection_bound () =
       Alcotest.(check bool)
         (label ^ ": tighter than the worst-survivor cutoff")
         true (!tighter > 0))
-    [ (EA.Plus, 1); (EA.Comma, 1); (EA.Plus, 2); (EA.Comma, 2) ]
+    [
+      (EA.Plus, 1); (EA.Comma, 1); (EA.Plus, 2); (EA.Comma, 2); (EA.Plus, 3);
+      (EA.Comma, 3);
+    ]
 
 (* Lossless float codec for checkpoint tests: %h hex floats
    round-trip every finite double exactly. *)

@@ -273,19 +273,69 @@ let offline_answers () =
                  r.seeds)))
        instances)
 
+(* EMTS5 split into 2 and 3 islands on two of the formula DAGs, under
+   Plus and Comma, migrating 1 or 2 individuals every 2 generations: per
+   run the makespan, the evaluation count and the allocation, then every
+   generation's best, mean and worst over all islands and its fresh
+   survivors.  Three islands give the ring a direction, so a ring turned
+   the other way, or the islands' streams handed out in another order,
+   changes these answers. *)
+let island_answers () =
+  let module Alg = Emts.Algorithm in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (label, platform, model, n, width, salt) ->
+      let graph = formula_dag ~n ~width ~salt in
+      List.iter
+        (fun (islands, selection, migration_count) ->
+          let config =
+            Alg.with_domains Testutil.test_domains
+              (Alg.with_islands ~migration_interval:2 ~migration_count islands
+                 { Alg.emts5 with selection })
+          in
+          let r =
+            Alg.run
+              ~rng:(Emts_prng.create ~seed:(2026 + salt) ())
+              ~config ~model ~platform ~graph ()
+          in
+          Printf.bprintf buf
+            "%s islands %d %s migrate %d makespan %h evaluations %d alloc %s\n"
+            label islands
+            (match selection with Emts_ea.Plus -> "plus" | Comma -> "comma")
+            migration_count r.makespan r.ea.Emts_ea.evaluations
+            (alloc_digest r.alloc);
+          List.iter
+            (fun (s : Emts_ea.generation_stats) ->
+              Printf.bprintf buf "  gen %d best %h mean %h worst %h fresh %d\n"
+                s.generation s.best s.mean s.worst s.fresh_survivors)
+            r.ea.Emts_ea.history)
+        (List.concat_map
+           (fun islands ->
+             List.concat_map
+               (fun selection ->
+                 List.map (fun count -> (islands, selection, count)) [ 1; 2 ])
+               Emts_ea.[ Plus; Comma ])
+           [ 2; 3 ]))
+    Emts_platform.
+      [
+        ("chti-model2", chti, Emts_model.synthetic, 72, 8, 2);
+        ("grelon-model1", grelon, Emts_model.amdahl, 80, 5, 3);
+      ];
+  Buffer.contents buf
+
 (* Three formula DAGs of 40-72 tasks arrive on Grelon under Model 2,
    each while the work before it runs, with the EMTS5 re-planner: once
    exactly as planned, once under lognormal noise (sigma 0.3), where
    every commitment drifts and re-plans.  Each commitment's realised
    start and finish and processor runs, then the makespan and the
    re-plan count. *)
-let grelon_commitment_log ~noise () =
+let grelon_commitment_log ?islands ?migration_interval ~noise () =
   let module Online = Emts_serve.Online in
   let cfg =
     Online.config
       ~replanner:(Online.Emts { mu = 5; lambda = 25; generations = 5 })
-      ~seed:2026 ~domains:Testutil.test_domains ~noise
-      ~platform:Emts_platform.grelon ~model:Emts_model.synthetic ()
+      ~seed:2026 ~domains:Testutil.test_domains ?islands ?migration_interval
+      ~noise ~platform:Emts_platform.grelon ~model:Emts_model.synthetic ()
   in
   let t = Online.create cfg in
   let horizon () =
@@ -325,6 +375,14 @@ let test_cluster_answers () =
         ~noise:(Emts_simulator.Noise.multiplicative_lognormal ~sigma:0.3)
         ())
 
+let test_island_answers () =
+  check_golden "island_answers"
+    (island_answers ()
+    ^ "# online, Grelon, EMTS5 re-planner on 3 islands migrating every 2 \
+       generations\n"
+    ^ grelon_commitment_log ~islands:3 ~migration_interval:2
+        ~noise:Emts_simulator.Noise.none ())
+
 let () =
   Alcotest.run "golden"
     [
@@ -343,5 +401,6 @@ let () =
         [
           Alcotest.test_case "offline answers and Grelon commitments" `Quick
             test_cluster_answers;
+          Alcotest.test_case "island answers" `Quick test_island_answers;
         ] );
     ]

@@ -488,7 +488,7 @@ let run_alloc_gate () =
   end
 
 (* Online: a 3-DAG arrival trace through the online controller, once
-   with the Perotin–Sun baseline and once with EMTS re-planning, per
+   with the baseline re-planner and once with EMTS re-planning, per
    speedup model.  Both sessions see the same arrival times (the gap
    derives from the first DAG's single-processor critical path, never
    from a solver's plan), so their realised makespans share the same

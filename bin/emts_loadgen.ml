@@ -276,9 +276,9 @@ let run_hangup ~ep ~corpus ~platform ~model ~algorithm ~seed =
    virtual time k·gap in a named online session; the session then runs
    to completion and reports its realised makespan against the server's
    clairvoyant lower bound.  Two sessions are driven per run — the
-   Perotin–Sun baseline and the requested EMTS re-planner — so the
-   report (and its --json form) carries both online/clairvoyant ratios
-   side by side. *)
+   baseline re-planner (every task at its fastest processor count) and
+   the requested EMTS one — so the report (and its --json form) carries
+   both online/clairvoyant ratios side by side. *)
 
 let online_default_gap ~corpus ~platform ~model =
   let ( let* ) = Result.bind in
@@ -680,7 +680,8 @@ let mode_arg =
              ~doc:"Open-loop multi-DAG arrival run: $(b,--dags) graphs \
                    arrive $(b,--arrival-gap) apart in virtual time \
                    against a live online session, once with the \
-                   Perotin-Sun baseline re-planner and once with \
+                   baseline re-planner (every task at its fastest \
+                   processor count) and once with \
                    $(b,--algorithm); reports each session's realised \
                    makespan over the server's clairvoyant lower bound.");
         ])

@@ -124,7 +124,7 @@ let run socket listen backends max_frame probe_interval probe_timeout retries
   match Router.run config with
   | Error msg -> Error msg
   | Ok () ->
-    prerr_string (Emts_obs.Metrics.render ());
+    prerr_string (Emts_obs.Metrics.render_openmetrics ());
     Ok ()
 
 let () =

@@ -152,14 +152,8 @@ let run obs graph_file platform_spec model_spec algorithm seed domains
   let* model = resolve_model model_spec in
   let ctx = Emts_alloc.Common.make_ctx ~model ~platform ~graph in
   let* alloc, schedule, label =
-    match String.lowercase_ascii algorithm with
-    | ("emts1" | "emts5" | "emts10") as name ->
-      let config =
-        match name with
-        | "emts1" -> Emts.Algorithm.emts1
-        | "emts5" -> Emts.Algorithm.emts5
-        | _ -> Emts.Algorithm.emts10
-      in
+    match Emts.Algorithm.preset algorithm with
+    | Some config ->
       let config =
         config
         |> Emts.Algorithm.with_domains domains
@@ -192,10 +186,10 @@ let run obs graph_file platform_spec model_spec algorithm seed domains
            with --resume\n%!"
           completed config.Emts.Algorithm.generations;
       Ok (result.alloc, result.schedule, String.uppercase_ascii algorithm)
-    | _ when checkpoint <> None || resume ->
+    | None when checkpoint <> None || resume ->
       Error "--checkpoint/--resume apply to EMTS algorithms only"
-    | name -> (
-      match Emts_alloc.find name with
+    | None -> (
+      match Emts_alloc.find algorithm with
       | Some h ->
         let alloc = h.allocate ctx in
         Ok (alloc, Emts.Algorithm.schedule_allocation ~ctx alloc, h.name)

@@ -205,7 +205,7 @@ let run socket listen metrics_listen workers pool_domains queue_capacity
       Emts_obs.Trace.stop ();
       Printf.eprintf "wrote %s\n%!" path
     | None -> ());
-    prerr_string (Emts_obs.Metrics.render ());
+    prerr_string (Emts_obs.Metrics.render_openmetrics ());
     let* () =
       match metrics_json with
       | None -> Ok ()

@@ -30,8 +30,8 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:
           "Collect runtime metrics (fitness evaluations, early-reject \
-           hits, ready-queue operations, ...) and print a summary table \
-           after the run.")
+           hits, ready-queue operations, ...) and print them in \
+           OpenMetrics text after the run.")
 
 let metrics_json_arg =
   Arg.(
@@ -75,8 +75,9 @@ let term = Term.(const make $ trace_arg $ metrics_arg $ metrics_json_arg
                  $ gc_profile_arg $ flight_arg $ progress_arg)
 
 (* Enable the requested sinks, run [f], then flush: close the trace,
-   print the metrics table to stdout and write the JSON snapshot.  The
-   sinks are flushed even when [f] raises or returns an error.
+   print the metrics in OpenMetrics text to stdout and write the JSON
+   snapshot.  The sinks are flushed even when [f] raises or returns an
+   error.
    Unwritable sink paths surface as clean CLI errors, not uncaught
    [Sys_error] exceptions. *)
 let with_obs t f =
@@ -110,7 +111,7 @@ let with_obs t f =
         with Sys_error msg -> json_error := Some msg)
       | None -> ());
       if t.metrics || t.gc_profile then
-        print_string (Emts_obs.Metrics.render ())
+        print_string (Emts_obs.Metrics.render_openmetrics ())
     in
     let result = Fun.protect ~finally:finalize f in
     (match (result, !json_error) with

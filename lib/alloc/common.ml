@@ -6,6 +6,8 @@ type ctx = {
   cover : Graph.t;
   procs : int;
   tables : float array array;
+  release : float array option;
+  avail : float array option;
 }
 
 let make_ctx ~model ~platform ~graph =
@@ -14,7 +16,13 @@ let make_ctx ~model ~platform ~graph =
     cover = Graph.transitive_reduction graph;
     procs = platform.Emts_platform.processors;
     tables = Emts_model.Memo.tabulate_graph model platform graph;
+    release = None;
+    avail = None;
   }
+
+let sub_ctx ~cover ~tables ~procs ~release ~avail =
+  { graph = cover; cover; procs; tables; release = Some release;
+    avail = Some avail }
 
 let time_of ctx alloc v = ctx.tables.(v).(alloc.(v) - 1)
 

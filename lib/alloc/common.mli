@@ -14,9 +14,12 @@ type ctx = {
           evaluates fitness *)
   procs : int;                  (** processors of the target cluster *)
   tables : float array array;   (** [tables.(v).(p-1)] = time of task [v] on [p] procs *)
+  release : float array option;  (** per-task earliest start; [None] offline *)
+  avail : float array option;  (** per-processor free time; [None] offline *)
 }
-(** Build a [ctx] with {!make_ctx} only (or update its [tables] from
-    one), so that [cover] always reduces [graph]. *)
+(** Build a [ctx] with {!make_ctx} or {!sub_ctx} only (or update its
+    [tables] from one), so that [cover] always reduces [graph].
+    Heuristics ignore [release] and [avail]; EMTS honours them. *)
 
 val make_ctx :
   model:Emts_model.t ->
@@ -25,6 +28,13 @@ val make_ctx :
   ctx
 (** Tabulates the model over the platform's processor range and reduces
     the graph to its covering edges. *)
+
+val sub_ctx :
+  cover:Emts_ptg.Graph.t -> tables:float array array -> procs:int ->
+  release:float array -> avail:float array -> ctx
+(** An online re-planning sub-problem over [cover], a graph that is
+    already its own transitive reduction (no reduction runs).  The
+    arrays are shared and must not be mutated while in use. *)
 
 val time_of : ctx -> Emts_sched.Allocation.t -> int -> float
 (** [time_of ctx alloc v] is the execution time of [v] under its

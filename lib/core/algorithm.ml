@@ -20,8 +20,11 @@ type config = {
    [Emts_pool.Local] key wraps a DLS slot that is never reclaimed, so
    minting one per run would leak.  One process-wide key means every
    worker domain owns exactly one evaluator, reused across generations,
-   runs and serving requests (it rebinds itself when the instance
-   changes). *)
+   runs, serving requests and online re-plans (it rebinds itself when
+   the instance changes).  An evaluator serves one thread at a time.
+   The daemon's reader systhreads share the main domain's slot and
+   serialise through [Emts_serve.Online]'s lock; offline solves run
+   only on the worker lanes' domains. *)
 let evaluator_slot = Emts_pool.Local.key (fun () -> Emts_sched.Evaluator.create ())
 
 let emts5 =
@@ -49,6 +52,13 @@ let emts10 = { emts5 with mu = 10; lambda = 100; generations = 10 }
    placement policies). *)
 let emts1 = { emts5 with mu = 2; lambda = 4; generations = 2 }
 
+let preset name =
+  match String.lowercase_ascii name with
+  | "emts1" -> Some emts1
+  | "emts5" -> Some emts5
+  | "emts10" -> Some emts10
+  | _ -> None
+
 let with_islands ?(migration_interval = 5) ?(migration_count = 1) islands
     config =
   if islands < 1 then invalid_arg "Emts.with_islands: islands must be >= 1";
@@ -70,7 +80,8 @@ let schedule_allocation ~ctx alloc =
   let times =
     Emts_sched.Allocation.times_of_tables alloc ~tables:ctx.Common.tables
   in
-  Emts_sched.List_scheduler.run ~graph:ctx.Common.graph ~times ~alloc
+  Emts_sched.List_scheduler.run ?release:ctx.Common.release
+    ?avail:ctx.Common.avail ~graph:ctx.Common.graph ~times ~alloc
     ~procs:ctx.Common.procs ()
 
 let allocation_codec : Emts_sched.Allocation.t Emts_ea.codec =
@@ -90,9 +101,9 @@ let run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?(resume = false)
         ("procs", Emts_obs.Trace.Int ctx.Common.procs);
       ]
   @@ fun () ->
-  let seeds =
+  let allocated =
     Emts_obs.Trace.span "emts.seeding" (fun () ->
-        Seeding.collect ~heuristics:config.heuristics ctx)
+        Seeding.allocate ~heuristics:config.heuristics ctx)
   in
   let extra_seeds =
     (* Migrant allocations arriving from fleet peers join the seed
@@ -113,10 +124,12 @@ let run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?(resume = false)
      rejection, paper conclusion).  It runs over the covering edges: a
      transitive edge never carries a maximum, and a task's last
      predecessor to pop is always a covering one, so the pop order and
-     the makespan are those of the full graph. *)
+     the makespan are those of the full graph.  A re-planning
+     sub-problem's releases and availabilities join the binding. *)
   let fitness ~cutoff alloc =
     Emts_sched.Evaluator.makespan
       (Emts_pool.Local.get evaluator_slot)
+      ?release:ctx.Common.release ?avail0:ctx.Common.avail
       ~graph:ctx.Common.cover ~tables:ctx.Common.tables
       ~procs:ctx.Common.procs ~alloc ~cutoff ()
   in
@@ -179,23 +192,26 @@ let run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?(resume = false)
       (fun (path, every) -> Emts_ea.checkpoint ~path ~every allocation_codec)
       checkpoint
   in
-  let ea =
-    let run_fresh () =
-      Emts_ea.run ?stop ?deadline ?pool ?checkpoint:ea_checkpoint ~rng
-        ~config:ea_config ~on_generation
-        ~seeds:(List.map (fun (s : Seeding.seed) -> s.alloc) seeds
-                @ extra_seeds)
-        problem
-    in
+  (* The EA scores each seed once, exactly; a resumed EA scores none,
+     so its seeds are scored here. *)
+  let ea, makespans =
     match (checkpoint, ea_checkpoint) with
     | Some (path, _), Some from when resume && Sys.file_exists path -> (
       match
         Emts_ea.resume ?stop ?deadline ?pool ~on_generation ~from
           ~config:ea_config problem
       with
-      | Ok r -> r
+      | Ok r ->
+        (r, List.map (fun (_, a) -> fitness ~cutoff:infinity a) allocated)
       | Error msg -> failwith msg)
-    | _ -> run_fresh ()
+    | _ ->
+      let r =
+        Emts_ea.run ?stop ?deadline ?pool ?checkpoint:ea_checkpoint ~rng
+          ~config:ea_config ~on_generation
+          ~seeds:(List.map snd allocated @ extra_seeds)
+          problem
+      in
+      (r, r.Emts_ea.seed_fitness)
   in
   let schedule =
     Emts_obs.Trace.span "emts.schedule_best" (fun () ->
@@ -205,7 +221,7 @@ let run_ctx ?rng ?stop ?deadline ?pool ?checkpoint ?(resume = false)
     alloc = ea.Emts_ea.best;
     makespan = ea.Emts_ea.best_fitness;
     schedule;
-    seeds;
+    seeds = Seeding.scored allocated makespans;
     ea;
   }
 

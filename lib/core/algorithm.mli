@@ -76,6 +76,9 @@ val emts1 : config
     evaluations).  Not from the paper — a cheap request class for
     serving benchmarks that mix light and heavy work. *)
 
+val preset : string -> config option
+(** The preset named [emts1], [emts5] or [emts10], in any case. *)
+
 val with_islands :
   ?migration_interval:int -> ?migration_count:int -> int -> config -> config
 (** [with_islands k config] enables the island model with [k]
@@ -166,4 +169,5 @@ val schedule_allocation :
   Emts_sched.Allocation.t ->
   Emts_sched.Schedule.t
 (** Maps any allocation with the EMTS list scheduler — the deterministic
-    second step shared by all compared algorithms. *)
+    second step shared by all compared algorithms — honouring the
+    context's releases and availabilities. *)

@@ -15,25 +15,22 @@ type seed = {
 let m_seeds = Emts_obs.Metrics.counter "seeding.seeds"
 let m_makespan = Emts_obs.Metrics.histogram "seeding.makespan"
 
-let collect ~heuristics ctx =
+let allocate ~heuristics ctx =
   if heuristics = [] then
-    invalid_arg "Seeding.collect: heuristics must be non-empty";
+    invalid_arg "Seeding.allocate: heuristics must be non-empty";
   List.map
     (fun (h : Emts_alloc.heuristic) ->
       Emts_obs.Trace.span ("seed." ^ h.name) @@ fun () ->
-      let alloc = h.allocate ctx in
-      let times =
-        Emts_sched.Allocation.times_of_tables alloc
-          ~tables:ctx.Emts_alloc.Common.tables
-      in
-      let makespan =
-        Emts_sched.List_scheduler.makespan ~graph:ctx.Emts_alloc.Common.graph
-          ~times ~alloc ~procs:ctx.Emts_alloc.Common.procs ()
-      in
-      Emts_obs.Metrics.incr m_seeds;
-      Emts_obs.Metrics.observe m_makespan makespan;
-      { heuristic = h.name; alloc; makespan })
+      (h.name, h.allocate ctx))
     heuristics
+
+let rec scored allocated makespans =
+  match (allocated, makespans) with
+  | (heuristic, alloc) :: allocated, makespan :: makespans ->
+    Emts_obs.Metrics.incr m_seeds;
+    Emts_obs.Metrics.observe m_makespan makespan;
+    { heuristic; alloc; makespan } :: scored allocated makespans
+  | _ -> []
 
 let best = function
   | [] -> invalid_arg "Seeding.best: empty seed list"

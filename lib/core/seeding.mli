@@ -16,13 +16,17 @@ type seed = {
   makespan : float;                    (** under the EMTS list scheduler *)
 }
 
-val collect :
+val allocate :
   heuristics:Emts_alloc.heuristic list ->
   Emts_alloc.Common.ctx ->
-  seed list
-(** Runs each heuristic on the context and list-schedules its
-    allocation; order follows [heuristics].  Raises [Invalid_argument]
-    when [heuristics] is empty. *)
+  (string * Emts_sched.Allocation.t) list
+(** Runs each heuristic on the context and pairs its name with its
+    allocation, in order; the EA scores them.  Raises
+    [Invalid_argument] when [heuristics] is empty. *)
+
+val scored : (string * Emts_sched.Allocation.t) list -> float list -> seed list
+(** Pairs each allocation with the makespan at its position (extra
+    makespans are ignored) and counts the seeds into [seeding.*]. *)
 
 val best : seed list -> seed
 (** Smallest makespan (first on ties). *)

@@ -61,6 +61,7 @@ type generation_stats = {
 type 'g result = {
   best : 'g;
   best_fitness : float;
+  seed_fitness : float list;
   history : generation_stats list;
   evaluations : int;
   elapsed : float;
@@ -92,20 +93,20 @@ type 'g individual = { genome : 'g; fit : float; birth : int }
 (* {1 Selection bound}
 
    Early rejection (paper conclusion) is decided here, by the layer
-   that selects.  Each group of an evaluated batch (the whole batch, or
-   one island's offspring) keeps the [mu] best fitness values known
+   that selects.  Each group of an evaluated batch (one island's
+   offspring, or the seeds) keeps the [width] best fitness values known
    among the individuals it competes with: its parents under Plus,
    nobody at first under Comma or for the seeds, and then every result
    that comes back at or below its cutoff.  Every fitness call gets the
-   [mu]-th of them as its cutoff.  A call that returns above it scores
-   strictly worse than [mu] members of its own selection pool, so it
-   can neither survive nor be the best ever, whatever the tie rule or
-   the order in which workers finish, and its value decides nobody's
-   rank. *)
+   [width]-th of them as its cutoff: [mu] for offspring, so a call that
+   returns above it scores strictly worse than [mu] members of its own
+   selection pool, can neither survive nor be the best ever, whatever
+   the tie rule or the order in which workers finish, and decides
+   nobody's rank; the seed count for the seeds, scored exactly. *)
 type bound = {
-  best : float array;  (* the [mu] best known, ascending, [infinity]-padded *)
+  best : float array;  (* the [width] best known, ascending, infinity-padded *)
   cutoff : float Atomic.t;
-      (* [best.(mu - 1)], boxed once per change: reading it allocates
+      (* [best.(width - 1)], boxed once per change: reading it allocates
          nothing, and a fitness call needs it boxed *)
 }
 
@@ -123,8 +124,8 @@ let admit b f =
     Atomic.set b.cutoff b.best.(last)
   end
 
-let bound_of ~mu competitors =
-  let b = { best = Array.make mu infinity; cutoff = Atomic.make infinity } in
+let bound_of ~width competitors =
+  let b = { best = Array.make width infinity; cutoff = Atomic.make infinity } in
   Array.iter (fun i -> admit b i.fit) competitors;
   b
 
@@ -138,9 +139,9 @@ let competitors config population =
    stale), so the outcome is independent of scheduling; the pool's
    workers keep one stable trace lane per worker slot across
    generations. *)
-let evaluate_all ~pool ~out ~mu ~competitors fitness genomes =
+let evaluate_all ~pool ~out ~width ~competitors fitness genomes =
   let n = Array.length genomes in
-  let bounds = Array.map (bound_of ~mu) competitors in
+  let bounds = Array.map (bound_of ~width) competitors in
   let group = n / Array.length bounds in
   let lock = Mutex.create () in
   Emts_obs.Trace.span "ea.eval"
@@ -461,7 +462,7 @@ let load_checkpoint ck ~config =
    [saved_through = first_generation - 1]. *)
 let evolve ~stop ~deadline ~checkpoint ~rngs ~config ~started ~eval_batch
     ~record ~evaluations ~births ~history ~populations ~best_ever
-    ~first_generation ~saved_through problem =
+    ~seed_fitness ~first_generation ~saved_through problem =
   let k = Array.length populations and lambda = config.lambda in
   let consider candidate =
     if compare_individual candidate !best_ever < 0 then best_ever := candidate
@@ -517,7 +518,7 @@ let evolve ~stop ~deadline ~checkpoint ~rngs ~config ~started ~eval_batch
             ~total_generations:config.generations base)
     in
     let offspring =
-      eval_batch
+      eval_batch ~width:config.mu
         ~competitors:(Array.map (competitors config) populations)
         offspring_genomes
     in
@@ -563,21 +564,21 @@ let evolve ~stop ~deadline ~checkpoint ~rngs ~config ~started ~eval_batch
   {
     best = !best_ever.genome;
     best_fitness = !best_ever.fit;
+    seed_fitness;
     history = List.rev !history;
     evaluations = !evaluations;
     elapsed = Emts_obs.Clock.elapsed ~since:started;
   }
 
-let make_eval_batch ~pool ~config ~evaluations ~births problem =
+let make_eval_batch ~pool ~evaluations ~births problem =
   (* One fitness buffer per run, not per batch: the seed batch sizes it
      (seeds can outnumber lambda) and every generation reuses it. *)
   let scratch = ref [||] in
-  fun ~competitors genomes ->
+  fun ~width ~competitors genomes ->
     let n = Array.length genomes in
     if Array.length !scratch < n then scratch := Array.make n nan;
     let fits = !scratch in
-    evaluate_all ~pool ~out:fits ~mu:config.mu ~competitors problem.fitness
-      genomes;
+    evaluate_all ~pool ~out:fits ~width ~competitors problem.fitness genomes;
     evaluations := !evaluations + n;
     Emts_obs.Metrics.add m_evaluations n;
     if Emts_obs.Metrics.enabled () then
@@ -639,14 +640,18 @@ let run ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
   let started = Emts_obs.Clock.now () in
   let evaluations = ref 0 in
   let births = ref 0 in
-  let eval_batch = make_eval_batch ~pool ~config ~evaluations ~births problem in
+  let eval_batch = make_eval_batch ~pool ~evaluations ~births problem in
   let rngs =
     if config.islands = 1 then [| rng |]
     else Array.init config.islands (fun _ -> Emts_prng.split rng)
   in
-  (* Seeds are evaluated once.  Every island starts from their best mu,
-     padded with the best seed when there are fewer seeds than mu. *)
-  let seed_pop = eval_batch ~competitors:[| [||] |] (Array.of_list seeds) in
+  (* Seeds are evaluated once, exactly.  Every island starts from their
+     best mu, padded with the best seed when there are fewer than mu. *)
+  let seed_pop =
+    eval_batch ~width:(List.length seeds) ~competitors:[| [||] |]
+      (Array.of_list seeds)
+  in
+  let seed_fitness = Array.fold_right (fun i acc -> i.fit :: acc) seed_pop [] in
   Array.sort compare_individual seed_pop;
   let populations =
     Array.init config.islands (fun _ ->
@@ -662,8 +667,8 @@ let run ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
   in
   record ~born_after:0 0;
   evolve ~stop ~deadline ~checkpoint ~rngs ~config ~started ~eval_batch ~record
-    ~evaluations ~births ~history ~populations ~best_ever ~first_generation:1
-    ~saved_through:(-1) problem
+    ~evaluations ~births ~history ~populations ~best_ever ~seed_fitness
+    ~first_generation:1 ~saved_through:(-1) problem
 
 let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
     ?pool ~from ~config problem =
@@ -690,7 +695,7 @@ let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
         let evaluations = ref snap.s_evaluations in
         let births = ref snap.s_births in
         let eval_batch =
-          make_eval_batch ~pool ~config ~evaluations ~births problem
+          make_eval_batch ~pool ~evaluations ~births problem
         in
         let populations = [| snap.s_population |] in
         let best_ever = ref snap.s_best in
@@ -712,6 +717,6 @@ let resume ?(on_generation = fun _ -> ()) ?(stop = fun () -> false) ?deadline
         evolve ~stop ~deadline ~checkpoint:(Some from)
           ~rngs:[| Emts_prng.of_state snap.s_rng |] ~config ~started
           ~eval_batch ~record ~evaluations ~births ~history ~populations
-          ~best_ever
+          ~best_ever ~seed_fitness:[]
           ~first_generation:(snap.s_generation + 1)
           ~saved_through:snap.s_generation problem )

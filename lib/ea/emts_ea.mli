@@ -75,14 +75,15 @@ type 'g problem = {
           fitness already known among the individuals [g] competes
           with — its generation's parents under [Plus], then every
           offspring of the same generation (and island) that came back
-          at or below its own cutoff; under [Comma] and for the seeds
-          only the latter, so the cutoff is [infinity] until [mu] of
-          them are known.  A call that returns above its cutoff scores
-          strictly worse than [mu] members of its selection pool, so it
-          can neither survive nor be the best ever: the result is the
-          same as with an exact fitness, whatever the order in which
-          pool workers finish.  Which calls return above their cutoff
-          does depend on that order when [domains > 1].  The
+          at or below its own cutoff; under [Comma] only the latter, so
+          the cutoff is [infinity] until [mu] of them are known.  A
+          seed's cutoff is always [infinity]: seeds are scored exactly
+          (see [seed_fitness]).  A call that returns above its cutoff
+          scores strictly worse than [mu] members of its selection
+          pool, so it can neither survive nor be the best ever: the
+          result is the same as with an exact fitness, whatever the
+          order in which pool workers finish.  Which calls return above
+          their cutoff does depend on that order when [domains > 1].  The
           [ea.early_reject.hits] and [ea.early_reject.misses] counters
           count the calls that did and did not. *)
   mutate : Emts_prng.t -> generation:int -> total_generations:int -> 'g -> 'g;
@@ -126,6 +127,7 @@ type 'g result = {
           best of the final population; for [Comma] the population may
           have drifted away from it *)
   best_fitness : float;
+  seed_fitness : float list;  (** each seed's exact fitness, in order *)
   history : generation_stats list;  (** chronological, seeds first *)
   evaluations : int;
   elapsed : float;
@@ -183,11 +185,11 @@ val run :
   seeds:'g list ->
   'g problem ->
   'g result
-(** [run ~rng ~config ~seeds problem] evaluates the non-empty seed list,
-    keeps the best [mu] as the initial population (padding by reusing
-    the best seed when fewer than [mu] seeds are given), then iterates:
-    draw [lambda] offspring by mutating uniformly chosen parents,
-    evaluate, and select the best [mu] of parents ∪ offspring.
+(** [run ~rng ~config ~seeds problem] evaluates the non-empty seed list
+    exactly, keeps the best [mu] as the initial population (padding by
+    reusing the best seed when fewer than [mu] seeds are given), then
+    iterates: draw [lambda] offspring by mutating uniformly chosen
+    parents, evaluate, and select the best [mu] of parents ∪ offspring.
     Survivor ranking prefers, at equal fitness, the longest-lived
     individual (stable elitism).  [on_generation] observes every entry
     appended to [history].
@@ -246,7 +248,7 @@ val resume :
     [Error] with a one-line [file: reason] diagnostic on a missing or
     corrupt checkpoint, a config mismatch, or a genome that fails to
     decode; the checkpoint file is never modified on error.  [elapsed]
-    in the result counts only the resumed portion of the run.
+    counts only the resumed portion, and [seed_fitness] is empty.
     [config.islands] must be 1 ([Error] otherwise — island runs are
     not checkpointable). *)
 

@@ -597,43 +597,6 @@ module Metrics = struct
     Mutex.unlock registry_lock;
     h
 
-  let render () =
-    let buf = Buffer.create 512 in
-    let instruments = sorted_instruments () in
-    Buffer.add_string buf "metrics summary\n===============\n";
-    let shown = ref 0 in
-    List.iter
-      (fun (name, i) ->
-        match i with
-        | C c ->
-          let v = counter_value c in
-          if v <> 0 then begin
-            shown := !shown + 1;
-            Buffer.add_string buf (Printf.sprintf "  %-36s %14d\n" name v)
-          end
-        | G g ->
-          let v = gauge_value g in
-          if v <> 0. then begin
-            shown := !shown + 1;
-            Buffer.add_string buf (Printf.sprintf "  %-36s %14.6g\n" name v)
-          end
-        | H h -> (
-          match histogram_value h with
-          | None -> ()
-          | Some d ->
-            shown := !shown + 1;
-            let p50 = Option.value ~default:Float.nan (quantile h 0.5) in
-            let p95 = Option.value ~default:Float.nan (quantile h 0.95) in
-            let p99 = Option.value ~default:Float.nan (quantile h 0.99) in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "  %-36s n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g \
-                  p50=%.6g p95=%.6g p99=%.6g\n"
-                 name d.count d.mean d.stddev d.min d.max p50 p95 p99)))
-      instruments;
-    if !shown = 0 then Buffer.add_string buf "  (no metrics recorded)\n";
-    Buffer.contents buf
-
   let to_json () =
     let buf = Buffer.create 512 in
     let instruments = sorted_instruments () in

@@ -235,8 +235,8 @@ module Metrics : sig
       observed [min, max] — so single-valued distributions answer
       exactly and any estimate is within ~2% of the true value.
       [None] until the first observation.  The serve layer's
-      p50/p95/p99 latency figures come from here; {!render} and
-      {!to_json} include all three for every histogram. *)
+      p50/p95/p99 latency figures come from here; {!to_json} includes
+      all three for every histogram. *)
 
   val find_counter : string -> int option
   (** Current value of the counter registered under [name], if any. *)
@@ -244,10 +244,6 @@ module Metrics : sig
   val reset : unit -> unit
   (** Zero every registered instrument (instrument identities are
       preserved — modules hold them in top-level bindings). *)
-
-  val render : unit -> string
-  (** Human-readable summary table of all non-empty instruments, sorted
-      by name. *)
 
   val to_json : unit -> string
   (** Machine-readable snapshot:
@@ -260,7 +256,8 @@ module Metrics : sig
       samples; histograms expose cumulative [_bucket{le="..."}] series
       over the registry's geometric buckets plus [+Inf], [_sum] and
       [_count].  Served by the daemon's [metrics] verb and its
-      [--metrics-listen] HTTP endpoint for Prometheus scraping. *)
+      [--metrics-listen] HTTP endpoint for Prometheus scraping, printed
+      by the CLIs' [--metrics] flag and by both daemons on exit. *)
 end
 
 (** {1 GC profiling}

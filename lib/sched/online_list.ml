@@ -1,7 +1,8 @@
-(* Perotin & Sun's compromise allotment for online moldable DAGs: give
-   each task the processor count minimising [max(t(v,p), p*t(v,p)/P)],
-   the balance point between the task's own execution time and its
-   share of the total area.  Ties take the smaller count. *)
+(* The online baseline's allotment: give each task the processor count
+   minimising [max(t(v,p), p*t(v,p)/P)], ties to the smaller count.
+   For p <= P the area term never exceeds t(v,p), so this is the
+   task's fastest count; the area term shows only through rounding at
+   p = P. *)
 let compromise_allotment ~tables ~procs =
   if procs < 1 then invalid_arg "Online_list: procs must be >= 1";
   let fprocs = float_of_int procs in

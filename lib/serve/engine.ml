@@ -142,14 +142,9 @@ let handle t (req : Protocol.Request.schedule) ~deadline =
         evaluations;
       }
   in
-  match String.lowercase_ascii req.algorithm with
-  | ("emts1" | "emts5" | "emts10") as name ->
-    let config =
-      match name with
-      | "emts1" -> Emts.Algorithm.emts1
-      | "emts5" -> Emts.Algorithm.emts5
-      | _ -> Emts.Algorithm.emts10
-    in
+  let name = String.lowercase_ascii req.algorithm in
+  match Emts.Algorithm.preset name with
+  | Some config ->
     let config =
       {
         config with
@@ -184,7 +179,7 @@ let handle t (req : Protocol.Request.schedule) ~deadline =
       ~label:(String.uppercase_ascii name)
       ~makespan:result.Emts.Algorithm.makespan ~deadline_hit ~generations_done
       ~evaluations:result.Emts.Algorithm.ea.Emts_ea.evaluations
-  | name -> (
+  | None -> (
     match Emts_alloc.find name with
     | None -> Error (Printf.sprintf "unknown algorithm %S" req.algorithm)
     | Some h ->

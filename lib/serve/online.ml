@@ -1,6 +1,7 @@
 module Sim = Emts_simulator.Online
 module Graph = Emts_ptg.Graph
 module Schedule = Emts_sched.Schedule
+module Common = Emts_alloc.Common
 
 (* Online scheduling controller: one session owns a live cluster state
    ({!Emts_simulator.Online}) and re-plans the unstarted remainder of
@@ -8,27 +9,22 @@ module Schedule = Emts_sched.Schedule
 
    Re-planning builds the induced sub-problem over unstarted tasks
    (per-task release times from arrivals and committed predecessors,
-   per-processor availability from committed work) and solves it either
-   with the Perotin–Sun baseline (compromise allotment + release-aware
-   list scheduling) or with a (mu+lambda) EA over the sub-problem's
-   allocation vectors, seeded with the baseline and the surviving
-   previous plan — elitism therefore guarantees each EMTS re-plan is no
-   worse than the baseline plan for the same state.  All randomness
+   per-processor availability from committed work) as an EMTS context,
+   and solves it either with the baseline (every task at its fastest
+   processor count, then release-aware list scheduling) or with
+   [Emts.Algorithm.run_ctx], seeded with the baseline allotment, the
+   surviving previous plan padded with it, and all-ones — elitism
+   therefore guarantees each EMTS re-plan is no worse than the baseline
+   plan for the same state.  All randomness
    derives from the session seed via labelled streams, so the same seed
    and arrival trace commit bit-identically for a given island count,
    whatever the number of worker domains. *)
 
-(* Per-worker-domain evaluator scratch; toplevel because a DLS
-   slot is never reclaimed (same rule as [Emts.Algorithm]). *)
-let evaluator_slot =
-  Emts_pool.Local.key (fun () -> Emts_sched.Evaluator.create ())
-
 (* One re-planning EA at a time in the process.  The daemon re-plans on
    connection reader threads, all systhreads of one domain and so of
-   one [evaluator_slot]: a thread switch inside [Evaluator.makespan]
-   would corrupt another session's scratch.  Those threads never ran in
-   parallel anyway.  The final plan's [List_scheduler.run] runs outside
-   the lock, on scratch of its own. *)
+   one evaluator slot ([Emts.Algorithm]'s, per domain): a thread switch
+   inside [Evaluator.makespan] would corrupt another session's scratch.
+   Those threads never ran in parallel anyway. *)
 let ea_lock = Mutex.create ()
 
 type replanner =
@@ -38,10 +34,11 @@ type replanner =
 let replanner_of_string s =
   match String.lowercase_ascii s with
   | "baseline" | "online" -> Some Baseline
-  | "emts1" -> Some (Emts { mu = 2; lambda = 4; generations = 2 })
-  | "emts5" -> Some (Emts { mu = 5; lambda = 25; generations = 5 })
-  | "emts10" -> Some (Emts { mu = 10; lambda = 100; generations = 10 })
-  | _ -> None
+  | name ->
+    Option.map
+      (fun (c : Emts.Algorithm.config) ->
+        Emts { mu = c.mu; lambda = c.lambda; generations = c.generations })
+      (Emts.Algorithm.preset name)
 
 let replanner_name = function
   | Baseline -> "baseline"
@@ -82,20 +79,15 @@ let config ?(replanner = Baseline) ?(seed = 0x5EED_CA11) ?(domains = 1)
     noise;
   }
 
-(* What re-planning reads of one DAG, by local task id.  It lives while
-   the DAG has unstarted tasks: once the last one commits, no re-plan
-   reads it again. *)
-type dag_ctx = {
-  tables : float array array;  (* local task id -> row over 1..procs *)
-  cover : Graph.t;  (* the DAG's covering edges *)
-}
-
 type t = {
   cfg : config;
   procs : int;
   state : Sim.t;
   pool : Emts_pool.t option;  (* borrowed; never shut down here *)
-  mutable dag_ctxs : dag_ctx option array;  (* by DAG; [None] once closed *)
+  mutable dag_ctxs : Common.ctx option array;
+      (* by DAG: the time tables and covering edges re-planning reads,
+         by local task id, until the DAG's last task commits; [None]
+         from then on *)
   mutable open_dags : int list;  (* the DAGs whose context is held *)
   mutable min_area : float;  (* sum over DAGs of sum_v min_p (p * t(v,p)) *)
   mutable min_cp : float;
@@ -158,20 +150,13 @@ let close_finished t =
   List.iter (fun d -> t.dag_ctxs.(d) <- None) closed;
   t.open_dags <- open_
 
-(* The induced sub-problem over the unstarted tasks. *)
-type sub = {
-  global : int array;  (* sub id -> global id *)
-  graph : Graph.t;
-  tables : float array array;  (* rows shared with the dag tables *)
-  release : float array;
-  avail : float array;
-}
-
-(* Its edges are the covering edges between unstarted tasks.  A task
-   commits only after all of its predecessors, so the unstarted tasks
-   are closed under successors: every covering edge out of one ends at
-   another, and these edges are the covering edges of the induced
-   sub-graph (DESIGN.md §17). *)
+(* The induced sub-problem over the unstarted tasks, as the ids of its
+   tasks (sub id -> global id) and its EMTS context.  Its edges are the
+   covering edges between unstarted tasks.  A task commits only after
+   all of its predecessors, so the unstarted tasks are closed under
+   successors: every covering edge out of one ends at another, and
+   these edges are the covering edges of the induced sub-graph
+   (DESIGN.md §17). *)
 let subproblem t =
   let st = t.state in
   let global = Array.of_list (Sim.unstarted st) in
@@ -188,9 +173,9 @@ let subproblem t =
     Array.map
       (fun v ->
         let c, local = locate v in
-        let task = Graph.task c.cover local in
+        let task = Graph.task c.Common.cover local in
         ignore (Graph.Builder.add_task b ~flop:task.Emts_ptg.Task.flop);
-        c.tables.(local))
+        c.Common.tables.(local))
       global
   in
   Array.iteri
@@ -200,22 +185,17 @@ let subproblem t =
         (fun w ->
           Graph.Builder.add_edge b ~src:i
             ~dst:(Hashtbl.find sub_of (v - local + w)))
-        (Graph.succs c.cover local))
+        (Graph.succs c.Common.cover local))
     global;
-  {
-    global;
-    graph = Graph.Builder.build b;
-    tables;
-    release = Array.map (Sim.release_of st) global;
-    avail = Sim.avail st;
-  }
+  ( global,
+    Common.sub_ctx ~cover:(Graph.Builder.build b) ~tables ~procs:t.procs
+      ~release:(Array.map (Sim.release_of st) global)
+      ~avail:(Sim.avail st) )
 
-let times_of sub alloc =
-  Array.mapi (fun i a -> sub.tables.(i).(a - 1)) alloc
-
-(* Solve the sub-problem with the EA, seeded so elitism pins the result
-   at or below the baseline's makespan for the same state. *)
-let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
+(* Solve the sub-problem with EMTS, seeded with the baseline allotment,
+   the surviving plan padded with it and all-ones, so elitism pins the
+   result at or below the baseline's makespan for the same state. *)
+let emts_schedule t ~global ~ctx ~baseline ~mu ~lambda ~generations =
   let rng =
     Emts_prng.create
       ~seed:
@@ -223,11 +203,10 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
            (Printf.sprintf "online/%d/replan/%d" t.cfg.seed t.replans))
       ()
   in
-  let k = Array.length sub.global in
   let prev =
     (* the surviving plan's allocation, padded with the baseline for
        tasks that have no entry yet (fresh arrivals) *)
-    let planned = Hashtbl.create (2 * k) in
+    let planned = Hashtbl.create (2 * Array.length global) in
     List.iter
       (fun (e : Schedule.entry) ->
         Hashtbl.replace planned e.Schedule.task (Array.length e.Schedule.procs))
@@ -237,35 +216,21 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
         match Hashtbl.find_opt planned v with
         | Some s -> s
         | None -> baseline.(i))
-      sub.global
+      global
   in
-  (* Bound once per re-plan: passing [~release:sub.release] at each call
-     would build a fresh [Some] block per evaluation.  The cutoff is the
-     EA's selection bound, as in [Emts.Algorithm.run_ctx]. *)
-  let release = Some sub.release and avail0 = Some sub.avail in
-  let fitness ~cutoff alloc =
-    Emts_sched.Evaluator.makespan
-      (Emts_pool.Local.get evaluator_slot)
-      ?release ?avail0 ~graph:sub.graph ~tables:sub.tables ~procs:t.procs
-      ~alloc ~cutoff ()
+  let constant name alloc = { Emts_alloc.name; allocate = (fun _ -> alloc) } in
+  let heuristics =
+    [ constant "baseline" baseline; constant "plan" prev;
+      constant "SEQ" (Array.make (Array.length global) 1) ]
   in
-  let mutate rng ~generation ~total_generations genome =
-    Emts.Mutation.mutate rng Emts.Mutation.default ~procs:t.procs ~generation
-      ~total_generations genome
+  let { domains; islands; migration_interval; migration_count; _ } = t.cfg in
+  let config =
+    { Emts.Algorithm.emts5 with mu; lambda; generations; heuristics; domains;
+      islands; migration_interval; migration_count = min migration_count mu }
   in
-  let ea_config =
-    Emts_ea.config ~domains:t.cfg.domains ~islands:t.cfg.islands
-      ~migration_interval:t.cfg.migration_interval
-      ~migration_count:(min t.cfg.migration_count mu)
-      ~mu ~lambda ~generations ()
-  in
-  let result =
-    Mutex.protect ea_lock (fun () ->
-        Emts_ea.run ?pool:t.pool ~rng ~config:ea_config
-          ~seeds:[ baseline; prev; Array.make k 1 ]
-          { Emts_ea.fitness; mutate; recombine = None; crossover_rate = 0. })
-  in
-  result.Emts_ea.best
+  Mutex.protect ea_lock (fun () ->
+      (Emts.Algorithm.run_ctx ?pool:t.pool ~rng ~config ~ctx ())
+        .Emts.Algorithm.schedule)
 
 (* Recompute the plan for the current state.  No-op unless something
    changed since the current plan was computed — [submit] marks new
@@ -274,28 +239,23 @@ let emts_alloc t ~sub ~baseline ~mu ~lambda ~generations =
 let replan t =
   if not t.dirty then false
   else begin
-    (let sub = subproblem t in
-     if Array.length sub.global > 0 then begin
+    (let global, ctx = subproblem t in
+     if Array.length global > 0 then begin
        let baseline =
-         Emts_sched.Online_list.compromise_allotment ~tables:sub.tables
+         Emts_sched.Online_list.compromise_allotment ~tables:ctx.Common.tables
            ~procs:t.procs
        in
-       let alloc =
-         match t.cfg.replanner with
-         | Baseline -> baseline
-         | Emts { mu; lambda; generations } ->
-           emts_alloc t ~sub ~baseline ~mu ~lambda ~generations
-       in
        let sched =
-         Emts_sched.List_scheduler.run ~release:sub.release ~avail:sub.avail
-           ~graph:sub.graph ~times:(times_of sub alloc) ~alloc ~procs:t.procs
-           ()
+         match t.cfg.replanner with
+         | Baseline -> Emts.Algorithm.schedule_allocation ~ctx baseline
+         | Emts { mu; lambda; generations } ->
+           emts_schedule t ~global ~ctx ~baseline ~mu ~lambda ~generations
        in
        let entries =
          Array.to_list
            (Array.map
               (fun (e : Schedule.entry) ->
-                { e with Schedule.task = sub.global.(e.Schedule.task) })
+                { e with Schedule.task = global.(e.Schedule.task) })
               (Schedule.entries sched))
        in
        Sim.set_plan t.state entries
@@ -366,8 +326,7 @@ let submit t ~graph ~at =
     let committed, drifts = advance_to t at in
     let dag = Sim.admit t.state graph in
     let ctx =
-      Emts_alloc.Common.make_ctx ~model:t.cfg.model ~platform:t.cfg.platform
-        ~graph
+      Common.make_ctx ~model:t.cfg.model ~platform:t.cfg.platform ~graph
     in
     let min_time row =
       Array.fold_left Float.min row.(0) row
@@ -381,8 +340,7 @@ let submit t ~graph ~at =
         row;
       !best
     in
-    let tables = ctx.Emts_alloc.Common.tables
-    and cover = ctx.Emts_alloc.Common.cover in
+    let tables = ctx.Common.tables in
     t.min_area <-
       t.min_area
       +. Array.fold_left (fun acc row -> acc +. min_area row) 0. tables;
@@ -391,7 +349,7 @@ let submit t ~graph ~at =
         (Sim.dag_arrival t.state dag
         +. Emts_ptg.Analysis.critical_path_length graph ~time:(fun v ->
                min_time tables.(v)));
-    t.dag_ctxs <- Array.append t.dag_ctxs [| Some { tables; cover } |];
+    t.dag_ctxs <- Array.append t.dag_ctxs [| Some ctx |];
     t.open_dags <- dag :: t.open_dags;
     t.dirty <- true;
     ignore (replan t);

@@ -21,12 +21,15 @@
 (** Which solver re-plans the unstarted sub-problem. *)
 type replanner =
   | Baseline
-      (** Perotin–Sun: compromise allotments
-          ({!Emts_sched.Online_list}) + release-aware bottom-level list
-          scheduling ({!Emts_sched.List_scheduler.run}). *)
+      (** The fastest allotment: every task at the processor count
+          that minimises its execution time, ties to the smaller count
+          ({!Emts_sched.Online_list.compromise_allotment}), then
+          release-aware bottom-level list scheduling
+          ({!Emts_sched.List_scheduler.run}). *)
   | Emts of { mu : int; lambda : int; generations : int }
-      (** (μ+λ)-ES over the sub-problem's allocation vectors, seeded
-          with the baseline and the surviving previous plan; elitism
+      (** EMTS ({!Emts.Algorithm.run_ctx}) over the sub-problem's
+          allocation vectors, seeded with the baseline allotment, the
+          surviving previous plan padded with it, and all-ones; elitism
           makes every EMTS re-plan at least as good (in planned
           makespan) as the baseline for the same state. *)
 

@@ -136,7 +136,7 @@ module Request : sig
         platform : string;
         model : string;
         algorithm : string;
-            (** re-planner: ["baseline"] (Perotin–Sun) or
+            (** re-planner: ["baseline"] (fastest allotment) or
                 ["emts1"]/["emts5"]/["emts10"]; with platform, model and
                 seed, fixed by the {e first} submit of a session and
                 ignored afterwards *)

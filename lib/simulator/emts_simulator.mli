@@ -92,9 +92,9 @@ val trace_to_csv : result -> string
     Invariants the [online] fuzz oracle leans on:
     - {b commitment}: a committed task's (start, finish, processors)
       never changes, and the commitment log only ever grows;
-    - {b exact replay}: with {!Noise.none} a plan built by
-      {!Emts_sched.Online_list} commits bit-identically to its planned
-      times;
+    - {b exact replay}: with {!Noise.none} a plan built by the
+      release-aware {!Emts_sched.List_scheduler.run} commits
+      bit-identically to its planned times;
     - {b drift stops the clock}: the first commit whose realised times
       differ bitwise from the plan ends the {!advance} call, so the
       controller can re-plan before anything else commits.

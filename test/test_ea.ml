@@ -243,8 +243,10 @@ let test_comma_population_can_worsen () =
    rebuilds each group's bound.  The group is the seed batch, or one
    generation's offspring of one island.  Its bound holds the parents'
    fitness under Plus, then every earlier call of the group that came
-   back at or below its cutoff.  Each cutoff must be the mu-th smallest
-   of it, or infinity while fewer than mu are known.  The run must
+   back at or below its cutoff.  Each offspring's cutoff must be the
+   mu-th smallest of it, or infinity while fewer than mu are known.
+   The seed batch's bound is as wide as the seed list, so every seed
+   gets infinity and the result reports its exact fitness.  The run must
    return what the exact fitness returns, and some offspring's cutoff
    must be below the worst parent (Plus) or finite (Comma), where the
    older worst-survivor rule would have set it.  The replay migrates as
@@ -252,10 +254,11 @@ let test_comma_population_can_worsen () =
 let test_selection_bound () =
   let mu = 3 and lambda = 8 and generations = 6 in
   let seeds = [ 100.; -50.; 30.; 12.; -4. ] in
-  let mu_th known =
+  let nth_smallest width known =
     Option.value ~default:infinity
-      (List.nth_opt (List.sort compare known) (mu - 1))
+      (List.nth_opt (List.sort compare known) (width - 1))
   in
+  let mu_th = nth_smallest mu in
   List.iter
     (fun (selection, islands) ->
       let label =
@@ -287,15 +290,16 @@ let test_selection_bound () =
         r.EA.evaluations;
       let calls = Array.of_list (List.rev !calls) in
       let next = ref 0 and hits = ref 0 and tighter = ref 0 in
-      (* Replays one group of [n] calls; returns its (fitness, birth)s. *)
-      let group ~parents n =
+      (* Replays one group of [n] calls whose bound is [width] wide;
+         returns its (fitness, birth)s. *)
+      let group ?(width = mu) ~parents n =
         let known = ref (Array.to_list (Array.map fst parents)) in
         let old_rule = mu_th !known in
         Array.init n (fun _ ->
             let i = !next in
             let cutoff, f = calls.(i) in
             incr next;
-            let want = mu_th !known in
+            let want = nth_smallest width !known in
             if Int64.bits_of_float cutoff <> Int64.bits_of_float want then
               Alcotest.failf "%s: call %d got cutoff %h, the bound is %h" label
                 i cutoff want;
@@ -307,7 +311,12 @@ let test_selection_bound () =
         Array.sort compare pool;
         Array.sub pool 0 mu
       in
-      let seed_pop = group ~parents:[||] (List.length seeds) in
+      let seed_pop =
+        group ~width:(List.length seeds) ~parents:[||] (List.length seeds)
+      in
+      Alcotest.(check (list (float 0.))) (label ^ ": seed fitness")
+        (List.map (fun x -> (x -. 7.) ** 2.) seeds)
+        r.EA.seed_fitness;
       Array.sort compare seed_pop;
       (* from here on, count offspring only *)
       tighter := 0;

@@ -26,7 +26,14 @@ let test_presets () =
   Alcotest.(check int) "emts10 lambda" 100 Alg.emts10.Alg.lambda;
   Alcotest.(check int) "emts10 generations" 10 Alg.emts10.Alg.generations;
   Alcotest.(check int) "four seed heuristics" 4
-    (List.length Alg.emts5.Alg.heuristics)
+    (List.length Alg.emts5.Alg.heuristics);
+  List.iter
+    (fun (name, config) ->
+      Alcotest.(check bool) ("preset " ^ name) true
+        (match Alg.preset name with Some c -> c == config | None -> false))
+    [ ("emts1", Alg.emts1); ("EMTS5", Alg.emts5); ("Emts10", Alg.emts10) ];
+  Alcotest.(check bool) "no such preset" true
+    (Option.is_none (Alg.preset "emts2"))
 
 let test_with_domains () =
   let c = Alg.with_domains 4 Alg.emts5 in
@@ -51,8 +58,15 @@ let test_seeding_collect () =
     Emts_alloc.Common.make_ctx ~model:Emts_model.synthetic ~platform:chti
       ~graph
   in
-  let seeds = Seeding.collect ~heuristics:Seeding.default_heuristics ctx in
+  let seeds =
+    (Alg.run_ctx ~rng:(Emts_prng.create ~seed:1 ()) ~config:quick_config ~ctx
+       ())
+      .Alg.seeds
+  in
   Alcotest.(check int) "one seed per heuristic" 4 (List.length seeds);
+  Alcotest.(check (list string)) "in heuristic order"
+    [ "MCPA"; "HCPA"; "DeltaCP"; "SEQ" ]
+    (List.map (fun (s : Seeding.seed) -> s.heuristic) seeds);
   List.iter
     (fun (s : Seeding.seed) ->
       Alcotest.(check bool) "positive makespan" true (s.makespan > 0.);
@@ -779,6 +793,43 @@ let prop_emts_beats_every_seed =
         (fun (s : Seeding.seed) -> r.Alg.makespan <= s.makespan +. 1e-9)
         r.Alg.seeds)
 
+(* The EA scores each seed once, exactly.  EMTS1's mu = 2 is below its
+   four seeds, so a seed batch under a mu-wide selection bound would cut
+   the worse seeds off.  Every reported seed makespan must be its list
+   schedule's, bit for bit, on every graph class of the fuzzer, on Chti
+   and on Grelon, under Model 2. *)
+let prop_seeds_scored_exactly =
+  QCheck.Test.make
+    ~name:"every seed's makespan is its list schedule's, bit for bit"
+    ~count:40 QCheck.small_nat
+    (fun seed ->
+      let graph = Emts_check.Gen.graph (Emts_prng.create ~seed ()) in
+      List.for_all
+        (fun platform ->
+          let ctx =
+            Emts_alloc.Common.make_ctx ~model:Emts_model.synthetic ~platform
+              ~graph
+          in
+          let r =
+            Alg.run_ctx
+              ~rng:(Emts_prng.create ~seed ())
+              ~config:(Alg.with_domains Testutil.test_domains Alg.emts1)
+              ~ctx ()
+          in
+          List.for_all
+            (fun (s : Seeding.seed) ->
+              let times =
+                Emts_sched.Allocation.times_of_tables s.alloc
+                  ~tables:ctx.Emts_alloc.Common.tables
+              in
+              Int64.equal
+                (Int64.bits_of_float s.makespan)
+                (Int64.bits_of_float
+                   (Emts_sched.List_scheduler.makespan ~graph ~times
+                      ~alloc:s.alloc ~procs:ctx.Emts_alloc.Common.procs ())))
+            r.Alg.seeds)
+        [ chti; Emts_platform.grelon ])
+
 let prop_emts_schedule_valid =
   QCheck.Test.make ~name:"EMTS schedules always validate" ~count:25
     (Testutil.arbitrary_dag ~max_n:15 ())
@@ -854,6 +905,7 @@ let () =
             prop_online_replan_noop;
             prop_pool_determinism;
             prop_emts_beats_every_seed;
+            prop_seeds_scored_exactly;
             prop_emts_schedule_valid;
           ] );
     ]

@@ -280,12 +280,17 @@ let test_render_and_json () =
   let h = Obs.Metrics.histogram "test.render_hist" in
   Obs.Metrics.observe h 2.;
   Obs.Metrics.set_enabled false;
-  let table = Obs.Metrics.render () in
+  let text = Obs.Metrics.render_openmetrics () in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) ("render has " ^ needle) true
-        (contains ~needle table))
-    [ "test.render_counter"; "test.render_gauge"; "test.render_hist"; "7" ];
+      Alcotest.(check bool) ("openmetrics has " ^ needle) true
+        (contains ~needle text))
+    [
+      "\nemts_test_render_counter_total 7\n";
+      "\nemts_test_render_gauge 1.25\n";
+      "\nemts_test_render_hist_count 1\n";
+      "\nemts_test_render_hist_sum 2\n";
+    ];
   let json = Obs.Metrics.to_json () in
   List.iter
     (fun needle ->
